@@ -78,7 +78,6 @@ fn bench_fidelity_tiers(c: &mut Criterion) {
     group.sample_size(10);
     for (label, fidelity) in [
         ("bit_accurate", FidelityMode::BitAccurate),
-        ("fast", FidelityMode::Fast),
         ("turbo", FidelityMode::Turbo),
     ] {
         for entries in [512usize, 2048] {

@@ -99,7 +99,7 @@ fn main() {
          EXPERIMENTS.md."
     );
 
-    // Host-side simulation rates for the same geometries: the fast
-    // match-index tier vs the full DSP-level simulation.
+    // Host-side simulation rates for the same geometries: the Turbo
+    // bit-sliced tier vs the full DSP-level simulation.
     dsp_cam_bench::search_rates::emit_bench_search_json("table8_unit_perf");
 }

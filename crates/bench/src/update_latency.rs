@@ -176,8 +176,7 @@ fn mixed_unit(entries: usize, wbuf: Option<WriteBufferConfig>) -> CamUnit {
         .num_blocks(entries / block_size)
         .bus_width(512)
         .fidelity(FidelityMode::Turbo)
-        .workers(4)
-        .dispatch(DispatchMode::Pool);
+        .workers(4);
     if let Some(policy) = wbuf {
         builder = builder.write_buffer(policy);
     }

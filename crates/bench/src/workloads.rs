@@ -173,8 +173,7 @@ fn scenario_unit_config(entries: usize, write_buffer: bool) -> UnitConfig {
         .bus_width(512)
         .fidelity(FidelityMode::Turbo)
         .batch_width(32)
-        .workers(4)
-        .dispatch(DispatchMode::Pool);
+        .workers(4);
     if write_buffer {
         builder = builder.write_buffer(WriteBufferConfig {
             capacity: 256,

@@ -1,9 +1,9 @@
 //! The transposed (bit-sliced) match engine: the `Turbo` search tier.
 //!
-//! Where [`MatchIndex`](crate::match_index::MatchIndex) keeps one
-//! horizontal `(stored, care)` pair per cell and compares them one cell
-//! at a time, [`BitSliceIndex`] keeps the *vertical* layout: for every
-//! key bit position `b` it stores two packed N-cell bitmaps,
+//! Where the DSP cells keep one horizontal `(stored, care)` pair each and
+//! are compared one cell at a time, [`BitSliceIndex`] keeps the
+//! *vertical* layout: for every key bit position `b` it stores two
+//! packed N-cell bitmaps,
 //!
 //! ```text
 //! match_if_0[b]  — cells that match when key bit b is 0
@@ -305,12 +305,12 @@ impl BitSliceIndex {
         }
     }
 
-    /// Bit-accurate audit pass: re-derive every cell's expected plane
-    /// and valid bits from the oracle cells and return the number of
-    /// cells whose shadowed state diverges. The occupancy skip list is
-    /// checked against the valid bitmap as a structural invariant (it
-    /// can never legally diverge — every valid-bit mutation path updates
-    /// it in the same call).
+    /// Bit-accurate audit pass: fold [`BitSliceIndex::audit_cell`] over
+    /// the oracle cells and return the number of cells whose shadowed
+    /// state diverges. The occupancy skip list is checked against the
+    /// valid bitmap as a structural invariant (it can never legally
+    /// diverge — every valid-bit mutation path updates it in the same
+    /// call).
     ///
     /// # Panics
     ///
@@ -330,18 +330,10 @@ impl BitSliceIndex {
                 "tile {tile} occupancy diverged from the valid bitmap"
             );
         }
-        let mut expected = BitSliceIndex::new(self.len, self.width as u32);
-        expected.refresh_all(cells);
-        (0..self.len)
-            .filter(|&cell| {
-                let bit = 1u64 << (cell % 64);
-                let word = cell / 64;
-                let planes_differ = (0..2 * self.width).any(|p| {
-                    let slot = self.plane_slot(word, p);
-                    (self.planes[slot] ^ expected.planes[slot]) & bit != 0
-                });
-                planes_differ || (self.valid[word] ^ expected.valid[word]) & bit != 0
-            })
+        cells
+            .iter()
+            .enumerate()
+            .filter(|&(cell, from)| self.audit_cell(cell, from))
             .count()
     }
 
@@ -388,8 +380,8 @@ impl BitSliceIndex {
     /// Audit a single cell against its oracle: `true` when any of the
     /// cell's `2 × width` plane bits or its valid bit diverges from what
     /// [`BitSliceIndex::refresh`] would program. `O(width)` — the core
-    /// the scrubber walks, unlike [`BitSliceIndex::audit`] which rebuilds
-    /// a whole expected index.
+    /// the scrubber walks; [`BitSliceIndex::audit`] is the whole-index
+    /// fold over it.
     ///
     /// # Panics
     ///
@@ -535,7 +527,6 @@ mod tests {
     use super::*;
     use crate::config::CellConfig;
     use crate::mask::RangeSpec;
-    use crate::match_index::MatchIndex;
 
     fn shadowed(cells: &[CamCell], width: u32) -> BitSliceIndex {
         let mut idx = BitSliceIndex::new(cells.len(), width);
@@ -559,7 +550,7 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_match_index_across_word_boundary() {
+    fn agrees_with_cells_across_word_boundary() {
         // 130 cells spans three packed words with a ragged tail.
         let mut cells: Vec<CamCell> = (0..130)
             .map(|_| CamCell::new(CellConfig::binary(12)).unwrap())
@@ -570,10 +561,9 @@ mod tests {
             }
         }
         let bitsliced = shadowed(&cells, 12);
-        let mut horizontal = MatchIndex::new(cells.len());
-        horizontal.refresh_all(&cells);
         for key in 0..8u64 {
-            assert_eq!(bitsliced.search(key), horizontal.search(key), "key {key}");
+            let oracle: MatchVector = cells.iter_mut().map(|c| c.search(key)).collect();
+            assert_eq!(bitsliced.search(key), oracle, "key {key}");
         }
     }
 

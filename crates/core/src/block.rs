@@ -24,7 +24,6 @@ use crate::encoder::{MatchVector, SearchOutput};
 use crate::error::{CamError, ConfigError};
 use crate::faults::ShadowFault;
 use crate::mask::RangeSpec;
-use crate::match_index::MatchIndex;
 
 /// Mask selecting the DSP datapath's 48 bits.
 const M48: u64 = (1 << 48) - 1;
@@ -51,13 +50,11 @@ const M48: u64 = (1 << 48) - 1;
 pub struct CamBlock {
     config: BlockConfig,
     cells: Vec<CamCell>,
-    /// Shadow of the cell state for the fast search tier; kept coherent
-    /// on every mutation regardless of the configured fidelity, so the
-    /// mode can be compared (and, via [`CamBlock::set_fidelity`],
+    /// Transposed shadow of the cell state for the turbo search tier and
+    /// the counter-neutral probes; kept coherent on every mutation
+    /// (`O(width)` per cell) regardless of the configured fidelity, so
+    /// the mode can be compared (and, via [`CamBlock::set_fidelity`],
     /// switched) at any time.
-    index: MatchIndex,
-    /// Transposed shadow for the turbo search tier, kept coherent the
-    /// same way (`O(width)` per cell mutation).
     bitslice: BitSliceIndex,
     /// The Cell Address Controller's fill pointer (high-water mark: cells
     /// at and beyond it have never been written).
@@ -106,14 +103,11 @@ impl CamBlock {
         let cells = (0..config.block_size)
             .map(|_| CamCell::new(config.cell))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut index = MatchIndex::new(cells.len());
-        index.refresh_all(&cells);
         let mut bitslice = BitSliceIndex::new(cells.len(), config.cell.data_width);
         bitslice.refresh_all(&cells);
         Ok(CamBlock {
             config,
             cells,
-            index,
             bitslice,
             write_ptr: 0,
             holes: Vec::new(),
@@ -127,9 +121,8 @@ impl CamBlock {
         })
     }
 
-    /// Re-shadow `cell` in both shadow tiers after a mutation.
+    /// Re-shadow `cell` in the bit-sliced planes after a mutation.
     fn reshadow(&mut self, cell: usize) {
-        self.index.refresh(cell, &self.cells[cell]);
         self.bitslice.refresh(cell, &self.cells[cell]);
     }
 
@@ -239,16 +232,16 @@ impl CamBlock {
         self.cells.iter().map(|c| (c.is_valid(), c.pd_fires()))
     }
 
-    /// Bit-accurate audit pass over both shadow tiers: re-derive the
+    /// Bit-accurate audit pass over the bit-sliced shadow: re-derive the
     /// expected shadow state of every cell from the DSP oracle and
-    /// return the number of divergent shadow entries (a healthy block
-    /// always returns 0; see [`CamBlock::inject_shadow_fault`]).
+    /// return the number of divergent cells (a healthy block always
+    /// returns 0; see [`CamBlock::inject_shadow_fault`]).
     #[must_use]
     pub fn audit_shadows(&self) -> usize {
-        self.index.audit(&self.cells) + self.bitslice.audit(&self.cells)
+        self.bitslice.audit(&self.cells)
     }
 
-    /// Corrupt one cell's entry in *both* shadow tiers — a
+    /// Corrupt one cell's entry in the bit-sliced shadow — a
     /// fault-injection hook for tests; the next
     /// [`CamBlock::audit_shadows`] pass must report it.
     ///
@@ -256,7 +249,6 @@ impl CamBlock {
     ///
     /// Panics if `cell` is out of range.
     pub fn inject_shadow_fault(&mut self, cell: usize) {
-        self.inject_fault_at(ShadowFault::IndexStored { cell, bit: 0 });
         self.inject_fault_at(ShadowFault::Plane {
             cell,
             key_bit: 0,
@@ -274,9 +266,6 @@ impl CamBlock {
     /// Panics if the fault addresses a cell out of range.
     pub fn inject_fault_at(&mut self, fault: ShadowFault) {
         match fault {
-            ShadowFault::IndexStored { cell, bit } => self.index.corrupt_stored_bit(cell, bit),
-            ShadowFault::IndexCare { cell, bit } => self.index.corrupt_care_bit(cell, bit),
-            ShadowFault::IndexValid { cell } => self.index.corrupt_valid_bit(cell),
             ShadowFault::Plane {
                 cell,
                 key_bit,
@@ -292,18 +281,17 @@ impl CamBlock {
         }
     }
 
-    /// Audit one cell's entries in both shadow tiers against the DSP
-    /// oracle and repair them in place when divergent. Returns how many
-    /// shadow entries (0, 1 or 2) were divergent — the scrubber's inner
-    /// step. `O(width)` when clean; repair re-shadows the cell exactly
-    /// like any mutation would.
+    /// Audit one cell's bit-sliced shadow entry against the DSP oracle
+    /// and repair it in place when divergent. Returns how many shadow
+    /// entries (0 or 1) were divergent — the scrubber's inner step.
+    /// `O(width)` when clean; repair re-shadows the cell exactly like any
+    /// mutation would.
     ///
     /// # Panics
     ///
     /// Panics if `cell` is out of range.
     pub fn scrub_cell(&mut self, cell: usize) -> usize {
-        let divergent = usize::from(self.index.audit_cell(cell, &self.cells[cell]))
-            + usize::from(self.bitslice.audit_cell(cell, &self.cells[cell]));
+        let divergent = usize::from(self.bitslice.audit_cell(cell, &self.cells[cell]));
         if divergent > 0 {
             self.reshadow(cell);
         }
@@ -325,7 +313,7 @@ impl CamBlock {
     /// since a tile's planes are one contiguous region. Cell ↔ tile
     /// arithmetic comes from [`tile_of`](crate::bitslice::tile_of) /
     /// [`TILE_CELLS`](crate::bitslice::TILE_CELLS) — the same single
-    /// mapping the index and fault layer use. Returns total divergent
+    /// mapping the planes and fault layer use. Returns total divergent
     /// shadow entries repaired.
     ///
     /// # Panics
@@ -447,8 +435,7 @@ impl CamBlock {
     /// produce the match vector on the configured tier, account cycles.
     /// The tiers are interchangeable by construction — identical key
     /// masking, identical compare semantics, identical counter bumps.
-    /// Writes into `out` reusing its allocation; the shadow tiers also
-    /// reuse the block's packed-word scratch, so a warmed-up block
+    /// Writes into `out` reusing its allocation, so a warmed-up block
     /// broadcasts without touching the heap.
     fn broadcast_into(&mut self, key: u64, out: &mut MatchVector) {
         let key = self.mask_key(key);
@@ -460,10 +447,6 @@ impl CamBlock {
                         out.set(i);
                     }
                 }
-            }
-            FidelityMode::Fast => {
-                let index = &self.index;
-                out.fill_raw(index.len(), |bits| index.search_into(key, bits));
             }
             FidelityMode::Turbo => {
                 let bitslice = &self.bitslice;
@@ -512,7 +495,7 @@ impl CamBlock {
     /// filling `out[k]` with the match vector for `keys[k]` (extra `out`
     /// entries are grown/reused, never shrunk). On the `Turbo` tier the
     /// batch is answered in a **single pass** over the bit planes via
-    /// [`BitSliceIndex::search_batch_into`]; the other tiers broadcast
+    /// [`BitSliceIndex::search_batch_into`]; `BitAccurate` broadcasts
     /// key-by-key. Results and counter bumps are exactly those of
     /// `keys.len()` sequential [`CamBlock::search_vector_into`] calls:
     /// one search-latency charge, one search tick and one match/miss
@@ -581,33 +564,26 @@ impl CamBlock {
     /// Lowest cell address whose *valid* contents match `key`, without
     /// perturbing any search counter or cycle accounting — the probe
     /// behind [`CamUnit`](crate::unit::CamUnit)'s deletion path. Answers
-    /// from the always-coherent shadow [`MatchIndex`], so the result is
+    /// from the always-coherent bit-sliced planes, so the result is
     /// identical on every fidelity tier.
     #[must_use]
     pub fn probe_first(&self, key: u64) -> Option<usize> {
-        let key = self.mask_key(key);
-        let mut out = MatchVector::default();
-        let index = &self.index;
-        out.fill_raw(index.len(), |bits| index.search_into(key, bits));
-        out.first()
+        self.bitslice.search(self.mask_key(key)).first()
     }
 
     /// How many valid cells match `key`, capped at `limit`, without
     /// perturbing any search counter or cycle accounting — the probe
     /// behind the write buffer's staged-delete decision. Like
     /// [`probe_first`](Self::probe_first) it answers from the
-    /// always-coherent shadow [`MatchIndex`], so the count is identical
-    /// on every fidelity tier.
+    /// always-coherent bit-sliced planes, so the count is identical on
+    /// every fidelity tier.
     #[must_use]
     pub fn probe_count(&self, key: u64, limit: usize) -> usize {
         if limit == 0 {
             return 0;
         }
-        let key = self.mask_key(key);
-        let mut out = MatchVector::default();
-        let index = &self.index;
-        out.fill_raw(index.len(), |bits| index.search_into(key, bits));
-        out.iter_matches().take(limit).count()
+        let matches = self.bitslice.search(self.mask_key(key));
+        matches.iter_matches().take(limit).count()
     }
 
     /// Per-entry ternary update (extension beyond the paper's shared-mask
@@ -652,7 +628,6 @@ impl CamBlock {
         for cell in &mut self.cells {
             cell.clear();
         }
-        self.index.refresh_all(&self.cells);
         self.bitslice.refresh_all(&self.cells);
         self.write_ptr = 0;
         self.holes.clear();
@@ -888,25 +863,20 @@ mod tests {
         use crate::config::FidelityMode;
         let base = BlockConfig::standalone(CellConfig::binary(16), 32, 512);
         let mut accurate = CamBlock::new(base).unwrap();
-        let mut fast = CamBlock::new(base.with_fidelity(FidelityMode::Fast)).unwrap();
         let mut turbo = CamBlock::new(base.with_fidelity(FidelityMode::Turbo)).unwrap();
-        for b in [&mut accurate, &mut fast, &mut turbo] {
+        for b in [&mut accurate, &mut turbo] {
             b.update(&[7, 7, 0xAB, 0]).unwrap();
             b.invalidate(1);
         }
         for key in [7u64, 0xAB, 0, 0xFFFF_0000_0000_0007, 5] {
             let oracle = accurate.search_vector(key);
-            assert_eq!(oracle, fast.search_vector(key), "fast, key {key:#x}");
             assert_eq!(oracle, turbo.search_vector(key), "turbo, key {key:#x}");
             let encoded = accurate.search(key);
-            assert_eq!(encoded, fast.search(key), "fast, key {key:#x}");
             assert_eq!(encoded, turbo.search(key), "turbo, key {key:#x}");
         }
-        for b in [&fast, &turbo] {
-            assert_eq!(accurate.cycles(), b.cycles(), "block cycle accounting");
-            assert_eq!(accurate.searches(), b.searches());
-            assert_eq!(accurate.update_beats(), b.update_beats());
-        }
+        assert_eq!(accurate.cycles(), turbo.cycles(), "block cycle accounting");
+        assert_eq!(accurate.searches(), turbo.searches());
+        assert_eq!(accurate.update_beats(), turbo.update_beats());
     }
 
     #[test]
@@ -915,11 +885,7 @@ mod tests {
         let mut b = block(32);
         b.update(&[10, 20, 30]).unwrap();
         let mut out = MatchVector::new(1); // wrong shape on purpose
-        for fidelity in [
-            FidelityMode::BitAccurate,
-            FidelityMode::Fast,
-            FidelityMode::Turbo,
-        ] {
+        for fidelity in [FidelityMode::BitAccurate, FidelityMode::Turbo] {
             b.set_fidelity(fidelity);
             b.search_vector_into(20, &mut out);
             assert_eq!(out.len(), 32, "{fidelity:?}");
@@ -967,11 +933,7 @@ mod tests {
         use crate::config::FidelityMode;
         let mut b = block(8);
         b.update(&[5, 9, 5]).unwrap();
-        for fidelity in [
-            FidelityMode::BitAccurate,
-            FidelityMode::Fast,
-            FidelityMode::Turbo,
-        ] {
+        for fidelity in [FidelityMode::BitAccurate, FidelityMode::Turbo] {
             b.set_fidelity(fidelity);
             let (c, s) = (b.cycles(), b.searches());
             assert_eq!(b.probe_first(5), Some(0), "{fidelity:?}");
@@ -1004,9 +966,6 @@ mod tests {
     #[test]
     fn scrub_cell_detects_and_repairs_every_fault_shape() {
         let faults = [
-            ShadowFault::IndexStored { cell: 2, bit: 5 },
-            ShadowFault::IndexCare { cell: 2, bit: 0 },
-            ShadowFault::IndexValid { cell: 3 },
             ShadowFault::Plane {
                 cell: 1,
                 key_bit: 3,
@@ -1039,9 +998,9 @@ mod tests {
         b.update(&[1, 2, 3, 4, 5]).unwrap();
         b.inject_shadow_fault(0);
         b.inject_shadow_fault(4);
-        b.inject_fault_at(ShadowFault::IndexValid { cell: 9 });
-        assert_eq!(b.audit_shadows(), 5);
-        assert_eq!(b.scrub_all(), 5);
+        b.inject_fault_at(ShadowFault::PlaneValid { cell: 9 });
+        assert_eq!(b.audit_shadows(), 3);
+        assert_eq!(b.scrub_all(), 3);
         assert_eq!(b.audit_shadows(), 0);
         assert_eq!(b.scrub_all(), 0, "second sweep finds nothing");
     }
@@ -1090,11 +1049,7 @@ mod tests {
         assert_eq!(oracle.first(), Some(0));
         assert_eq!(oracle.count(), 2, "faulted shadows don't affect it");
         b.scrub_all();
-        for fidelity in [
-            FidelityMode::BitAccurate,
-            FidelityMode::Fast,
-            FidelityMode::Turbo,
-        ] {
+        for fidelity in [FidelityMode::BitAccurate, FidelityMode::Turbo] {
             b.set_fidelity(fidelity);
             assert_eq!(b.search_vector(5), oracle, "{fidelity:?}");
         }
@@ -1106,8 +1061,6 @@ mod tests {
         let mut b = block(16);
         b.update(&[4, 9]).unwrap();
         let before = b.search_vector(9);
-        b.set_fidelity(FidelityMode::Fast);
-        assert_eq!(b.search_vector(9), before);
         b.set_fidelity(FidelityMode::Turbo);
         assert_eq!(b.search_vector(9), before);
         b.set_fidelity(FidelityMode::BitAccurate);

@@ -79,7 +79,7 @@ impl CamCell {
     /// The pattern-detector mask currently programmed into the DSP (a `1`
     /// bit is "don't care"). This is the composed width/kind/entry mask —
     /// reading it back from the slice keeps shadow structures like
-    /// [`MatchIndex`](crate::match_index::MatchIndex) derived from the
+    /// [`BitSliceIndex`](crate::bitslice::BitSliceIndex) derived from the
     /// oracle state instead of re-deriving the composition rules.
     #[must_use]
     pub fn pattern_mask(&self) -> P48 {

@@ -15,14 +15,11 @@ use crate::mask::CamMask;
 
 /// How faithfully search execution models the DSP48E2 hardware.
 ///
-/// All tiers produce **identical** match vectors, encoded outputs and
+/// Both tiers produce **identical** match vectors, encoded outputs and
 /// block/unit cycle counters; they differ only in how the comparison is
 /// computed. [`BitAccurate`](FidelityMode::BitAccurate) drives every
 /// cell's DSP slice model through its real register pipeline (and so
-/// also advances the per-cell DSP cycle counters). [`Fast`](FidelityMode::Fast)
-/// answers searches from a struct-of-arrays shadow of the cell state —
-/// a branch-free compare loop roughly an order of magnitude faster —
-/// leaving the per-cell DSP models untouched between writes.
+/// also advances the per-cell DSP cycle counters).
 /// [`Turbo`](FidelityMode::Turbo) answers from a transposed (bit-sliced)
 /// shadow: one packed per-cell bitmap pair per key bit position, so a
 /// search is `O(width × N/64)` word-wide ANDs with per-word early exit —
@@ -32,29 +29,8 @@ pub enum FidelityMode {
     /// Tick each DSP slice model for every search (the default).
     #[default]
     BitAccurate,
-    /// Answer searches from the shadow match index.
-    Fast,
     /// Answer searches from the transposed bit-sliced match engine.
     Turbo,
-}
-
-/// How multi-worker operations are executed on the host (a pure
-/// execution knob — results and counters are identical either way; see
-/// `tests/tier_equivalence.rs`).
-///
-/// [`Pool`](DispatchMode::Pool) dispatches group shards to the unit's
-/// persistent [`CamRuntime`](crate::runtime::CamRuntime) worker pool:
-/// long-lived threads, bounded hand-off queues, per-thread scratch reuse.
-/// [`ScopedThreads`](DispatchMode::ScopedThreads) spawns and joins a
-/// fresh `std::thread::scope` per call — the pre-pool behaviour, kept as
-/// the baseline the `pool_vs_scoped` benchmark compares against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum DispatchMode {
-    /// Dispatch to the persistent sharded worker pool (the default).
-    #[default]
-    Pool,
-    /// Spawn a fresh thread scope per operation (legacy baseline).
-    ScopedThreads,
 }
 
 /// Background scrubbing and self-healing policy.
@@ -65,7 +41,7 @@ pub enum DispatchMode {
 /// and repairs divergence in place (see [`crate::scrub`]). Search paths
 /// additionally cross-check one answer in every `crosscheck_interval`
 /// against the oracle; a divergent answer is repaired and degrades the
-/// tier one step (Turbo → Fast → BitAccurate). After `restore_after`
+/// tier from Turbo to BitAccurate. After `restore_after`
 /// consecutive clean full sweeps the original tier is restored.
 ///
 /// `strict` selects error semantics on a cross-check divergence:
@@ -93,7 +69,7 @@ impl Default for ScrubPolicy {
     ///
     /// Each cross-check replays the answer through the bit-accurate
     /// oracle — a full group scan — so the interval dominates the scrub
-    /// tax on the fast tiers. These rates keep default-policy scrubbing
+    /// tax on the Turbo tier. These rates keep default-policy scrubbing
     /// under 5% of Turbo `search_stream` throughput at 8192 entries
     /// (tracked as `scrub_overhead_pct` in `BENCH_search.json`).
     fn default() -> Self {
@@ -324,15 +300,11 @@ pub struct UnitConfig {
     /// Worker threads sharding independent blocks/groups during
     /// multi-query searches and group-replicated updates. `1` (the
     /// default) keeps everything on the calling thread; `0` means one
-    /// worker per available CPU. Results and counters are identical at
-    /// any setting — this is a host-side execution knob, not a hardware
-    /// parameter.
+    /// worker per available CPU; above 1 the groups are dispatched to
+    /// the unit's persistent [`CamRuntime`](crate::runtime::CamRuntime)
+    /// pool. Results and counters are identical at any setting — this
+    /// is a host-side execution knob, not a hardware parameter.
     pub workers: usize,
-    /// How multi-worker operations are executed when `workers > 1`:
-    /// dispatched to the persistent [`CamRuntime`](crate::runtime::CamRuntime)
-    /// pool (the default) or run on per-call scoped threads.
-    #[serde(default)]
-    pub dispatch: DispatchMode,
     /// Background scrubbing / self-healing policy. `None` (the default)
     /// disables scrubbing, cross-checking and tier degradation.
     #[serde(default)]
@@ -454,7 +426,6 @@ pub struct UnitConfigBuilder {
     bus_width: u32,
     fidelity: FidelityMode,
     workers: usize,
-    dispatch: DispatchMode,
     scrub: Option<ScrubPolicy>,
     dispatch_deadline_ms: u64,
     batch_width: usize,
@@ -475,7 +446,6 @@ impl Default for UnitConfigBuilder {
             bus_width: 512,
             fidelity: FidelityMode::BitAccurate,
             workers: 1,
-            dispatch: DispatchMode::Pool,
             scrub: None,
             dispatch_deadline_ms: 0,
             batch_width: default_batch_width(),
@@ -565,14 +535,6 @@ impl UnitConfigBuilder {
         self
     }
 
-    /// Set the multi-worker execution strategy (defaults to
-    /// [`DispatchMode::Pool`]).
-    #[must_use]
-    pub fn dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
     /// Enable background scrubbing / self-healing with the given policy
     /// (defaults to off).
     #[must_use]
@@ -631,7 +593,6 @@ impl UnitConfigBuilder {
             num_blocks: self.num_blocks,
             bus_width: self.bus_width,
             workers: self.workers,
-            dispatch: self.dispatch,
             scrub: self.scrub,
             dispatch_deadline_ms: self.dispatch_deadline_ms,
             batch_width: self.batch_width,
@@ -783,16 +744,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.words_per_beat(), 1);
-    }
-
-    #[test]
-    fn dispatch_defaults_to_pool_and_is_settable() {
-        assert_eq!(UnitConfig::default().dispatch, DispatchMode::Pool);
-        let scoped = UnitConfig::builder()
-            .dispatch(DispatchMode::ScopedThreads)
-            .build()
-            .unwrap();
-        assert_eq!(scoped.dispatch, DispatchMode::ScopedThreads);
     }
 
     #[test]

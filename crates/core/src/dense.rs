@@ -41,9 +41,6 @@ use crate::error::CamError;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DenseCamBlock {
     slices: Vec<SimdCamDsp>,
-    /// Lane-value shadow for the fast search tier (one entry per lane,
-    /// mirrored from the slice on every write).
-    lane_values: Vec<u64>,
     /// Packed lane-valid bitmap.
     lane_valid: Vec<u64>,
     /// Transposed shadow for the turbo tier, word-major like
@@ -105,7 +102,6 @@ impl DenseCamBlock {
         let lanes = slices.len() * LANES;
         DenseCamBlock {
             slices,
-            lane_values: vec![0; lanes],
             lane_valid: vec![0; lanes.div_ceil(64)],
             planes: fresh_planes(lanes.div_ceil(64)),
             fidelity,
@@ -168,7 +164,6 @@ impl DenseCamBlock {
         self.slices[slice].write_lane(lane, value);
         // Mirror the oracle: read the lane back from the slice registers.
         let stored = self.slices[slice].lane_value(lane);
-        self.lane_values[self.write_ptr] = stored;
         self.lane_valid[self.write_ptr / 64] |= 1 << (self.write_ptr % 64);
         let bit = 1u64 << (self.write_ptr % 64);
         let base = (self.write_ptr / 64) * 2 * LANE_BITS;
@@ -212,16 +207,6 @@ impl DenseCamBlock {
                 }
                 matches
             }
-            FidelityMode::Fast => {
-                let mut matches = MatchVector::new(self.capacity());
-                for (i, &stored) in self.lane_values.iter().enumerate() {
-                    let valid = self.lane_valid[i / 64] >> (i % 64) & 1 == 1;
-                    if valid && stored == key {
-                        matches.set(i);
-                    }
-                }
-                matches
-            }
             FidelityMode::Turbo => {
                 let capacity = self.capacity();
                 let (planes, valid) = (&self.planes, &self.lane_valid);
@@ -257,8 +242,8 @@ impl DenseCamBlock {
     /// `out` is grown (never shrunk) to cover `keys`; slot `k` receives
     /// the match vector for `keys[k]`, bit-identical to a [`search`] per
     /// key. Cycle accounting also matches: `SEARCH_LATENCY` per key. On
-    /// the [`BitAccurate`](FidelityMode::BitAccurate) and
-    /// [`Fast`](FidelityMode::Fast) tiers this simply loops [`search`].
+    /// the [`BitAccurate`](FidelityMode::BitAccurate) tier this simply
+    /// loops [`search`].
     ///
     /// # Errors
     ///
@@ -354,7 +339,6 @@ impl DenseCamBlock {
         for slice in &mut self.slices {
             slice.clear();
         }
-        self.lane_values.fill(0);
         self.lane_valid.fill(0);
         let words = self.lane_valid.len();
         self.planes.copy_from_slice(&fresh_planes(words));
@@ -440,24 +424,19 @@ mod tests {
     fn shadow_tiers_match_bit_accurate() {
         use crate::config::FidelityMode;
         let mut accurate = DenseCamBlock::new(16);
-        let mut fast = DenseCamBlock::with_fidelity(16, FidelityMode::Fast);
         let mut turbo = DenseCamBlock::with_fidelity(16, FidelityMode::Turbo);
-        for cam in [&mut accurate, &mut fast, &mut turbo] {
+        for cam in [&mut accurate, &mut turbo] {
             for v in [5u64, 100, 4095, 0, 77, 5] {
                 cam.insert(v).unwrap();
             }
         }
         for probe in [5u64, 100, 4095, 0, 77, 1, 4094] {
             let want = accurate.search(probe).unwrap();
-            assert_eq!(want, fast.search(probe).unwrap(), "fast, probe {probe}");
             assert_eq!(want, turbo.search(probe).unwrap(), "turbo, probe {probe}");
         }
-        assert_eq!(accurate.cycles(), fast.cycles());
         assert_eq!(accurate.cycles(), turbo.cycles());
-        for cam in [&mut fast, &mut turbo] {
-            cam.reset();
-            assert!(!cam.search(5).unwrap().any(), "reset clears the shadow");
-        }
+        turbo.reset();
+        assert!(!turbo.search(5).unwrap().any(), "reset clears the shadow");
     }
 
     #[test]
@@ -482,11 +461,7 @@ mod tests {
     #[test]
     fn batch_kernel_matches_scalar_search() {
         use crate::config::FidelityMode;
-        for tier in [
-            FidelityMode::BitAccurate,
-            FidelityMode::Fast,
-            FidelityMode::Turbo,
-        ] {
+        for tier in [FidelityMode::BitAccurate, FidelityMode::Turbo] {
             // 130 lanes crosses a 64-lane word-group boundary.
             let mut reference = DenseCamBlock::with_fidelity(130, tier);
             let mut batched = DenseCamBlock::with_fidelity(130, tier);

@@ -25,8 +25,8 @@ impl MatchVector {
         }
     }
 
-    /// Build a vector directly from packed match words (the fast-path
-    /// [`MatchIndex`](crate::match_index::MatchIndex) output). Bits at or
+    /// Build a vector directly from packed match words (the bit-sliced
+    /// [`BitSliceIndex`](crate::bitslice::BitSliceIndex) output). Bits at or
     /// beyond `len` are cleared so `count`/`first` invariants hold.
     ///
     /// # Panics

@@ -1,9 +1,8 @@
 //! Deterministic fault injection for the shadow search tiers.
 //!
-//! An FPGA CAM's shadow structures — the horizontal
-//! [`MatchIndex`](crate::match_index::MatchIndex), the transposed
-//! [`BitSliceIndex`](crate::bitslice::BitSliceIndex) planes, the packed
-//! valid bitmaps and the routing table — live in fabric memory and are
+//! An FPGA CAM's shadow structures — the transposed
+//! [`BitSliceIndex`](crate::bitslice::BitSliceIndex) planes, their packed
+//! valid bitmap and the routing table — live in fabric memory and are
 //! exposed to single-event upsets, while the DSP-slice oracle state is
 //! the configuration being protected. This module models those upsets:
 //! a [`FaultPlan`] is a seeded, self-contained PRNG plus per-class
@@ -85,17 +84,13 @@ impl XorShift64 {
 /// Per-cycle flip probabilities for each fault class.
 ///
 /// Each field is an independent Bernoulli rate per modelled cycle:
-/// `match_index` covers stored-word and care-mask bits of the horizontal
-/// shadow, `bitslice` covers the transposed plane bitmaps, `valid`
-/// covers both packed valid bitmaps, and `routing` covers routing-table
-/// entries.
+/// `bitslice` covers the transposed plane bitmaps, `valid` covers their
+/// packed valid bitmap, and `routing` covers routing-table entries.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultRates {
-    /// Flip rate for `MatchIndex` stored/care bits.
-    pub match_index: f64,
     /// Flip rate for `BitSliceIndex` plane bits.
     pub bitslice: f64,
-    /// Flip rate for packed valid-bitmap bits (either shadow).
+    /// Flip rate for packed valid-bitmap bits.
     pub valid: f64,
     /// Flip rate for routing-table entries.
     pub routing: f64,
@@ -109,7 +104,6 @@ impl FaultRates {
     #[must_use]
     pub fn uniform(rate: f64) -> Self {
         FaultRates {
-            match_index: rate,
             bitslice: rate,
             valid: rate,
             routing: rate,
@@ -132,25 +126,6 @@ impl Default for FaultRates {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum ShadowFault {
-    /// Flip a bit of the horizontal shadow's stored word.
-    IndexStored {
-        /// Block-local cell index.
-        cell: usize,
-        /// Bit position (wraps modulo 48).
-        bit: u32,
-    },
-    /// Flip a bit of the horizontal shadow's care mask.
-    IndexCare {
-        /// Block-local cell index.
-        cell: usize,
-        /// Bit position (wraps modulo 48).
-        bit: u32,
-    },
-    /// Flip the horizontal shadow's valid bit for a cell.
-    IndexValid {
-        /// Block-local cell index.
-        cell: usize,
-    },
     /// Flip a cell's membership in one bit-sliced plane.
     Plane {
         /// Block-local cell index.
@@ -173,11 +148,7 @@ impl ShadowFault {
     #[must_use]
     pub fn cell(&self) -> usize {
         match *self {
-            ShadowFault::IndexStored { cell, .. }
-            | ShadowFault::IndexCare { cell, .. }
-            | ShadowFault::IndexValid { cell }
-            | ShadowFault::Plane { cell, .. }
-            | ShadowFault::PlaneValid { cell } => cell,
+            ShadowFault::Plane { cell, .. } | ShadowFault::PlaneValid { cell } => cell,
         }
     }
 
@@ -185,8 +156,6 @@ impl ShadowFault {
     /// delegates to [`tile_of`](crate::bitslice::tile_of), the one
     /// cell → tile mapping the tiled plane layout defines, so the fault
     /// layer and the index can never disagree about tile arithmetic.
-    /// (Horizontal-shadow faults still report the tile their cell would
-    /// occupy; only `Plane`/`PlaneValid` actually touch tiled storage.)
     #[must_use]
     pub fn tile(&self) -> usize {
         crate::bitslice::tile_of(self.cell())
@@ -223,8 +192,8 @@ pub enum FaultSite {
     /// pool: the next pooled update dispatch panics in exactly one group
     /// task before writing anything, poisoning the pool mid-operation
     /// (`WorkerPoolPoisoned`). Exercises the transactional-drain repair
-    /// path end to end; a no-op for units dispatching serially or via
-    /// scoped threads, where a worker upset cannot occur.
+    /// path end to end; a no-op for units dispatching serially, where a
+    /// worker upset cannot occur.
     PoolWorker,
     /// Arm a one-shot stall fuse on the pool: every group task of the
     /// next pooled update dispatch sleeps `ms` milliseconds before
@@ -234,8 +203,7 @@ pub enum FaultSite {
     /// [`CamError::DispatchTimeout`](crate::error::CamError) — the
     /// stalled workers' blocks are abandoned (re-materialised empty)
     /// and the pool is torn down, exactly the real hung-worker path —
-    /// without any test-only hook. A no-op for serial or scoped-thread
-    /// dispatch.
+    /// without any test-only hook. A no-op for serial dispatch.
     PoolStall {
         /// Stall length per group task, in milliseconds.
         ms: u64,
@@ -254,9 +222,9 @@ pub enum FaultSite {
 pub struct FaultPlan {
     rng: XorShift64,
     /// Dedicated stream for the update-queue class so its draws never
-    /// perturb the legacy four-class sequence: a fixed seed replays the
-    /// exact same shadow/routing campaign it produced before the class
-    /// existed.
+    /// perturb the shadow/routing sequence: a fixed seed replays the
+    /// exact same shadow/routing campaign whether or not the class is
+    /// armed.
     uq_rng: XorShift64,
     rates: FaultRates,
 }
@@ -296,10 +264,9 @@ impl FaultPlan {
     ///
     /// Each class is an independent Bernoulli trial; a hit picks a
     /// uniform site of that class. The update-queue class samples its
-    /// own decorrelated stream, so arming it leaves the four legacy
+    /// own decorrelated stream, so arming it leaves the shadow/routing
     /// classes' sequence untouched for a given seed. Returns every site
-    /// drawn this cycle
-    /// (usually empty at realistic rates). Sites are cell-addressed;
+    /// drawn this cycle (usually empty at realistic rates). Sites are cell-addressed;
     /// where a drawn fault lands in the bit-sliced shadow's tiled plane
     /// layout is answered by [`ShadowFault::tile`], never recomputed
     /// here — so campaigns stay valid if the tile geometry changes.
@@ -314,25 +281,6 @@ impl FaultPlan {
             return;
         }
         let cell_sites = (blocks * cells_per_block) as u64;
-        if self.rng.chance(self.rates.match_index) {
-            let at = self.rng.below(cell_sites) as usize;
-            let bit = self.rng.below(u64::from(width)) as u32;
-            let fault = if self.rng.chance(0.5) {
-                ShadowFault::IndexStored {
-                    cell: at % cells_per_block,
-                    bit,
-                }
-            } else {
-                ShadowFault::IndexCare {
-                    cell: at % cells_per_block,
-                    bit,
-                }
-            };
-            out.push(FaultSite::Shadow {
-                block: at / cells_per_block,
-                fault,
-            });
-        }
         if self.rng.chance(self.rates.bitslice) {
             let at = self.rng.below(cell_sites) as usize;
             let key_bit = self.rng.below(u64::from(width)) as usize;
@@ -348,18 +296,11 @@ impl FaultPlan {
         }
         if self.rng.chance(self.rates.valid) {
             let at = self.rng.below(cell_sites) as usize;
-            let fault = if self.rng.chance(0.5) {
-                ShadowFault::IndexValid {
-                    cell: at % cells_per_block,
-                }
-            } else {
-                ShadowFault::PlaneValid {
-                    cell: at % cells_per_block,
-                }
-            };
             out.push(FaultSite::Shadow {
                 block: at / cells_per_block,
-                fault,
+                fault: ShadowFault::PlaneValid {
+                    cell: at % cells_per_block,
+                },
             });
         }
         if self.rng.chance(self.rates.routing) {
@@ -438,27 +379,26 @@ mod tests {
     }
 
     #[test]
-    fn update_queue_class_never_perturbs_the_legacy_stream() {
-        // Fixed-seed campaigns written before the update-queue class
-        // existed must replay the identical shadow/routing sequence even
-        // when the new class is armed: its draws come from a dedicated
-        // sub-generator, never the shared one.
+    fn update_queue_class_never_perturbs_the_shadow_stream() {
+        // A fixed-seed campaign replays the identical shadow/routing
+        // sequence whether or not the update-queue class is armed: its
+        // draws come from a dedicated sub-generator, never the shared one.
         let mut with_uq = FaultPlan::uniform(0xD511_CA3B, 5e-3);
-        let mut legacy_rates = FaultRates::uniform(5e-3);
-        legacy_rates.update_queue = 0.0;
-        let mut without_uq = FaultPlan::with_rates(0xD511_CA3B, legacy_rates);
+        let mut shadow_rates = FaultRates::uniform(5e-3);
+        shadow_rates.update_queue = 0.0;
+        let mut without_uq = FaultPlan::with_rates(0xD511_CA3B, shadow_rates);
         let mut sites_with = Vec::new();
         let mut sites_without = Vec::new();
         for _ in 0..4096 {
             with_uq.draw(4, 8, 16, &mut sites_with);
             without_uq.draw(4, 8, 16, &mut sites_without);
         }
-        let legacy_only: Vec<FaultSite> = sites_with
+        let shadow_only: Vec<FaultSite> = sites_with
             .iter()
             .copied()
             .filter(|s| !matches!(s, FaultSite::UpdateQueue { .. }))
             .collect();
-        assert_eq!(legacy_only, sites_without);
+        assert_eq!(shadow_only, sites_without);
         assert!(
             sites_with.len() > sites_without.len(),
             "the armed update-queue class must still fire on its own stream"
@@ -469,9 +409,12 @@ mod tests {
     fn fault_sites_report_cell_and_tile_through_one_mapping() {
         use crate::bitslice::{tile_of, TILE_CELLS};
         let faults = [
-            ShadowFault::IndexStored { cell: 3, bit: 7 },
-            ShadowFault::IndexCare { cell: 63, bit: 0 },
-            ShadowFault::IndexValid { cell: 64 },
+            ShadowFault::Plane {
+                cell: 3,
+                key_bit: 7,
+                one_plane: false,
+            },
+            ShadowFault::PlaneValid { cell: 64 },
             ShadowFault::Plane {
                 cell: TILE_CELLS - 1,
                 key_bit: 5,

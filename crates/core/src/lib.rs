@@ -59,7 +59,6 @@ pub mod func;
 pub mod journal;
 pub mod kind;
 pub mod mask;
-pub mod match_index;
 pub mod pipelined;
 pub mod runtime;
 pub mod scrub;
@@ -73,8 +72,7 @@ pub mod prelude {
     pub use crate::block::CamBlock;
     pub use crate::cell::CamCell;
     pub use crate::config::{
-        BlockConfig, CellConfig, DispatchMode, FidelityMode, ScrubPolicy, UnitConfig,
-        WriteBufferConfig,
+        BlockConfig, CellConfig, FidelityMode, ScrubPolicy, UnitConfig, WriteBufferConfig,
     };
     pub use crate::dense::DenseCamBlock;
     pub use crate::encoder::{Encoding, MatchVector, SearchOutput};
@@ -84,7 +82,6 @@ pub mod prelude {
     pub use crate::journal::{JournalEntry, JournalOp, OpJournal};
     pub use crate::kind::CamKind;
     pub use crate::mask::{range_mask, width_mask, CamMask, RangeSpec};
-    pub use crate::match_index::MatchIndex;
     pub use crate::pipelined::{Completion, Op, RetireRecord, StreamingCam};
     pub use crate::runtime::CamRuntime;
     pub use crate::scrub::ScrubReport;

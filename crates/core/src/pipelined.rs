@@ -277,7 +277,7 @@ impl StreamingCam {
         self.unit.write_buffer_depth()
     }
 
-    /// Audit every block's shadow tiers against the DSP oracle and
+    /// Audit every block's bit-sliced shadow against the DSP oracle and
     /// return the number of divergent entries — the streaming façade of
     /// [`CamUnit::audit_shadows`] (same counters and obs side effects).
     pub fn audit_shadows(&self) -> usize {

@@ -5,15 +5,15 @@
 //! golden source and rewrites divergence before it can accumulate. In
 //! this model the golden source is the bit-accurate DSP oracle (the
 //! per-cell slice state), and the protected state is everything derived
-//! from it: the horizontal `MatchIndex`, the transposed `BitSliceIndex`
-//! planes, the packed valid bitmaps and the Routing Table.
+//! from it: the transposed `BitSliceIndex` planes, their packed valid
+//! bitmap and the Routing Table.
 //!
 //! The subsystem has three cooperating mechanisms, all configured by
 //! [`ScrubPolicy`](crate::config::ScrubPolicy) on the unit config:
 //!
 //! 1. **The scrub walker** — every unit operation (and every idle
 //!    [`StreamingCam`](crate::pipelined::StreamingCam) tick) also audits
-//!    `cells_per_op` cells, repairing both shadow tiers in place via
+//!    `cells_per_op` cells, repairing the bit-sliced shadow in place via
 //!    [`CamBlock::scrub_cell`](crate::block::CamBlock::scrub_cell). When
 //!    the cursor wraps the whole unit, the Routing Table is audited
 //!    against group membership and the sweep is scored clean or dirty.
@@ -22,11 +22,10 @@
 //!    ([`CamBlock::oracle_vector_into`](crate::block::CamBlock::oracle_vector_into));
 //!    a mismatch proves the serving shadow diverged, so the group is
 //!    bulk-repaired, the *corrected* answer is served, and the tier is
-//!    degraded one step.
-//! 3. **The degradation governor** — divergence walks the unit down the
-//!    fidelity ladder Turbo → Fast → BitAccurate (the oracle itself
-//!    cannot diverge); `restore_after` consecutive clean sweeps walk it
-//!    back up to the tier it started from.
+//!    degraded.
+//! 3. **The degradation governor** — divergence drops a Turbo unit to
+//!    BitAccurate (the oracle itself cannot diverge); `restore_after`
+//!    consecutive clean sweeps restore the tier it started from.
 //!
 //! All of it is counter-neutral: scrubbing, cross-checking, repair and
 //! degradation never touch issue-cycle, search or block counters, so a
@@ -138,12 +137,12 @@ mod tests {
             ..ScrubState::default()
         };
         state.degraded_from = Some(FidelityMode::Turbo);
-        let report = state.report(FidelityMode::Fast);
+        let report = state.report(FidelityMode::BitAccurate);
         assert_eq!(report.cells_audited, 10);
         assert_eq!(report.faults_detected, report.faults_repaired);
         assert!(report.is_degraded());
         assert_eq!(report.degraded_from, Some(FidelityMode::Turbo));
-        assert_eq!(report.current_tier, FidelityMode::Fast);
+        assert_eq!(report.current_tier, FidelityMode::BitAccurate);
         assert!(!ScrubState::default()
             .report(FidelityMode::Turbo)
             .is_degraded());

@@ -31,7 +31,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::block::CamBlock;
 use crate::bus::{BusCommand, Opcode};
-use crate::config::{DispatchMode, FidelityMode, ScrubPolicy, UnitConfig};
+use crate::config::{FidelityMode, ScrubPolicy, UnitConfig};
 use crate::encoder::{Encoding, MatchVector, SearchOutput};
 use crate::error::{CamError, ConfigError};
 use crate::faults::{FaultPlan, FaultSite};
@@ -190,8 +190,8 @@ pub struct CamUnit {
     #[serde(skip)]
     scratch: GroupScratch,
     /// The persistent sharded worker pool (see [`CamRuntime`]), built on
-    /// first multi-worker dispatch under [`DispatchMode::Pool`] and
-    /// rebuilt whenever the effective worker count changes.
+    /// first multi-worker dispatch and rebuilt whenever the effective
+    /// worker count changes.
     #[serde(skip)]
     runtime: RuntimeSlot,
     /// One-shot fuse armed by [`FaultSite::PoolWorker`]: the next pooled
@@ -272,22 +272,11 @@ impl CamUnit {
     }
 
     /// Set the worker-thread count for subsequent multi-query searches
-    /// and replicated updates (see [`UnitConfig::workers`]). Under
-    /// [`DispatchMode::Pool`] the persistent pool is rebuilt to the new
-    /// size on the next sharded dispatch.
+    /// and replicated updates (see [`UnitConfig::workers`]). The
+    /// persistent pool is rebuilt to the new size on the next sharded
+    /// dispatch.
     pub fn set_workers(&mut self, workers: usize) {
         self.config.workers = workers;
-    }
-
-    /// Select how multi-worker operations are dispatched: the persistent
-    /// [`CamRuntime`] pool (default) or a fresh `std::thread::scope` per
-    /// call (see [`DispatchMode`]). Switching to
-    /// [`DispatchMode::ScopedThreads`] shuts the pool down immediately.
-    pub fn set_dispatch(&mut self, dispatch: DispatchMode) {
-        self.config.dispatch = dispatch;
-        if dispatch == DispatchMode::ScopedThreads {
-            self.runtime.0 = None;
-        }
     }
 
     /// Current group count `M`.
@@ -527,9 +516,9 @@ impl CamUnit {
         }
     }
 
-    /// Bit-accurate audit pass over every block's shadow tiers: re-derive
-    /// the expected `MatchIndex`/`BitSliceIndex` state from the DSP
-    /// oracle and return the number of divergent shadow entries (0 for a
+    /// Bit-accurate audit pass over every block's bit-sliced shadow:
+    /// re-derive the expected `BitSliceIndex` state from the DSP oracle
+    /// and return the number of divergent shadow entries (0 for a
     /// healthy unit). With the `obs` feature and an attached observer,
     /// the divergence total is also added to the `shadow_divergence`
     /// counter at unit and block scope.
@@ -727,7 +716,7 @@ impl CamUnit {
     /// from cell state (counter-neutral); a mismatch proves the serving
     /// shadow diverged, so the answering group is bulk-repaired, the
     /// *corrected* answer substituted into `result`, and the tier
-    /// degraded one step. Returns whether a divergence was caught.
+    /// degraded. Returns whether a divergence was caught.
     fn crosscheck_result(&mut self, key: u64, result: &mut SearchResult) -> bool {
         let Some(policy) = self.config.scrub else {
             return false;
@@ -762,7 +751,8 @@ impl CamUnit {
             return false;
         }
         // The serving shadow lied. Repair the whole answering group from
-        // the oracle, serve the oracle's answer, and fall back one tier.
+        // the oracle, serve the oracle's answer, and fall back to the
+        // oracle tier.
         self.scrub.divergences += 1;
         let block_ids = self.fill[group].blocks.clone();
         let repaired: usize = block_ids
@@ -804,17 +794,16 @@ impl CamUnit {
         self.config.scrub.is_some_and(|p| p.strict)
     }
 
-    /// Fall back one step on the fidelity ladder (Turbo → Fast →
-    /// BitAccurate; the oracle itself cannot diverge, so BitAccurate is
-    /// the floor), remembering the tier the unit started from so the
-    /// governor can restore it after `restore_after` clean sweeps.
+    /// Fall back from Turbo to BitAccurate (the oracle itself cannot
+    /// diverge, so BitAccurate is the floor), remembering the tier the
+    /// unit started from so the governor can restore it after
+    /// `restore_after` clean sweeps.
     fn degrade_tier(&mut self) {
         let from = self.config.block.fidelity;
-        let to = match from {
-            FidelityMode::Turbo => FidelityMode::Fast,
-            FidelityMode::Fast => FidelityMode::BitAccurate,
-            FidelityMode::BitAccurate => return,
-        };
+        if from == FidelityMode::BitAccurate {
+            return;
+        }
+        let to = FidelityMode::BitAccurate;
         if self.scrub.degraded_from.is_none() {
             self.scrub.degraded_from = Some(from);
         }
@@ -960,24 +949,22 @@ impl CamUnit {
         }
     }
 
-    /// Distribute the blocks of the first `count` groups into per-group
-    /// buckets of mutable references, each bucket in the group's fill
-    /// order. Groups own disjoint block sets (the Routing Table is a
-    /// partition), which is what makes sharding them across threads
-    /// sound.
+    /// Distribute the blocks into per-group buckets of mutable
+    /// references, each bucket in the group's fill order. Groups own
+    /// disjoint block sets (the Routing Table is a partition), which is
+    /// what lets every bucket hold its `&mut` borrows at once.
     fn group_shards<'a>(
         blocks: &'a mut [CamBlock],
         fill: &[GroupFill],
-        count: usize,
     ) -> Vec<Vec<&'a mut CamBlock>> {
         let mut owner: Vec<Option<(usize, usize)>> = vec![None; blocks.len()];
-        for (g, f) in fill.iter().enumerate().take(count) {
+        for (g, f) in fill.iter().enumerate() {
             for (pos, &b) in f.blocks.iter().enumerate() {
                 owner[b] = Some((g, pos));
             }
         }
         let mut buckets: Vec<Vec<(usize, &mut CamBlock)>> =
-            (0..count).map(|_| Vec::new()).collect();
+            (0..fill.len()).map(|_| Vec::new()).collect();
         for (b, block) in blocks.iter_mut().enumerate() {
             if let Some((g, pos)) = owner[b] {
                 buckets[g].push((pos, block));
@@ -993,11 +980,10 @@ impl CamUnit {
     }
 
     /// Run `op` over the first `count` groups on the persistent worker
-    /// pool, chunking groups across `lanes` workers exactly as the
-    /// scoped-thread path does (chunk *i* → worker *i*, so observability
-    /// worker attribution is identical). Blocks move into the workers by
-    /// value and come back by value — `forbid(unsafe_code)`-compatible
-    /// sharding. The pool is built lazily and rebuilt when the effective
+    /// pool, chunking groups across `lanes` workers (chunk *i* → worker
+    /// *i*, which is what observability worker attribution reports).
+    /// Blocks move into the workers by value and come back by value —
+    /// `forbid(unsafe_code)`-compatible sharding. The pool is built lazily and rebuilt when the effective
     /// worker count changes.
     ///
     /// On a poisoned worker the surviving blocks are reinstalled, any
@@ -1222,14 +1208,14 @@ impl CamUnit {
 
     /// Replicate `words` into every group physically — the write engine
     /// shared by the inline update path and the write-buffer drainer
-    /// (serial shards, [`CamRuntime`] pool dispatch, or scoped threads,
-    /// per [`DispatchMode`]). Admission must already be checked; no
+    /// (serial shards, or [`CamRuntime`] pool dispatch when more than one
+    /// worker is configured). Admission must already be checked; no
     /// unit-level counters move here — block-level counters accrue as
     /// the cells are written, identically on either path.
     fn apply_words_physical(&mut self, words: &[u64]) -> Result<(), CamError> {
         let workers = self.effective_workers().min(self.groups);
         let outcomes: Vec<(usize, usize)> = if workers <= 1 {
-            let shards = Self::group_shards(&mut self.blocks, &self.fill, self.groups);
+            let shards = Self::group_shards(&mut self.blocks, &self.fill);
             shards
                 .into_iter()
                 .enumerate()
@@ -1240,7 +1226,7 @@ impl CamUnit {
                     )
                 })
                 .collect()
-        } else if self.config.dispatch == DispatchMode::Pool {
+        } else {
             let op = PoolOp::Update {
                 words: Arc::new(words.to_vec()),
                 fault: self.pool_fault.take(),
@@ -1248,33 +1234,6 @@ impl CamUnit {
             };
             let (fills, _) = self.dispatch_pool(self.groups, workers, op)?;
             fills
-        } else {
-            let shards = Self::group_shards(&mut self.blocks, &self.fill, self.groups);
-            let work: Vec<(usize, usize, Vec<&mut CamBlock>)> = shards
-                .into_iter()
-                .enumerate()
-                .map(|(g, blocks)| (g, self.fill[g].current, blocks))
-                .collect();
-            let mut chunks = chunked(work, workers);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = chunks
-                    .drain(..)
-                    .map(|chunk| {
-                        s.spawn(move || {
-                            chunk
-                                .into_iter()
-                                .map(|(g, current, mut blocks)| {
-                                    (g, write_group_words(&mut blocks, current, words))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("update worker panicked"))
-                    .collect()
-            })
         };
         for (g, current) in outcomes {
             self.fill[g].current = current;
@@ -1489,7 +1448,7 @@ impl CamUnit {
                 })
                 .collect();
             let current = self.fill[g].current;
-            let mut shards = Self::group_shards(&mut self.blocks, &self.fill, self.groups);
+            let mut shards = Self::group_shards(&mut self.blocks, &self.fill);
             let blocks = &mut shards[g];
             // A stale-low `current` self-heals: `write_group_words`
             // zero-takes and advances past the full blocks in front.
@@ -1625,66 +1584,21 @@ impl CamUnit {
         self.issue_cycles += 1;
         self.search_count += keys.len() as u64;
         let workers = self.effective_workers().min(keys.len().max(1));
-        if workers <= 1 {
-            let mut results: Vec<SearchResult> = keys
-                .iter()
+        let mut results: Vec<SearchResult> = if workers <= 1 {
+            keys.iter()
                 .enumerate()
                 .map(|(g, &key)| self.search_in_group(g, key))
-                .collect();
-            let diverged = self.crosscheck_results(keys, &mut results);
-            self.scrub_step();
-            #[cfg(feature = "obs")]
-            self.trace_multi(keys, &results, 1);
-            if let (Some((group, key)), true) = (diverged, self.strict_scrub()) {
-                return Err(CamError::ShadowDivergence { group, key });
-            }
-            return Ok(results);
-        }
-        let block_size = self.config.block.block_size;
-        let encoding = self.config.block.encoding;
-        let mut answered: Vec<(usize, SearchResult)> = if self.config.dispatch == DispatchMode::Pool
-        {
+                .collect()
+        } else {
             let op = PoolOp::SearchMulti {
                 keys: Arc::new(keys.to_vec()),
-                block_size,
-                encoding,
+                block_size: self.config.block.block_size,
+                encoding: self.config.block.encoding,
             };
-            let (_, results) = self.dispatch_pool(keys.len(), workers, op)?;
-            results
-        } else {
-            let shards = Self::group_shards(&mut self.blocks, &self.fill, keys.len());
-            let work: Vec<(usize, u64, Vec<&mut CamBlock>)> = shards
-                .into_iter()
-                .enumerate()
-                .map(|(g, blocks)| (g, keys[g], blocks))
-                .collect();
-            let mut chunks = chunked(work, workers);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = chunks
-                    .drain(..)
-                    .map(|chunk| {
-                        s.spawn(move || {
-                            let mut scratch = GroupScratch::default();
-                            chunk
-                                .into_iter()
-                                .map(|(g, key, mut blocks)| {
-                                    search_group_into(&mut blocks, key, block_size, &mut scratch);
-                                    let output = encoding.encode(&scratch.combined);
-                                    (g, SearchResult { group: g, output })
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("search worker panicked"))
-                    .collect()
-            })
+            let (_, mut answered) = self.dispatch_pool(keys.len(), workers, op)?;
+            answered.sort_by_key(|&(g, _)| g);
+            answered.into_iter().map(|(_, result)| result).collect()
         };
-        answered.sort_by_key(|&(g, _)| g);
-        let mut results: Vec<SearchResult> =
-            answered.into_iter().map(|(_, result)| result).collect();
         let diverged = self.crosscheck_results(keys, &mut results);
         self.scrub_step();
         #[cfg(feature = "obs")]
@@ -1765,12 +1679,12 @@ impl CamUnit {
         self.search_count += unique.len() as u64;
         let workers = self.effective_workers().min(groups);
         let batch = self.config.batch_width;
-        let answers: Vec<SearchResult> = if workers <= 1 {
-            let block_size = self.config.block.block_size;
-            let encoding = self.config.block.encoding;
+        let block_size = self.config.block.block_size;
+        let encoding = self.config.block.encoding;
+        let mut answered: Vec<(usize, SearchResult)> = if workers <= 1 {
             let mut scratch = std::mem::take(&mut self.scratch);
-            let shards = Self::group_shards(&mut self.blocks, &self.fill, groups);
-            let mut answered: Vec<(usize, SearchResult)> = Vec::with_capacity(unique.len());
+            let shards = Self::group_shards(&mut self.blocks, &self.fill);
+            let mut answered = Vec::with_capacity(unique.len());
             for (g, mut blocks) in shards.into_iter().enumerate() {
                 stream_group_batches(
                     &mut blocks,
@@ -1785,59 +1699,20 @@ impl CamUnit {
                 );
             }
             self.scratch = scratch;
-            answered.sort_by_key(|&(j, _)| j);
-            answered.into_iter().map(|(_, result)| result).collect()
-        } else if self.config.dispatch == DispatchMode::Pool {
+            answered
+        } else {
             let op = PoolOp::SearchStream {
                 unique: Arc::new(unique.clone()),
                 groups,
                 batch,
-                block_size: self.config.block.block_size,
-                encoding: self.config.block.encoding,
+                block_size,
+                encoding,
             };
-            let (_, mut answered) = self.dispatch_pool(groups, workers, op)?;
-            answered.sort_by_key(|&(j, _)| j);
-            answered.into_iter().map(|(_, result)| result).collect()
-        } else {
-            let block_size = self.config.block.block_size;
-            let encoding = self.config.block.encoding;
-            let shards = Self::group_shards(&mut self.blocks, &self.fill, groups);
-            let work: Vec<(usize, Vec<&mut CamBlock>)> = shards.into_iter().enumerate().collect();
-            let mut chunks = chunked(work, workers);
-            let unique_keys = &unique;
-            let mut answered: Vec<(usize, SearchResult)> = std::thread::scope(|s| {
-                let handles: Vec<_> = chunks
-                    .drain(..)
-                    .map(|chunk| {
-                        s.spawn(move || {
-                            let mut scratch = GroupScratch::default();
-                            let mut out = Vec::new();
-                            for (g, mut blocks) in chunk {
-                                stream_group_batches(
-                                    &mut blocks,
-                                    unique_keys,
-                                    g,
-                                    groups,
-                                    batch,
-                                    block_size,
-                                    encoding,
-                                    &mut scratch,
-                                    &mut out,
-                                );
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("search worker panicked"))
-                    .collect()
-            });
-            answered.sort_by_key(|&(j, _)| j);
-            answered.into_iter().map(|(_, result)| result).collect()
+            self.dispatch_pool(groups, workers, op)?.1
         };
-        let mut answers = answers;
+        answered.sort_by_key(|&(j, _)| j);
+        let mut answers: Vec<SearchResult> =
+            answered.into_iter().map(|(_, result)| result).collect();
         let diverged = self.crosscheck_results(&unique, &mut answers);
         self.scrub_step();
         #[cfg(feature = "obs")]
@@ -2213,7 +2088,7 @@ impl CamUnit {
     /// scratch buffers, the worker-pool slot, the per-block transients
     /// and (with `obs`) the observer attachment — returning a unit
     /// equivalent to one that just came back from a snapshot/restore
-    /// round trip. Architectural state (contents, shadow tiers, fill
+    /// round trip. Architectural state (contents, shadow planes, fill
     /// pointers, counters, scrub progress) is untouched, so a restored
     /// unit answers bit-identically to the original; the serde
     /// round-trip test leans on this to guard the `#[serde(skip)]`
@@ -2285,7 +2160,6 @@ fn worker_of(count: usize, workers: usize, g: usize) -> u32 {
 fn tier_of(fidelity: crate::config::FidelityMode) -> Tier {
     match fidelity {
         crate::config::FidelityMode::BitAccurate => Tier::BitAccurate,
-        crate::config::FidelityMode::Fast => Tier::Fast,
         crate::config::FidelityMode::Turbo => Tier::Turbo,
     }
 }
@@ -2301,9 +2175,8 @@ fn mask_limit(width: u32) -> u64 {
 /// Broadcast `key` to one group's blocks and combine the per-block match
 /// vectors into `scratch.combined` — the slot-interleaved address math
 /// (`block_within_group * block_size + cell`) done word-wide via
-/// [`MatchVector::or_offset`], with zero per-key allocation. Shared by
-/// the sharded multi-query and streaming search paths — scoped threads
-/// and [`CamRuntime`] pool workers alike (the serial path in
+/// [`MatchVector::or_offset`], with zero per-key allocation. The
+/// [`CamRuntime`] pool workers' multi-query path (the serial path in
 /// [`CamUnit::search_in_group`] mirrors it over block indices).
 pub(crate) fn search_group_into(
     blocks: &mut [&mut CamBlock],
@@ -2354,9 +2227,9 @@ pub(crate) fn search_group_batch_into(
 /// Answer one group's share of a deduplicated key stream — the unique
 /// keys `j ≡ group (mod groups)` — in key-parallel batches of up to
 /// `batch` keys, pushing `(j, result)` pairs onto `out`. Shared verbatim
-/// by the serial path, the scoped-thread shards and the [`CamRuntime`]
-/// pool workers, so every dispatch mode runs the identical kernel with
-/// its own reusable [`GroupScratch`] and zero per-batch allocation.
+/// by the serial path and the [`CamRuntime`] pool workers, so both run
+/// the identical kernel with their own reusable [`GroupScratch`] and
+/// zero per-batch allocation.
 #[allow(clippy::too_many_arguments)] // mirrors the stream op's full wire format
 pub(crate) fn stream_group_batches(
     blocks: &mut [&mut CamBlock],
@@ -2394,8 +2267,8 @@ pub(crate) fn stream_group_batches(
 }
 
 /// Round-robin `words` into one group's blocks starting at fill position
-/// `current`; returns the new position. Shared by the serial, scoped and
-/// pool replicated-update paths. A (custom-routed) group with no blocks
+/// `current`; returns the new position. Shared by the serial and pool
+/// replicated-update paths. A (custom-routed) group with no blocks
 /// stores nothing.
 pub(crate) fn write_group_words(
     blocks: &mut [&mut CamBlock],
@@ -2890,53 +2763,9 @@ mod tests {
         let mut cam = unit(4, 32);
         cam.update(&[5, 6]).unwrap();
         let before = cam.search(5);
-        cam.set_fidelity(FidelityMode::Fast);
-        assert_eq!(cam.config().block.fidelity, FidelityMode::Fast);
+        cam.set_fidelity(FidelityMode::Turbo);
+        assert_eq!(cam.config().block.fidelity, FidelityMode::Turbo);
         assert_eq!(cam.search(5), before, "same issue cycle bump either way");
-    }
-
-    #[test]
-    fn pool_scoped_and_serial_dispatch_agree() {
-        let build = |workers: usize, dispatch: DispatchMode| {
-            let config = UnitConfig::builder()
-                .data_width(32)
-                .block_size(32)
-                .num_blocks(8)
-                .workers(workers)
-                .dispatch(dispatch)
-                .build()
-                .unwrap();
-            CamUnit::new(config).unwrap()
-        };
-        let serial = exercised(build(1, DispatchMode::Pool));
-        for dispatch in [DispatchMode::Pool, DispatchMode::ScopedThreads] {
-            for workers in [2, 4, 0] {
-                let sharded = exercised(build(workers, dispatch));
-                assert_eq!(serial.0, sharded.0, "{dispatch:?}/{workers}: results");
-                assert_eq!(serial.1, sharded.1, "{dispatch:?}/{workers}: counters");
-            }
-        }
-    }
-
-    #[test]
-    fn pool_dispatch_streams_identically_to_scoped() {
-        let run = |dispatch: DispatchMode| {
-            let config = UnitConfig::builder()
-                .data_width(32)
-                .block_size(16)
-                .num_blocks(8)
-                .workers(4)
-                .dispatch(dispatch)
-                .build()
-                .unwrap();
-            let mut cam = CamUnit::new(config).unwrap();
-            cam.configure_groups(4).unwrap();
-            cam.update(&(0..24).map(|i| i * 5).collect::<Vec<u64>>())
-                .unwrap();
-            let keys: Vec<u64> = (0..50).map(|i| i % 17 * 5).collect();
-            (cam.search_stream(&keys), cam.snapshot())
-        };
-        assert_eq!(run(DispatchMode::Pool), run(DispatchMode::ScopedThreads));
     }
 
     #[test]
@@ -3115,7 +2944,7 @@ mod tests {
     }
 
     /// A scrub-enabled unit with walker-only repair (no cross-checking):
-    /// a multi-site fault campaign — both shadow tiers, valid bitmaps and
+    /// a multi-site fault campaign — plane bits, the valid bitmap and
     /// the Routing Table — is fully repaired within one sweep's worth of
     /// operations, counters stay architecturally untouched, and
     /// `faults_repaired` always equals `faults_detected`.
@@ -3140,7 +2969,11 @@ mod tests {
         let search_base = cam.search_count();
         cam.inject_fault(FaultSite::Shadow {
             block: 0,
-            fault: ShadowFault::IndexStored { cell: 1, bit: 3 },
+            fault: ShadowFault::Plane {
+                cell: 1,
+                key_bit: 3,
+                one_plane: false,
+            },
         });
         cam.inject_fault(FaultSite::Shadow {
             block: 1,
@@ -3152,7 +2985,7 @@ mod tests {
         });
         cam.inject_fault(FaultSite::Shadow {
             block: 2,
-            fault: ShadowFault::IndexValid { cell: 0 },
+            fault: ShadowFault::PlaneValid { cell: 0 },
         });
         cam.inject_fault(FaultSite::Shadow {
             block: 3,
@@ -3186,7 +3019,8 @@ mod tests {
 
     /// The degradation governor: a Turbo-plane fault caught by the
     /// sampled cross-check serves the corrected answer, degrades to
-    /// Fast, and `restore_after` consecutive clean sweeps restore Turbo.
+    /// BitAccurate, and `restore_after` consecutive clean sweeps restore
+    /// Turbo.
     /// Pins K: after K-1 clean sweeps the unit is still degraded.
     #[test]
     fn crosscheck_degrades_turbo_and_restores_after_k_clean_sweeps() {
@@ -3221,7 +3055,7 @@ mod tests {
         let report = cam.scrub_report();
         assert_eq!(report.divergences, 1);
         assert_eq!(report.degraded_from, Some(FidelityMode::Turbo));
-        assert_eq!(report.current_tier, FidelityMode::Fast);
+        assert_eq!(report.current_tier, FidelityMode::BitAccurate);
         assert_eq!(
             report.faults_repaired, report.faults_detected,
             "cross-check repair keeps the ledger balanced"
@@ -3231,7 +3065,7 @@ mod tests {
         cam.search(9);
         assert_eq!(
             cam.scrub_report().current_tier,
-            FidelityMode::Fast,
+            FidelityMode::BitAccurate,
             "one clean sweep is not enough at K = 2"
         );
         cam.search(9);
@@ -3275,7 +3109,7 @@ mod tests {
         // The error reported an already-repaired state: the next search
         // is clean and the unit runs degraded but correct.
         assert!(cam.search_group(0, 5).unwrap().is_match());
-        assert_eq!(cam.scrub_report().current_tier, FidelityMode::Fast);
+        assert_eq!(cam.scrub_report().current_tier, FidelityMode::BitAccurate);
     }
 
     /// A stalled pool worker trips the dispatch deadline: the dispatch
@@ -3364,11 +3198,15 @@ mod tests {
             .unwrap();
         let mut cam = CamUnit::new(config).unwrap();
         cam.update(&[10, 20, 30]).unwrap();
-        // Corrupt the shadow of the cell holding key 20, then let the
-        // walker repair it before any deletion touches that cell.
+        // Corrupt two plane bits of the cell holding key 20, then let
+        // the walker repair it before any deletion touches that cell.
         cam.inject_fault(FaultSite::Shadow {
             block: 0,
-            fault: ShadowFault::IndexStored { cell: 1, bit: 0 },
+            fault: ShadowFault::Plane {
+                cell: 1,
+                key_bit: 0,
+                one_plane: true,
+            },
         });
         cam.inject_fault(FaultSite::Shadow {
             block: 0,
@@ -3394,7 +3232,11 @@ mod tests {
         assert!(hit.is_match());
         assert_eq!(hit.first_address(), Some(1), "lowest freed address");
         assert_eq!(cam.audit_shadows(), 0);
-        assert_eq!(cam.scrub_report().faults_repaired, 2);
+        assert_eq!(
+            cam.scrub_report().faults_repaired,
+            1,
+            "one divergent cell, repaired once"
+        );
     }
 
     /// `rehydrate` resets exactly the never-serialized transients; a

@@ -25,7 +25,7 @@
 //! index is derived acceleration state, exposed to fault injection
 //! ([`FaultSite::UpdateQueue`](crate::faults::FaultSite::UpdateQueue))
 //! and audited/rebuilt by the background scrubber at the end of every
-//! sweep — exactly like the block-level shadow tiers.
+//! sweep — exactly like the block-level bit-sliced shadow.
 //!
 //! [`drain_write_buffer`]: crate::unit::CamUnit::drain_write_buffer
 //! [`flush_write_buffer`]: crate::unit::CamUnit::flush_write_buffer

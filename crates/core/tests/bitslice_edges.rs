@@ -8,7 +8,6 @@ use dsp_cam_core::cell::CamCell;
 use dsp_cam_core::config::{CellConfig, FidelityMode};
 use dsp_cam_core::dense::DenseCamBlock;
 use dsp_cam_core::encoder::MatchVector;
-use dsp_cam_core::match_index::MatchIndex;
 
 const WIDTH: u32 = 16;
 
@@ -46,17 +45,6 @@ fn check_word_boundary(n: usize) {
     for key in 0..8u64 {
         let want = oracle(&mut cells, key);
         assert_eq!(idx.search(key), want, "{n} cells, key {key}");
-    }
-    // The horizontal shadow is an independent implementation of the same
-    // contract; all three must agree.
-    let mut horizontal = MatchIndex::new(n);
-    horizontal.refresh_all(&cells);
-    for key in 0..8u64 {
-        assert_eq!(
-            idx.search(key),
-            horizontal.search(key),
-            "{n} cells, key {key}"
-        );
     }
 }
 
@@ -162,7 +150,6 @@ fn dense_block_lane_planes_across_word_and_bit_boundaries() {
     // of the 24 plane words per group is exercised.
     let capacity = 68;
     let mut accurate = DenseCamBlock::new(capacity);
-    let mut fast = DenseCamBlock::with_fidelity(capacity, FidelityMode::Fast);
     let mut turbo = DenseCamBlock::with_fidelity(capacity, FidelityMode::Turbo);
     let mut values = Vec::new();
     for b in 0..12u64 {
@@ -174,7 +161,6 @@ fn dense_block_lane_planes_across_word_and_bit_boundaries() {
     }
     for &v in &values {
         accurate.insert(v).unwrap();
-        fast.insert(v).unwrap();
         turbo.insert(v).unwrap();
     }
     assert_eq!(accurate.len(), capacity);
@@ -182,7 +168,6 @@ fn dense_block_lane_planes_across_word_and_bit_boundaries() {
     probes.extend([0x7FF, 0xFFE, 0x400]);
     for &p in &probes {
         let want = accurate.search(p).unwrap();
-        assert_eq!(want, fast.search(p).unwrap(), "fast, probe {p:#x}");
         assert_eq!(want, turbo.search(p).unwrap(), "turbo, probe {p:#x}");
     }
     assert_eq!(accurate.cycles(), turbo.cycles());

@@ -1,8 +1,8 @@
 //! Differential property tests for the observability layer: attaching a
 //! metrics/trace sink must be purely passive. A unit with a tracer
 //! recording every event must produce bit-identical match vectors,
-//! match addresses, and cycle counters to an unobserved unit, across all
-//! three fidelity tiers and both serial and sharded execution.
+//! match addresses, and cycle counters to an unobserved unit, across both
+//! fidelity tiers and both serial and sharded execution.
 //!
 //! The default proptest configuration runs 256 random sequences per
 //! property, which is the acceptance floor for this suite.
@@ -80,11 +80,7 @@ fn block_counters(cam: &CamUnit) -> Vec<(usize, u64, u64, u64)> {
         .collect()
 }
 
-const TIERS: [FidelityMode; 3] = [
-    FidelityMode::BitAccurate,
-    FidelityMode::Fast,
-    FidelityMode::Turbo,
-];
+const TIERS: [FidelityMode; 2] = [FidelityMode::BitAccurate, FidelityMode::Turbo];
 
 proptest! {
     // 256 random operation sequences per property (stub default).

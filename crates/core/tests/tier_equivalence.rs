@@ -1,8 +1,8 @@
-//! Differential property tests for the three-tier execution engine: the
-//! `Fast` match-index tier and the `Turbo` bit-sliced tier must both be
-//! observationally identical to the `BitAccurate` DSP48E2 tier — same
-//! search results, same addresses, and same block/unit cycle accounting —
-//! under random operation sequences.
+//! Differential property tests for the two-tier execution engine: the
+//! `Turbo` bit-sliced tier must be observationally identical to the
+//! `BitAccurate` DSP48E2 tier — same search results, same addresses, and
+//! same block/unit cycle accounting — under random operation sequences,
+//! served serially or through the worker pool.
 //!
 //! The default proptest configuration runs 256 random sequences per
 //! property, which is the acceptance floor for this suite.
@@ -41,10 +41,6 @@ fn tier_op(width: u32) -> impl Strategy<Value = TierOp> {
 }
 
 fn build(fidelity: FidelityMode, workers: usize) -> CamUnit {
-    build_dispatch(fidelity, workers, DispatchMode::Pool)
-}
-
-fn build_dispatch(fidelity: FidelityMode, workers: usize, dispatch: DispatchMode) -> CamUnit {
     let config = UnitConfig::builder()
         .data_width(16)
         .block_size(8)
@@ -52,7 +48,6 @@ fn build_dispatch(fidelity: FidelityMode, workers: usize, dispatch: DispatchMode
         .bus_width(64)
         .fidelity(fidelity)
         .workers(workers)
-        .dispatch(dispatch)
         .build()
         .unwrap();
     CamUnit::new(config).unwrap()
@@ -122,12 +117,35 @@ fn wide_stream_op() -> impl Strategy<Value = TierOp> {
     ]
 }
 
-/// Per-block observable counters (the shadow tiers must tick them all).
+/// Per-block observable counters (the Turbo tier must tick them all).
 fn block_counters(cam: &CamUnit) -> Vec<(usize, u64, u64, u64)> {
     cam.blocks()
         .iter()
         .map(|b| (b.len(), b.cycles(), b.update_beats(), b.searches()))
         .collect()
+}
+
+/// `delete_first(key)` on both tiers against the bit-accurate search
+/// answer: the delete hits exactly when a search matches, and removes the
+/// lowest matching address. The probe is shared by both tiers, so only
+/// the DSP oracle's search can catch a probe that misreads don't-care
+/// bits.
+fn assert_delete_matches_oracle(
+    accurate: &mut CamUnit,
+    turbo: &mut CamUnit,
+    key: u64,
+) -> Result<(), TestCaseError> {
+    let first = accurate.search(key).first_address();
+    prop_assert_eq!(turbo.search(key).first_address(), first, "key {:#x}", key);
+    let hit = turbo.delete_first(key);
+    prop_assert_eq!(accurate.delete_first(key), hit, "key {:#x}", key);
+    prop_assert_eq!(hit, first.is_some(), "delete vs oracle, key {:#x}", key);
+    let after = accurate.search(key);
+    prop_assert_eq!(&turbo.search(key), &after, "key {:#x} after delete", key);
+    if hit {
+        prop_assert_ne!(after.first_address(), first, "kept lowest match {:#x}", key);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -138,22 +156,13 @@ proptest! {
         ops in proptest::collection::vec(tier_op(16), 1..40),
     ) {
         let mut accurate = build(FidelityMode::BitAccurate, 1);
-        let mut fast = build(FidelityMode::Fast, 1);
         let mut turbo = build(FidelityMode::Turbo, 1);
         for (i, op) in ops.iter().enumerate() {
             let a = apply(&mut accurate, op);
-            let f = apply(&mut fast, op);
             let t = apply(&mut turbo, op);
-            prop_assert_eq!(&a, &f, "fast diverged at op {} ({:?})", i, op);
             prop_assert_eq!(&a, &t, "turbo diverged at op {} ({:?})", i, op);
         }
-        prop_assert_eq!(accurate.snapshot(), fast.snapshot(), "fast unit counters diverged");
         prop_assert_eq!(accurate.snapshot(), turbo.snapshot(), "turbo unit counters diverged");
-        prop_assert_eq!(
-            block_counters(&accurate),
-            block_counters(&fast),
-            "fast block cycle accounting diverged"
-        );
         prop_assert_eq!(
             block_counters(&accurate),
             block_counters(&turbo),
@@ -166,6 +175,7 @@ proptest! {
         stored in proptest::collection::vec(0u64..0xFFFF, 1..8),
         keys in proptest::collection::vec(0u64..0xFFFF, 1..16),
         dont_care in 0u64..0xFF,
+        deletes in proptest::collection::vec((0usize..8, 0u64..0x200), 1..8),
     ) {
         let mk = |fidelity| {
             CamUnit::new(
@@ -183,25 +193,32 @@ proptest! {
             .unwrap()
         };
         let mut accurate = mk(FidelityMode::BitAccurate);
-        let mut fast = mk(FidelityMode::Fast);
         let mut turbo = mk(FidelityMode::Turbo);
         for &v in &stored {
             accurate.update(&[v]).unwrap();
-            fast.update(&[v]).unwrap();
             turbo.update(&[v]).unwrap();
         }
         for &k in &keys {
-            let want = accurate.search(k);
             prop_assert_eq!(
-                &want, &fast.search(k),
-                "fast ternary divergence at key {:#x} mask {:#x}", k, dont_care
-            );
-            prop_assert_eq!(
-                &want, &turbo.search(k),
+                &accurate.search(k), &turbo.search(k),
                 "turbo ternary divergence at key {:#x} mask {:#x}", k, dont_care
             );
         }
-        prop_assert_eq!(block_counters(&accurate), block_counters(&fast));
+        // Deletes keyed on a stored word with noise in its don't-care
+        // bits must match through them; noise in bit 8 (always cared)
+        // makes the key miss.
+        for &(i, noise) in &deletes {
+            let k = stored[i % stored.len()] ^ (noise & (dont_care | 0x100));
+            assert_delete_matches_oracle(&mut accurate, &mut turbo, k)?;
+        }
+        for &k in keys.iter().chain(&stored) {
+            prop_assert_eq!(
+                &accurate.search(k), &turbo.search(k),
+                "turbo ternary divergence after deletes at key {:#x}", k
+            );
+        }
+        prop_assert_eq!(turbo.audit_shadows(), 0);
+        prop_assert_eq!(accurate.snapshot(), turbo.snapshot());
         prop_assert_eq!(block_counters(&accurate), block_counters(&turbo));
     }
 
@@ -209,6 +226,7 @@ proptest! {
     fn shadow_tiers_match_on_range_units(
         ranges in proptest::collection::vec((0u64..0x1000, 0u32..8), 1..8),
         keys in proptest::collection::vec(0u64..0x2000, 1..16),
+        deletes in proptest::collection::vec((0usize..8, 0u64..0x2000), 1..8),
     ) {
         let mk = |fidelity| {
             CamUnit::new(
@@ -225,54 +243,65 @@ proptest! {
             .unwrap()
         };
         let mut accurate = mk(FidelityMode::BitAccurate);
-        let mut fast = mk(FidelityMode::Fast);
         let mut turbo = mk(FidelityMode::Turbo);
+        let mut specs = Vec::new();
         for &(base, log2) in &ranges {
             let aligned = base & !((1u64 << log2) - 1);
             let spec = RangeSpec::new(aligned, log2).unwrap();
             accurate.update_ranges(&[spec]).unwrap();
-            fast.update_ranges(&[spec]).unwrap();
             turbo.update_ranges(&[spec]).unwrap();
+            specs.push((aligned, log2));
         }
         for &k in &keys {
-            let want = accurate.search(k);
             prop_assert_eq!(
-                &want, &fast.search(k),
-                "fast range divergence at key {:#x}", k
-            );
-            prop_assert_eq!(
-                &want, &turbo.search(k),
+                &accurate.search(k), &turbo.search(k),
                 "turbo range divergence at key {:#x}", k
             );
         }
-        prop_assert_eq!(block_counters(&accurate), block_counters(&fast));
+        // Deletes keyed inside a stored range must match through its
+        // don't-care low bits; noise with bit 12 set is an arbitrary key.
+        for &(i, noise) in &deletes {
+            let (aligned, log2) = specs[i % specs.len()];
+            let k = if noise & 0x1000 == 0 {
+                aligned + (noise & ((1u64 << log2) - 1))
+            } else {
+                noise
+            };
+            assert_delete_matches_oracle(&mut accurate, &mut turbo, k)?;
+        }
+        for &k in &keys {
+            prop_assert_eq!(
+                &accurate.search(k), &turbo.search(k),
+                "turbo range divergence after deletes at key {:#x}", k
+            );
+        }
+        prop_assert_eq!(turbo.audit_shadows(), 0);
+        prop_assert_eq!(accurate.snapshot(), turbo.snapshot());
         prop_assert_eq!(block_counters(&accurate), block_counters(&turbo));
     }
 
     #[test]
-    fn worker_sharding_preserves_tier_equivalence(
+    fn pool_dispatch_preserves_tier_equivalence(
         ops in proptest::collection::vec(tier_op(16), 1..30),
     ) {
-        // Four configurations, one op stream: the serial bit-accurate
-        // oracle, the serial fast tier, and the sharded fast and turbo
-        // tiers.
+        // Three configurations, one op stream: the serial bit-accurate
+        // oracle, the serial turbo tier, and the turbo tier sharded over
+        // four pool workers — identical results, snapshots and block
+        // counters.
         let mut oracle = build(FidelityMode::BitAccurate, 1);
-        let mut serial = build(FidelityMode::Fast, 1);
-        let mut sharded_fast = build(FidelityMode::Fast, 4);
-        let mut sharded_turbo = build(FidelityMode::Turbo, 4);
+        let mut serial = build(FidelityMode::Turbo, 1);
+        let mut pool = build(FidelityMode::Turbo, 4);
         for (i, op) in ops.iter().enumerate() {
             let a = apply(&mut oracle, op);
             let b = apply(&mut serial, op);
-            let c = apply(&mut sharded_fast, op);
-            let d = apply(&mut sharded_turbo, op);
-            prop_assert_eq!(&a, &b, "serial fast diverged at op {} ({:?})", i, op);
-            prop_assert_eq!(&b, &c, "sharded fast diverged at op {} ({:?})", i, op);
-            prop_assert_eq!(&b, &d, "sharded turbo diverged at op {} ({:?})", i, op);
+            let c = apply(&mut pool, op);
+            prop_assert_eq!(&a, &b, "serial turbo diverged at op {} ({:?})", i, op);
+            prop_assert_eq!(&b, &c, "pooled turbo diverged at op {} ({:?})", i, op);
         }
-        prop_assert_eq!(oracle.snapshot(), sharded_fast.snapshot());
-        prop_assert_eq!(oracle.snapshot(), sharded_turbo.snapshot());
-        prop_assert_eq!(block_counters(&oracle), block_counters(&sharded_fast));
-        prop_assert_eq!(block_counters(&oracle), block_counters(&sharded_turbo));
+        prop_assert_eq!(oracle.snapshot(), serial.snapshot());
+        prop_assert_eq!(oracle.snapshot(), pool.snapshot());
+        prop_assert_eq!(block_counters(&oracle), block_counters(&serial));
+        prop_assert_eq!(block_counters(&oracle), block_counters(&pool));
     }
 
     #[test]
@@ -287,8 +316,6 @@ proptest! {
         let mut units: Vec<CamUnit> = [
             (FidelityMode::BitAccurate, 1),
             (FidelityMode::BitAccurate, 4),
-            (FidelityMode::Fast, 1),
-            (FidelityMode::Fast, 4),
             (FidelityMode::Turbo, 1),
             (FidelityMode::Turbo, 4),
         ]
@@ -319,28 +346,6 @@ proptest! {
         for (u, cam) in units.iter().enumerate().skip(1) {
             prop_assert_eq!(&want, &cam.snapshot(), "unit {} counters diverged", u);
         }
-    }
-
-    #[test]
-    fn pool_dispatch_matches_scoped_threads(
-        ops in proptest::collection::vec(tier_op(16), 1..30),
-    ) {
-        // The persistent pool must be a drop-in replacement for per-call
-        // scoped threads: identical results, snapshots and block counters.
-        let mut serial = build_dispatch(FidelityMode::Fast, 1, DispatchMode::Pool);
-        let mut pool = build_dispatch(FidelityMode::Fast, 4, DispatchMode::Pool);
-        let mut scoped = build_dispatch(FidelityMode::Fast, 4, DispatchMode::ScopedThreads);
-        for (i, op) in ops.iter().enumerate() {
-            let a = apply(&mut serial, op);
-            let p = apply(&mut pool, op);
-            let s = apply(&mut scoped, op);
-            prop_assert_eq!(&a, &p, "pool diverged at op {} ({:?})", i, op);
-            prop_assert_eq!(&a, &s, "scoped diverged at op {} ({:?})", i, op);
-        }
-        prop_assert_eq!(serial.snapshot(), pool.snapshot());
-        prop_assert_eq!(serial.snapshot(), scoped.snapshot());
-        prop_assert_eq!(block_counters(&serial), block_counters(&pool));
-        prop_assert_eq!(block_counters(&serial), block_counters(&scoped));
     }
 
     #[test]
@@ -401,7 +406,7 @@ proptest! {
         between in proptest::collection::vec(tier_op(16), 1..15),
         after in proptest::collection::vec(tier_op(16), 1..15),
     ) {
-        // Hot-switching BitAccurate -> Turbo -> Fast mid-stream must be
+        // Hot-switching BitAccurate -> Turbo -> BitAccurate mid-stream must be
         // indistinguishable from running BitAccurate throughout (and the
         // shadow indexes must stay coherent across the switches).
         let mut reference = build(FidelityMode::BitAccurate, 1);
@@ -417,11 +422,11 @@ proptest! {
             let b = apply(&mut switched, op);
             prop_assert_eq!(&a, &b, "post-turbo-switch divergence at op {} ({:?})", i, op);
         }
-        switched.set_fidelity(FidelityMode::Fast);
+        switched.set_fidelity(FidelityMode::BitAccurate);
         for (i, op) in after.iter().enumerate() {
             let a = apply(&mut reference, op);
             let b = apply(&mut switched, op);
-            prop_assert_eq!(&a, &b, "post-fast-switch divergence at op {} ({:?})", i, op);
+            prop_assert_eq!(&a, &b, "post-switch-back divergence at op {} ({:?})", i, op);
         }
         prop_assert_eq!(reference.snapshot(), switched.snapshot());
         prop_assert_eq!(block_counters(&reference), block_counters(&switched));

@@ -2,7 +2,7 @@
 //! buffering enabled, any interleaving of search/update/delete must be
 //! observationally identical — per-op results and errors, unit counters,
 //! snapshots and block accounting at quiescence — to `bypass` mode,
-//! across all three fidelity tiers, worker counts {1, 4} and buffer
+//! across both fidelity tiers, worker counts {1, 4} and buffer
 //! capacities {1, 7, 64} (capacity 1 exercises the overflow →
 //! synchronous-fallback path on every multi-word burst). A separate
 //! property proves injected key-index faults never leak into drained
@@ -116,9 +116,9 @@ proptest! {
     fn buffered_is_observationally_identical_to_bypass(
         ops in proptest::collection::vec(wb_op(), 1..30),
     ) {
-        // 3 tiers x workers {1, 4} x capacities {1, 7, 64}, each pair
+        // 2 tiers x workers {1, 4} x capacities {1, 7, 64}, each pair
         // (buffered, bypass) fed the identical op stream.
-        for fidelity in [FidelityMode::BitAccurate, FidelityMode::Fast, FidelityMode::Turbo] {
+        for fidelity in [FidelityMode::BitAccurate, FidelityMode::Turbo] {
             for workers in [1usize, 4] {
                 for capacity in [1usize, 7, 64] {
                     let mut buf = build(fidelity, workers, Some(buffered(capacity)));
@@ -160,7 +160,7 @@ proptest! {
         // A snapshot/restore round trip mid-burst (rehydrate drops the
         // derived index; the staged FIFO is architectural) must leave
         // the restored unit answering bit-identically to the original.
-        let mut original = build(FidelityMode::Fast, 1, Some(buffered(16)));
+        let mut original = build(FidelityMode::Turbo, 1, Some(buffered(16)));
         for op in &ops {
             apply(&mut original, op);
         }
@@ -218,8 +218,8 @@ proptest! {
 
 #[test]
 fn capacity_one_falls_back_synchronously_and_counts_overflows() {
-    let mut buf = build(FidelityMode::Fast, 1, Some(buffered(1)));
-    let mut base = build(FidelityMode::Fast, 1, Some(bypass()));
+    let mut buf = build(FidelityMode::Turbo, 1, Some(buffered(1)));
+    let mut base = build(FidelityMode::Turbo, 1, Some(bypass()));
     for round in 0..8u64 {
         let words = [round * 3, round * 3 + 1, round * 3 + 2];
         assert_eq!(buf.update(&words), base.update(&words));
@@ -238,7 +238,7 @@ fn capacity_one_falls_back_synchronously_and_counts_overflows() {
 
 #[test]
 fn staged_writes_are_read_your_writes_consistent() {
-    let mut cam = build(FidelityMode::Fast, 1, Some(buffered(32)));
+    let mut cam = build(FidelityMode::Turbo, 1, Some(buffered(32)));
     cam.update(&[7, 8, 9]).unwrap();
     assert_eq!(cam.write_buffer_depth(), 3, "update staged, not applied");
     // Searching an in-flight key flushes and answers correctly.
@@ -276,7 +276,6 @@ fn poisoned_pool_drain_still_converges_to_bypass() {
             .num_blocks(4)
             .bus_width(64)
             .workers(4)
-            .dispatch(DispatchMode::Pool)
             .write_buffer(wbuf)
             .build()
             .unwrap();

@@ -66,8 +66,6 @@ impl OpKind {
 pub enum Tier {
     /// Cycle-accurate DSP48E2 simulation.
     BitAccurate,
-    /// Horizontal match-index shadow.
-    Fast,
     /// Transposed bit-sliced shadow.
     Turbo,
 }
@@ -78,17 +76,16 @@ impl Tier {
     pub fn name(self) -> &'static str {
         match self {
             Tier::BitAccurate => "bit_accurate",
-            Tier::Fast => "fast",
             Tier::Turbo => "turbo",
         }
     }
 
-    /// 2-bit encoding for the VCD `tier` signal.
+    /// 2-bit encoding for the VCD `tier` signal. Codes are stable, so
+    /// recorded waveforms keep decoding the same (code 1 is unused).
     #[must_use]
     pub fn code(self) -> u64 {
         match self {
             Tier::BitAccurate => 0,
-            Tier::Fast => 1,
             Tier::Turbo => 2,
         }
     }
@@ -389,7 +386,7 @@ mod tests {
     fn ring_evicts_oldest_and_counts_drops() {
         let mut tracer = EventTracer::new(3);
         for cycle in 0..5u64 {
-            tracer.record(cycle, Event::TierSwitch { tier: Tier::Fast });
+            tracer.record(cycle, Event::TierSwitch { tier: Tier::Turbo });
         }
         assert_eq!(tracer.len(), 3);
         assert_eq!(tracer.recorded(), 5);
@@ -470,7 +467,7 @@ mod tests {
     #[test]
     fn zero_capacity_clamped() {
         let mut tracer = EventTracer::new(0);
-        tracer.record(0, Event::TierSwitch { tier: Tier::Fast });
+        tracer.record(0, Event::TierSwitch { tier: Tier::Turbo });
         assert_eq!(tracer.len(), 1);
     }
 }

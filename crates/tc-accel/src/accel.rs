@@ -99,7 +99,6 @@ pub struct CamTriangleCounter {
     geometry: CamGeometry,
     costs: PipelineCosts,
     workers: usize,
-    dispatch: DispatchMode,
     scrub: Option<ScrubPolicy>,
 }
 
@@ -109,7 +108,6 @@ impl Default for CamTriangleCounter {
             geometry: CamGeometry::default(),
             costs: PipelineCosts::default(),
             workers: 1,
-            dispatch: DispatchMode::Pool,
             scrub: None,
         }
     }
@@ -133,13 +131,12 @@ impl CamTriangleCounter {
     }
 
     /// Shard the driven unit's group work across `workers` host threads
-    /// (`0` = one per available core), executed by `dispatch`. Only the
+    /// of its worker pool (`0` = one per available core). Only the
     /// hardware-model paths are affected; cycle accounting and counts
     /// are worker-invariant.
     #[must_use]
-    pub fn with_workers(mut self, workers: usize, dispatch: DispatchMode) -> Self {
+    pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self.dispatch = dispatch;
         self
     }
 
@@ -218,10 +215,9 @@ impl CamTriangleCounter {
     }
 
     /// [`CamTriangleCounter::run_on_hardware_model`] with an explicit
-    /// execution tier. `FidelityMode::Fast` drives the same [`CamUnit`]
-    /// through its match-index tier and `FidelityMode::Turbo` through its
-    /// bit-sliced tier — identical counts and cycle accounting, at host
-    /// speed — which makes larger graphs tractable.
+    /// execution tier. `FidelityMode::Turbo` drives the same [`CamUnit`]
+    /// through its bit-sliced tier — identical counts and cycle
+    /// accounting, at host speed — which makes larger graphs tractable.
     ///
     /// # Errors
     ///
@@ -269,8 +265,7 @@ impl CamTriangleCounter {
             .bus_width(512)
             .encoding(Encoding::Priority)
             .fidelity(fidelity)
-            .workers(self.workers)
-            .dispatch(self.dispatch);
+            .workers(self.workers);
         if let Some(policy) = self.scrub {
             builder = builder.scrub(policy);
         }
@@ -333,7 +328,6 @@ impl CamTriangleCounter {
         probe.publish_unit(&unit);
         let name = match fidelity {
             FidelityMode::BitAccurate => "CAM accelerator (hardware model)",
-            FidelityMode::Fast => "CAM accelerator (hardware model, fast tier)",
             FidelityMode::Turbo => "CAM accelerator (hardware model, turbo tier)",
         };
         Ok(TcReport {
@@ -393,15 +387,12 @@ mod tests {
         let g = graph(&edges);
         let counter = CamTriangleCounter::new();
         let accurate = counter.run_on_hardware_model(&g).unwrap();
-        for tier in [FidelityMode::Fast, FidelityMode::Turbo] {
-            let shadow = counter.run_on_hardware_model_with(&g, tier).unwrap();
-            assert_eq!(accurate.triangles, shadow.triangles, "{tier:?}");
-            assert_eq!(accurate.cycles, shadow.cycles, "{tier:?}");
-            assert_eq!(
-                accurate.intersection_steps, shadow.intersection_steps,
-                "{tier:?}"
-            );
-        }
+        let turbo = counter
+            .run_on_hardware_model_with(&g, FidelityMode::Turbo)
+            .unwrap();
+        assert_eq!(accurate.triangles, turbo.triangles);
+        assert_eq!(accurate.cycles, turbo.cycles);
+        assert_eq!(accurate.intersection_steps, turbo.intersection_steps);
     }
 
     #[test]
@@ -411,18 +402,13 @@ mod tests {
         let serial = CamTriangleCounter::new()
             .run_on_hardware_model_with(&g, FidelityMode::Turbo)
             .unwrap();
-        for dispatch in [DispatchMode::Pool, DispatchMode::ScopedThreads] {
-            let sharded = CamTriangleCounter::new()
-                .with_workers(4, dispatch)
-                .run_on_hardware_model_with(&g, FidelityMode::Turbo)
-                .unwrap();
-            assert_eq!(serial.triangles, sharded.triangles, "{dispatch:?}");
-            assert_eq!(serial.cycles, sharded.cycles, "{dispatch:?}");
-            assert_eq!(
-                serial.intersection_steps, sharded.intersection_steps,
-                "{dispatch:?}"
-            );
-        }
+        let pooled = CamTriangleCounter::new()
+            .with_workers(4)
+            .run_on_hardware_model_with(&g, FidelityMode::Turbo)
+            .unwrap();
+        assert_eq!(serial.triangles, pooled.triangles);
+        assert_eq!(serial.cycles, pooled.cycles);
+        assert_eq!(serial.intersection_steps, pooled.intersection_steps);
     }
 
     #[test]

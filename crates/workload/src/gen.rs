@@ -340,7 +340,11 @@ pub fn generate(config: &WorkloadConfig) -> Result<Trace, WorkloadError> {
     let mut next_fresh_key = config.key_space;
 
     let mut remaining = exact_targets(config.ops, &config.mix);
-    let mut records: Vec<TraceRecord> = Vec::with_capacity(config.ops as usize);
+    // Worst case: every op is its own record, plus one watermark
+    // eviction per update. Reserving it up front means generation never
+    // grows (and copies) the record buffer.
+    let evictions = config.max_live.map_or(0, |_| remaining[1]);
+    let mut records: Vec<TraceRecord> = Vec::with_capacity((config.ops + evictions) as usize);
     let mut pending: Vec<u64> = Vec::new();
     let mut pending_gap = 0u32;
 

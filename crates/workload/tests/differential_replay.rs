@@ -2,8 +2,8 @@
 //! cycle-accurate `StreamingCam` ticks must be observationally
 //! identical to the same trace applied through direct transaction-level
 //! `CamUnit` calls — per-pipe completion streams, the unit snapshot,
-//! and per-block counters at quiescence — across all three fidelity
-//! tiers, worker counts 1 and 4 (persistent-pool dispatch), and with
+//! and per-block counters at quiescence — across both fidelity tiers,
+//! worker counts 1 and 4 (persistent-pool dispatch), and with
 //! the write buffer on and off.
 //!
 //! The two arms intentionally differ in *global* completion order (the
@@ -25,8 +25,7 @@ fn unit_config(fidelity: FidelityMode, workers: usize, buffered: bool) -> UnitCo
         .num_blocks(4)
         .bus_width(64)
         .fidelity(fidelity)
-        .workers(workers)
-        .dispatch(DispatchMode::Pool);
+        .workers(workers);
     if buffered {
         builder = builder.write_buffer(WriteBufferConfig {
             capacity: 16,
@@ -101,7 +100,7 @@ proptest! {
         workload in workload_config(),
     ) {
         let trace = generate(&workload).expect("strategy yields valid configs");
-        for fidelity in [FidelityMode::BitAccurate, FidelityMode::Fast, FidelityMode::Turbo] {
+        for fidelity in [FidelityMode::BitAccurate, FidelityMode::Turbo] {
             for workers in [1usize, 4] {
                 for buffered in [false, true] {
                     let config = unit_config(fidelity, workers, buffered);

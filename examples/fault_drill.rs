@@ -4,9 +4,10 @@
 //! The drill walks the full degradation story deterministically:
 //!
 //! 1. build a Turbo unit with an aggressive [`ScrubPolicy`] and load it;
-//! 2. pepper its shadow structures from a seeded [`FaultPlan`] while
-//!    serving searches (the cross-check governor catches a divergence,
-//!    serves the corrected answer, and degrades Turbo -> Fast);
+//! 2. pepper its bit-sliced planes, their valid bitmap and the Routing
+//!    Table from a seeded [`FaultPlan`] while serving searches (the
+//!    cross-check governor catches a divergence, serves the corrected
+//!    answer, and degrades Turbo -> BitAccurate, the DSP oracle itself);
 //! 3. plant one targeted plane fault to force the degradation even at
 //!    seeds that got lucky, plus a Routing Table upset;
 //! 4. run the unit quiet: the scrub walker repairs every site, the
@@ -76,8 +77,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     cam.inject_fault(FaultSite::Routing { block: 3 });
     injected += 2;
     // Key 1 lives in cell 0 and has bit 0 set: the faulted match-if-1
-    // plane makes Turbo miss it. Only every 2nd answer is cross-checked,
-    // so an unchecked search may serve the faulted miss — but within two
+    // plane makes Turbo miss it in block 0, which serves group 0 (plain
+    // `search` would route key 1 to group 1, so the drill addresses
+    // group 0 directly). Only every 2nd answer is cross-checked, so an
+    // unchecked search may serve the faulted miss — but within two
     // searches the sampler must catch the divergence, repair the group,
     // and serve the corrected (matching) answer.
     let mut caught = cam.scrub_report().is_degraded();
@@ -85,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if caught {
             break;
         }
-        let hit = cam.search(1);
+        let hit = cam.search_group(0, 1)?;
         if cam.scrub_report().is_degraded() {
             assert!(
                 hit.is_match(),
@@ -105,7 +108,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mid.crosschecks,
         mid.divergences
     );
-    assert_ne!(mid.current_tier, FidelityMode::Turbo, "tier stepped down");
+    assert_eq!(
+        mid.current_tier,
+        FidelityMode::BitAccurate,
+        "degraded to the oracle tier"
+    );
 
     // ---- Scrub quiet: walker repairs, governor restores ---------------
     let mut rounds = 0;

@@ -5,6 +5,25 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Run one filtered `cargo test` stage and fail it when its runs report 0
+# tests passed in total: `cargo test` exits 0 when a filter matches
+# nothing, so a renamed test would otherwise drop out of CI silently.
+run_filtered() {
+    local out passed
+    if ! out=$(cargo test "$@" 2>&1); then
+        printf '%s\n' "$out"
+        return 1
+    fi
+    printf '%s\n' "$out"
+    passed=$(printf '%s\n' "$out" |
+        sed -n 's/^test result: [A-Za-z]*\. \([0-9]*\) passed.*/\1/p' |
+        awk '{ total += $1 } END { print total + 0 }')
+    if [ "$passed" -eq 0 ]; then
+        echo "error: 'cargo test $*' ran 0 tests; its filter matches nothing" >&2
+        return 1
+    fi
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -21,12 +40,12 @@ cargo test -q --offline --workspace --features obs
 # parallelism masking ordering bugs: a single-threaded smoke pass of the
 # runtime + dispatch suites under both feature sets.
 echo "==> cargo test --test-threads=1 smoke (runtime + dispatch, default)"
-cargo test -q --offline -p dsp-cam-core -- runtime pool --test-threads=1
-cargo test -q --offline -p dsp-cam-core --test tier_equivalence pool -- --test-threads=1
+run_filtered -q --offline -p dsp-cam-core -- runtime pool --test-threads=1
+run_filtered -q --offline -p dsp-cam-core --test tier_equivalence pool -- --test-threads=1
 
 echo "==> cargo test --test-threads=1 smoke (runtime + dispatch, obs)"
-cargo test -q --offline -p dsp-cam-core --features obs -- runtime pool --test-threads=1
-cargo test -q --offline -p dsp-cam-core --features obs --test tier_equivalence pool -- --test-threads=1
+run_filtered -q --offline -p dsp-cam-core --features obs -- runtime pool --test-threads=1
+run_filtered -q --offline -p dsp-cam-core --features obs --test tier_equivalence pool -- --test-threads=1
 
 # The chaos differential suite is the contract of the fault/scrub
 # subsystem: run it explicitly under both feature sets (it is part of
@@ -87,17 +106,17 @@ cargo bench --offline --workspace --no-run
 # (BENCH_search.json regression guards). Run under both feature sets —
 # the obs build must not tax the kernel either.
 echo "==> release large-capacity perf smoke (default)"
-cargo test -q --offline --release -p dsp-cam-bench --lib -- --ignored large_capacity_smoke
+run_filtered -q --offline --release -p dsp-cam-bench --lib -- --ignored large_capacity_smoke
 echo "==> release large-capacity perf smoke (obs)"
-cargo test -q --offline --release -p dsp-cam-bench --lib --features obs -- --ignored large_capacity_smoke
+run_filtered -q --offline --release -p dsp-cam-bench --lib --features obs -- --ignored large_capacity_smoke
 
 # Update-queue floors on the write-heavy 50:45:5 mix at 8192 entries:
 # buffered update p99 <= 0.5x inline, search throughput under writes
 # >= 2x the inline baseline (BENCH_search.json regression guards).
 echo "==> release update-queue perf smoke (default)"
-cargo test -q --offline --release -p dsp-cam-bench --lib -- --ignored update_queue_smoke
+run_filtered -q --offline --release -p dsp-cam-bench --lib -- --ignored update_queue_smoke
 echo "==> release update-queue perf smoke (obs)"
-cargo test -q --offline --release -p dsp-cam-bench --lib --features obs -- --ignored update_queue_smoke
+run_filtered -q --offline --release -p dsp-cam-bench --lib --features obs -- --ignored update_queue_smoke
 
 # End-to-end workload floors: the three canonical trace-driven
 # scenarios (read-heavy 90:9:1, write-heavy 50:45:5, bursty Zipfian
@@ -105,9 +124,9 @@ cargo test -q --offline --release -p dsp-cam-bench --lib --features obs -- --ign
 # agreement asserted, then validated against the BENCH_workloads.json
 # throughput floors and deterministic retire-latency ceilings.
 echo "==> release workload scenario smoke (default)"
-cargo test -q --offline --release -p dsp-cam-bench --lib -- --ignored workload_smoke
+run_filtered -q --offline --release -p dsp-cam-bench --lib -- --ignored workload_smoke
 echo "==> release workload scenario smoke (obs)"
-cargo test -q --offline --release -p dsp-cam-bench --lib --features obs -- --ignored workload_smoke
+run_filtered -q --offline --release -p dsp-cam-bench --lib --features obs -- --ignored workload_smoke
 
 # Sharding-cluster floors (BENCH_search.json cluster_rows regression
 # guards): the 4-shard race must hold >= 2.5x single-unit throughput on
@@ -115,9 +134,9 @@ cargo test -q --offline --release -p dsp-cam-bench --lib --features obs -- --ign
 # must complete every query it issues (zero-dropped-query invariant)
 # while the frozen replica serves reads through the window.
 echo "==> release cluster perf + migration smoke (default)"
-cargo test -q --offline --release -p dsp-cam-bench --lib -- --ignored cluster_smoke
+run_filtered -q --offline --release -p dsp-cam-bench --lib -- --ignored cluster_smoke
 echo "==> release cluster perf + migration smoke (obs)"
-cargo test -q --offline --release -p dsp-cam-bench --lib --features obs -- --ignored cluster_smoke
+run_filtered -q --offline --release -p dsp-cam-bench --lib --features obs -- --ignored cluster_smoke
 
 # Cluster failover floors (BENCH_search.json failover_rows and
 # BENCH_workloads.json degraded_mode regression guards): the crash and
@@ -126,8 +145,8 @@ cargo test -q --offline --release -p dsp-cam-bench --lib --features obs -- --ign
 # ceiling. Lockstep numbers — a violation means the failover protocol
 # changed, not that the machine was slow.
 echo "==> release failover smoke (default)"
-cargo test -q --offline --release -p dsp-cam-bench --lib -- --ignored failover_smoke
+run_filtered -q --offline --release -p dsp-cam-bench --lib -- --ignored failover_smoke
 echo "==> release failover smoke (obs)"
-cargo test -q --offline --release -p dsp-cam-bench --lib --features obs -- --ignored failover_smoke
+run_filtered -q --offline --release -p dsp-cam-bench --lib --features obs -- --ignored failover_smoke
 
 echo "CI green."

@@ -136,8 +136,8 @@ fn shadow_bit_flip_detected_by_audit_and_cleared_by_reset() {
     cam.update(&[0xAB, 0xCD]).unwrap();
     assert_eq!(cam.audit_shadows(), 0, "healthy shadows audit clean");
 
-    // Flip shadow state under a written cell: the MatchIndex and
-    // BitSliceIndex copies both diverge from the DSP oracle.
+    // Flip shadow state under a written cell: its BitSliceIndex plane
+    // bit diverges from the DSP oracle.
     cam.inject_shadow_fault(0, 0);
     let divergent = cam.audit_shadows();
     assert!(divergent > 0, "audit must flag the corrupted shadow");
