@@ -65,8 +65,6 @@ pub struct FailoverRow {
     pub shed_writes: u64,
     /// Deferred-write retry attempts against still-failed shards.
     pub write_retries: u64,
-    /// Writes re-issued once after an infrastructure failure.
-    pub infra_retries: u64,
     /// Shard failures detected.
     pub failures_detected: u64,
     /// Rebuilds driven to completion (`epoch + journal` reinstalled).
@@ -178,7 +176,6 @@ fn run_drill(scenario: &'static str, ops: u64, faults: Vec<PlannedFault>) -> Fai
         degraded_answers: outcome.degraded_answers,
         shed_writes: outcome.shed_writes,
         write_retries: outcome.write_retries,
-        infra_retries: outcome.infra_retries,
         failures_detected: outcome.failures_detected,
         rebuilds_completed: outcome.rebuilds_completed,
         max_recovery_ticks: outcome.recovery_ticks.iter().copied().max().unwrap_or(0),

@@ -500,7 +500,7 @@ pub fn write_bench_search_json(
             body.push_str(&format!(
                 "    {{\"scenario\": \"{}\", \"shards\": {}, \"app_ops\": {}, \
                  \"presented\": {}, \"availability\": {:.4}, \"degraded_answers\": {}, \
-                 \"shed_writes\": {}, \"write_retries\": {}, \"infra_retries\": {}, \
+                 \"shed_writes\": {}, \"write_retries\": {}, \
                  \"failures_detected\": {}, \"rebuilds_completed\": {}, \
                  \"max_recovery_ticks\": {}, \"dropped\": {}, \"ticks\": {}, \
                  \"floor_availability\": {FAILOVER_AVAILABILITY_FLOOR}, \
@@ -513,7 +513,6 @@ pub fn write_bench_search_json(
                 row.degraded_answers,
                 row.shed_writes,
                 row.write_retries,
-                row.infra_retries,
                 row.failures_detected,
                 row.rebuilds_completed,
                 row.max_recovery_ticks,

@@ -163,11 +163,10 @@ fn schedule(mix: UpdateMix) -> Vec<MixSlot> {
     out
 }
 
-/// A four-group, pool-dispatched Turbo unit at `entries` total cells —
-/// the replicated-group geometry where every inline write pays the
-/// paper's real update bill (one write per group, through the worker
-/// pool) — prefilled to half of its per-group capacity with the
-/// canonical `i * 3` fixture.
+/// A four-group Turbo unit at `entries` total cells — the
+/// replicated-group geometry where every inline write pays the paper's
+/// real update bill (one write per group) — prefilled to half of its
+/// per-group capacity with the canonical `i * 3` fixture.
 fn mixed_unit(entries: usize, wbuf: Option<WriteBufferConfig>) -> CamUnit {
     let block_size = (entries / 4).min(256);
     let mut builder = UnitConfig::builder()
@@ -175,8 +174,7 @@ fn mixed_unit(entries: usize, wbuf: Option<WriteBufferConfig>) -> CamUnit {
         .block_size(block_size)
         .num_blocks(entries / block_size)
         .bus_width(512)
-        .fidelity(FidelityMode::Turbo)
-        .workers(4);
+        .fidelity(FidelityMode::Turbo);
     if let Some(policy) = wbuf {
         builder = builder.write_buffer(policy);
     }

@@ -4,7 +4,7 @@
 //! Each canonical scenario generates a seeded million-op trace
 //! (`dsp-cam-workload`) and replays it through *both* arms — the
 //! cycle-accurate `StreamingCam` pipeline and the transaction-level
-//! `CamUnit` path that `CamRuntime` pool dispatch rides on — measuring
+//! `CamUnit` calls — measuring
 //! wall-clock op throughput per arm and p50/p99 end-to-end retire
 //! latency in cycles from the streaming arm's retire log. Cross-arm
 //! agreement (per-pipe completions and the quiescent snapshot) is
@@ -162,8 +162,8 @@ pub fn canonical_scenarios() -> Vec<WorkloadScenario> {
     ]
 }
 
-/// The scenario unit: Turbo tier, four replicated groups on four
-/// pooled workers, 32-key batch kernel, optionally write-buffered.
+/// The scenario unit: Turbo tier, four replicated groups, 32-key batch
+/// kernel, optionally write-buffered.
 fn scenario_unit_config(entries: usize, write_buffer: bool) -> UnitConfig {
     let block_size = (entries / 4).min(256);
     let mut builder = UnitConfig::builder()
@@ -172,8 +172,7 @@ fn scenario_unit_config(entries: usize, write_buffer: bool) -> UnitConfig {
         .num_blocks(entries / block_size)
         .bus_width(512)
         .fidelity(FidelityMode::Turbo)
-        .batch_width(32)
-        .workers(4);
+        .batch_width(32);
     if write_buffer {
         builder = builder.write_buffer(WriteBufferConfig {
             capacity: 256,
@@ -429,7 +428,7 @@ pub fn emit_bench_workloads_json(source: &str) {
         .collect();
     let degraded = measure_degraded_mode(DEGRADED_MODE_OPS);
     println!();
-    println!("Trace-driven workloads ({SCENARIO_ENTRIES} entries, Turbo, 4 groups / 4 workers):");
+    println!("Trace-driven workloads ({SCENARIO_ENTRIES} entries, Turbo, 4 groups):");
     for (scenario, result) in &runs {
         println!(
             "  {:>14}: {:>9} app ops in {:>9} cycles ({:.3} cyc/op), \

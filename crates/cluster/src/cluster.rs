@@ -46,16 +46,6 @@ use crate::failover::{
 };
 use crate::ring::HashRing;
 
-/// Whether a [`CamError`] is an infrastructure failure (the dispatch
-/// machinery died) rather than an admission verdict — infra failures
-/// are retryable through a rebuilt pool; admission errors are final.
-pub(crate) fn infra_error(err: &CamError) -> bool {
-    matches!(
-        err,
-        CamError::DispatchTimeout { .. } | CamError::WorkerPoolPoisoned { .. }
-    )
-}
-
 /// Cluster-level operation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -691,12 +681,7 @@ impl CamCluster {
             }
             Completion::SearchMulti(Err(_)) => {}
             Completion::Update(result) => {
-                // Infrastructure failures (dispatch timeout, poisoned
-                // pool) are retryable, not admission verdicts — the
-                // failover path re-issues them instead of tallying a
-                // rejection.
-                self.counters.update_rejections +=
-                    u64::from(result.as_ref().is_err_and(|e| !infra_error(e)));
+                self.counters.update_rejections += u64::from(result.is_err());
             }
             Completion::Delete(hit) => {
                 self.counters.delete_hits += u64::from(*hit);
@@ -826,10 +811,7 @@ impl CamCluster {
 
     /// Store one word on its home shard — transactional. A write aimed
     /// at a failed shard waits (ticking the cluster) through the shed
-    /// policy's backoff window for the shard to recover; an
-    /// infrastructure failure in the shard's dispatch pool is detected,
-    /// triggers recovery, and the write is retried once through the
-    /// rebuilt shard.
+    /// policy's backoff window for the shard to recover.
     ///
     /// # Errors
     ///
@@ -838,32 +820,9 @@ impl CamCluster {
     /// [`ClusterError::Overloaded`] when the home shard stayed down
     /// past the backoff window.
     pub fn update(&mut self, word: u64) -> Result<(), ClusterError> {
-        let plan = self.plan(&TraceOp::Update(word));
-        let (mut shard, mut op, _) = plan.subs.into_iter().next().expect("routed");
-        let mut infra_retried = false;
-        loop {
-            self.await_healthy(shard)?;
-            // A rollback while we waited may have re-homed the key.
-            let routed = self.resolve_shard(&op).unwrap_or(shard);
-            if routed != shard {
-                shard = routed;
-                continue;
-            }
-            let done = self.run_on(shard, op);
-            self.tally(&done);
-            match done {
-                Completion::Update(Ok(())) => return Ok(()),
-                Completion::Update(Err(err)) if infra_error(&err) && !infra_retried => {
-                    // The dispatch machinery died under the op, not the
-                    // admission check: recover the shard (under
-                    // failover) and re-issue exactly once.
-                    infra_retried = true;
-                    self.note_dispatch_failure(shard);
-                    op = Op::Update(vec![word]);
-                }
-                Completion::Update(Err(err)) => return Err(ClusterError::Admission(err)),
-                other => unreachable!("update retired {other:?}"),
-            }
+        match self.run_write(&TraceOp::Update(word))? {
+            Completion::Update(result) => result.map_err(ClusterError::Admission),
+            other => unreachable!("update retired {other:?}"),
         }
     }
 
@@ -876,13 +835,24 @@ impl CamCluster {
     /// [`ClusterError::Overloaded`] when the home shard stayed down
     /// past the shed policy's backoff window.
     pub fn delete(&mut self, key: u64) -> Result<bool, ClusterError> {
-        let plan = self.plan(&TraceOp::Delete {
+        let op = TraceOp::Delete {
             key,
             eviction: false,
-        });
+        };
+        match self.run_write(&op)? {
+            Completion::Delete(hit) => Ok(hit),
+            other => unreachable!("delete retired {other:?}"),
+        }
+    }
+
+    /// Run one write on its serving shard and return its tallied
+    /// completion, waiting out a failed home shard first.
+    fn run_write(&mut self, op: &TraceOp) -> Result<Completion, ClusterError> {
+        let plan = self.plan(op);
         let (mut shard, op, _) = plan.subs.into_iter().next().expect("routed");
         loop {
             self.await_healthy(shard)?;
+            // A rollback while we waited may have re-homed the key.
             let routed = self.resolve_shard(&op).unwrap_or(shard);
             if routed != shard {
                 shard = routed;
@@ -890,10 +860,7 @@ impl CamCluster {
             }
             let done = self.run_on(shard, op);
             self.tally(&done);
-            return match done {
-                Completion::Delete(hit) => Ok(hit),
-                other => unreachable!("delete retired {other:?}"),
-            };
+            return Ok(done);
         }
     }
 
@@ -1082,11 +1049,11 @@ impl CamCluster {
         self.shards[i].journal_direct(op.clone());
     }
 
-    /// Inject a shard failure — the chaos hook. `Crash` and
-    /// `PoisonPool` lose the shard's contents and in-flight operations
-    /// and start an `epoch + journal` rebuild; `Stall` closes the issue
-    /// port for a bounded number of ticks (contents survive). A fault
-    /// aimed at an already-failed shard is absorbed.
+    /// Inject a shard failure — the chaos hook. `Crash` loses the
+    /// shard's contents and in-flight operations and starts an
+    /// `epoch + journal` rebuild; `Stall` closes the issue port for a
+    /// bounded number of ticks (contents survive). A fault aimed at an
+    /// already-failed shard is absorbed.
     ///
     /// # Errors
     ///
@@ -1119,30 +1086,9 @@ impl CamCluster {
                     until: self.cycle + ticks.max(1),
                 };
             }
-            ShardFault::Crash | ShardFault::PoisonPool => self.crash_shard(shard),
+            ShardFault::Crash => self.crash_shard(shard),
         }
         Ok(())
-    }
-
-    /// A dispatch-path infrastructure failure surfaced on `shard` (a
-    /// [`CamError::DispatchTimeout`] or
-    /// [`CamError::WorkerPoolPoisoned`] completion): the shard's
-    /// surviving contents are untrusted, so with failover enabled this
-    /// counts as a detected crash and a rebuild starts. Returns whether
-    /// recovery was started — `false` when failover is disabled or the
-    /// shard is already down, in which case the caller simply retries
-    /// through the shard's auto-rebuilt pool.
-    pub fn note_dispatch_failure(&mut self, shard: usize) -> bool {
-        if self.failover.is_none() || !self.shard_healthy(shard) {
-            return false;
-        }
-        self.failover
-            .as_mut()
-            .expect("checked above")
-            .stats
-            .failures_detected += 1;
-        self.crash_shard(shard);
-        true
     }
 
     /// Lose shard `shard`: purge its pipes (unacknowledged writes are

@@ -4,16 +4,13 @@
 //!
 //! # Failure model
 //!
-//! A shard can fail three ways, mirroring the unit-level fault sites:
+//! A shard can fail two ways:
 //!
 //! * [`ShardFault::Crash`] — the shard loses its contents and every
 //!   in-flight operation (the pipes are purged without retiring);
 //! * [`ShardFault::Stall`] — the shard's issue port closes for a
 //!   bounded number of ticks but its pipeline keeps draining (a slow
-//!   worker, not a dead one);
-//! * [`ShardFault::PoisonPool`] — the shard's dispatch pool dies
-//!   mid-operation; contents are untrusted afterwards, so the cluster
-//!   treats it as a crash with a detection signal instead of silence.
+//!   shard, not a dead one).
 //!
 //! # Recovery contract
 //!
@@ -97,9 +94,6 @@ pub enum ShardFault {
         /// How long the port stays closed.
         ticks: u64,
     },
-    /// Dispatch pool dies mid-operation — detected (not silent), then
-    /// treated as a crash.
-    PoisonPool,
 }
 
 /// A [`ShardFault`] scheduled at a replay tick.
@@ -135,8 +129,9 @@ impl ClusterFaultPlan {
     }
 
     /// Draw `faults` reproducible faults over `shards` shards across a
-    /// replay `horizon` of ticks. Stalls last between 4 ticks and a
-    /// quarter of the horizon.
+    /// replay `horizon` of ticks. One draw in three is a stall lasting
+    /// between 4 ticks and a quarter of the horizon; the rest are
+    /// crashes.
     #[must_use]
     pub fn seeded(seed: u64, shards: usize, horizon: u64, faults: usize) -> Self {
         assert!(shards > 0, "a fault plan needs a shard to aim at");
@@ -147,11 +142,10 @@ impl ClusterFaultPlan {
                 at_tick: rng.below(horizon),
                 shard: rng.below(shards as u64) as usize,
                 fault: match rng.below(3) {
-                    0 => ShardFault::Crash,
                     1 => ShardFault::Stall {
                         ticks: 4 + rng.below(horizon / 4 + 1),
                     },
-                    _ => ShardFault::PoisonPool,
+                    _ => ShardFault::Crash,
                 },
             })
             .collect();

@@ -18,8 +18,8 @@
 //! # Failure handling
 //!
 //! With [`CamCluster::enable_failover`] on, a [`ClusterFaultPlan`]
-//! kills, stalls or pool-poisons shards mid-replay and the loop keeps
-//! the workload flowing:
+//! crashes or stalls shards mid-replay and the loop keeps the workload
+//! flowing:
 //!
 //! * **reads** aimed at a failed shard are answered immediately from
 //!   its newest replica epoch (degraded — stale but never silent);
@@ -29,25 +29,17 @@
 //!   bound the write is **shed** (counted, never silently lost);
 //! * ops **purged** by a crash (issued but never acknowledged) are
 //!   re-queued at the dispatch head and re-issued after recovery, so
-//!   retire-order accounting stays exact;
-//! * an infrastructure-failure completion ([`DispatchTimeout`] /
-//!   [`WorkerPoolPoisoned`]) triggers shard recovery and ONE bounded
-//!   re-issue of the failed write — the unit-level auto-replay
-//!   contract (only idempotent searches replay below) lifted to the
-//!   cluster, where the journal makes write retry safe.
+//!   retire-order accounting stays exact.
 //!
 //! Fault ticks are relative to the replay start; faults scheduled past
 //! the replay's natural quiescence never fire.
-//!
-//! [`DispatchTimeout`]: dsp_cam_core::error::CamError::DispatchTimeout
-//! [`WorkerPoolPoisoned`]: dsp_cam_core::error::CamError::WorkerPoolPoisoned
 
 use std::collections::VecDeque;
 
 use dsp_cam_core::pipelined::{Completion, Op, RetireRecord};
 use dsp_cam_workload::{percentile, Trace};
 
-use crate::cluster::{infra_error, CamCluster, ClusterError};
+use crate::cluster::{CamCluster, ClusterError};
 use crate::failover::{ClusterFaultPlan, ShardFault, ShedPolicy};
 
 /// Open a migration window after `after_records` trace records have
@@ -108,8 +100,7 @@ pub struct ClusterReplayOutcome {
     pub search_hits: u64,
     /// Deletes that invalidated an entry.
     pub delete_hits: u64,
-    /// Updates rejected at admission (infrastructure failures are
-    /// retried, not counted here).
+    /// Updates rejected at admission.
     pub update_rejections: u64,
     /// Keys/ops presented overall (sub-issues, frozen and degraded
     /// answers) — the availability denominator.
@@ -119,11 +110,10 @@ pub struct ClusterReplayOutcome {
     pub shed_writes: u64,
     /// Deferred-write retry attempts against still-failed shards.
     pub write_retries: u64,
-    /// Writes re-issued once after an infrastructure-failure
-    /// completion (dispatch timeout / poisoned pool).
-    pub infra_retries: u64,
-    /// Writes whose bounded infrastructure retry failed again —
-    /// permanently unanswered.
+    /// Always 0: unit operations run on the caller's thread, so no
+    /// write can fail in the dispatch machinery. Retained because the
+    /// `perfbench` harness reads it; it goes with that harness's next
+    /// change.
     pub infra_failures: u64,
     /// Shard failures detected during the replay.
     pub failures_detected: u64,
@@ -159,16 +149,14 @@ impl ClusterReplayOutcome {
     }
 
     /// Fraction of presented keys/ops that were answered (degraded
-    /// answers count — stale beats silent): shed writes and permanent
-    /// infrastructure failures are the only unanswered work. 1.0 on an
-    /// empty replay.
+    /// answers count — stale beats silent): shed writes are the only
+    /// unanswered work. 1.0 on an empty replay.
     #[must_use]
     pub fn availability(&self) -> f64 {
         if self.presented == 0 {
             return 1.0;
         }
-        let unanswered = self.shed_writes + self.infra_failures;
-        1.0 - (unanswered as f64 / self.presented as f64)
+        1.0 - (self.shed_writes as f64 / self.presented as f64)
     }
 
     /// Record the replay's histograms into an observability sink:
@@ -198,7 +186,6 @@ impl ClusterReplayOutcome {
             o.add(scope, "degraded_answers", self.degraded_answers);
             o.add(scope, "shed_writes", self.shed_writes);
             o.add(scope, "write_retries", self.write_retries);
-            o.add(scope, "infra_retries", self.infra_retries);
             o.add(scope, "migration_aborts", self.migration_aborts);
             for &t in &self.recovery_ticks {
                 o.observe(scope, "recovery_ticks", t);
@@ -216,8 +203,6 @@ struct PendingSub {
     shard: usize,
     op: Op,
     arrival: u64,
-    /// This write already burned its one infrastructure retry.
-    infra_retried: bool,
 }
 
 /// One issued sub-op whose completion has not been harvested. Per
@@ -228,7 +213,6 @@ struct PendingSub {
 struct OutstandingOp {
     op: Op,
     arrival: u64,
-    infra_retried: bool,
 }
 
 /// A write waiting out a failed shard under bounded retry.
@@ -319,7 +303,7 @@ pub fn replay_cluster(
         if let Some(plan) = &mut faults {
             for fault in plan.due(now - start) {
                 cluster.inject_shard_fault(fault.shard, fault.fault)?;
-                if matches!(fault.fault, ShardFault::Crash | ShardFault::PoisonPool) {
+                if fault.fault == ShardFault::Crash {
                     requeue_purged(fault.shard, &mut outstanding, &mut subs, &mut outcome);
                 }
             }
@@ -382,12 +366,7 @@ pub fn replay_cluster(
             }
             for (shard, op, _) in plan.subs {
                 outcome.presented += presented_of(&op);
-                subs.push_back(PendingSub {
-                    shard,
-                    op,
-                    arrival,
-                    infra_retried: false,
-                });
+                subs.push_back(PendingSub { shard, op, arrival });
             }
             queue.pop_front();
             dispatched += 1;
@@ -488,22 +467,10 @@ pub fn replay_cluster(
         }
 
         cluster.tick();
-        harvest(
-            cluster,
-            &mut outcome,
-            &mut outstanding,
-            &mut subs,
-            &mut deferred,
-        );
+        harvest(cluster, &mut outcome, &mut outstanding);
     }
     cluster.quiesce();
-    harvest(
-        cluster,
-        &mut outcome,
-        &mut outstanding,
-        &mut subs,
-        &mut deferred,
-    );
+    harvest(cluster, &mut outcome, &mut outstanding);
 
     outcome.ticks = cluster.cycle() - start;
     outcome.dropped = outcome.issued - outcome.completions;
@@ -537,7 +504,6 @@ fn issue_sub(
     outstanding[sub.shard].push_back(OutstandingOp {
         op: sub.op.clone(),
         arrival: sub.arrival,
-        infra_retried: sub.infra_retried,
     });
     match cluster.shard_mut(sub.shard).issue_at(sub.op, sub.arrival) {
         Ok(()) => outcome.issued += 1,
@@ -560,29 +526,23 @@ fn requeue_purged(
             shard,
             op: rec.op,
             arrival: rec.arrival,
-            infra_retried: rec.infra_retried,
         });
     }
 }
 
 /// Pull retired completions and retire-log stamps off every shard,
-/// matching each completion to its outstanding record (per-shard
-/// retire order equals issue order). Infrastructure-failure write
-/// completions trigger recovery and one bounded re-issue.
+/// retiring each against its outstanding record (per-shard retire
+/// order equals issue order).
 fn harvest(
     cluster: &mut CamCluster,
     outcome: &mut ClusterReplayOutcome,
     outstanding: &mut [VecDeque<OutstandingOp>],
-    subs: &mut VecDeque<PendingSub>,
-    deferred: &mut VecDeque<DeferredWrite>,
 ) {
-    for i in 0..cluster.num_shards() {
-        let retired = cluster.shard_mut(i).drain_retired();
-        let mut reissues: Vec<DeferredWrite> = Vec::new();
-        for (_, done) in retired {
+    for (i, issued) in outstanding.iter_mut().enumerate() {
+        for (_, done) in cluster.shard_mut(i).drain_retired() {
             cluster.tally(&done);
             outcome.completions += 1;
-            let rec = outstanding[i].pop_front();
+            issued.pop_front();
             match &done {
                 Completion::Search(r) => {
                     outcome.search_hits += u64::from(r.is_match());
@@ -590,35 +550,7 @@ fn harvest(
                 Completion::SearchStream(rs) | Completion::SearchMulti(Ok(rs)) => {
                     outcome.search_hits += rs.iter().filter(|r| r.is_match()).count() as u64;
                 }
-                Completion::SearchMulti(Err(_)) => {}
-                Completion::Update(Ok(())) => {}
-                Completion::Update(Err(err)) if infra_error(err) => {
-                    let Some(rec) = rec else { continue };
-                    if rec.infra_retried {
-                        // The bounded retry also died: permanent.
-                        outcome.infra_failures += 1;
-                    } else {
-                        outcome.infra_retries += 1;
-                        // The shard's dispatch machinery died under the
-                        // op: recover (rebuild from epoch + journal
-                        // under failover; pool self-rebuilds without),
-                        // requeue whatever the recovery purged, and
-                        // re-issue this write exactly once.
-                        if cluster.note_dispatch_failure(i) {
-                            requeue_purged(i, outstanding, subs, outcome);
-                        }
-                        reissues.push(DeferredWrite {
-                            sub: PendingSub {
-                                shard: i,
-                                op: rec.op,
-                                arrival: rec.arrival,
-                                infra_retried: true,
-                            },
-                            attempts: 0,
-                            due: cluster.cycle(),
-                        });
-                    }
-                }
+                Completion::SearchMulti(Err(_)) | Completion::Update(Ok(())) => {}
                 Completion::Update(Err(_)) => {
                     outcome.update_rejections += 1;
                 }
@@ -626,11 +558,6 @@ fn harvest(
                     outcome.delete_hits += u64::from(*hit);
                 }
             }
-        }
-        // Oldest first at the deferred head (deferred was empty when
-        // these issued, so they precede everything queued there now).
-        for item in reissues.into_iter().rev() {
-            deferred.push_front(item);
         }
         let records = cluster.shard_mut(i).take_retire_log();
         outcome.per_shard_latencies[i].extend(records.iter().map(RetireRecord::latency));

@@ -28,10 +28,9 @@
 //! cluster serving through shard failures: each shard maintains
 //! [`ReplicationConfig::replicas`] read-only replica epochs (clean
 //! journal marks taken via the `rehydrate` path) plus a bounded journal
-//! of acknowledged writes since the newest epoch. A crashed or
-//! pool-poisoned shard — injected by a seeded [`ClusterFaultPlan`] or
-//! detected live from `DispatchTimeout` / `WorkerPoolPoisoned` — has
-//! its slots degraded to replica-served reads while a rebuild restores
+//! of acknowledged writes since the newest epoch. A crashed shard —
+//! injected by a seeded [`ClusterFaultPlan`] — has its slots degraded
+//! to replica-served reads while a rebuild restores
 //! `epoch + journal` at one word per tick, guaranteeing zero lost
 //! acknowledged writes; a failed migration participant rolls the
 //! window back to source-serving ([`CamCluster::abort_migration`]); and

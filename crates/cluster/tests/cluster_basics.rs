@@ -7,13 +7,12 @@ use dsp_cam_cluster::{replay_cluster, CamCluster, ClusterError, IngestConfig, Mi
 use dsp_cam_core::prelude::*;
 use dsp_cam_workload::{generate, Arrival, OpMix, WorkloadConfig};
 
-fn config(workers: usize) -> UnitConfig {
+fn config() -> UnitConfig {
     UnitConfig::builder()
         .data_width(12)
         .block_size(8)
         .num_blocks(4)
         .bus_width(64)
-        .workers(workers)
         .write_buffer(WriteBufferConfig {
             capacity: 64,
             drain_per_tick: 1,
@@ -24,7 +23,7 @@ fn config(workers: usize) -> UnitConfig {
 }
 
 fn cluster(shards: usize) -> CamCluster {
-    CamCluster::new(config(1), shards, 16).unwrap()
+    CamCluster::new(config(), shards, 16).unwrap()
 }
 
 #[test]

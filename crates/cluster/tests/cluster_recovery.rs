@@ -1,19 +1,17 @@
 //! Cluster fault-tolerance proofs.
 //!
-//! The chaos property: ANY seeded [`ClusterFaultPlan`] — crashes,
-//! stalls and pool poisonings, optionally landing inside a live
-//! migration window — converges to the fault-free twin: identical
-//! content digest at quiescence, zero lost acknowledged writes, zero
-//! shed writes under a generous retry policy, every presented search
-//! answered (availability 1.0), across both fidelity tiers.
+//! The chaos property: ANY seeded [`ClusterFaultPlan`] — crashes and
+//! stalls, optionally landing inside a live migration window —
+//! converges to the fault-free twin: identical content digest at
+//! quiescence, zero lost acknowledged writes, zero shed writes under a
+//! generous retry policy, every presented search answered
+//! (availability 1.0), across both fidelity tiers.
 //!
 //! The deterministic half pins each recovery mechanism on its own:
 //! `epoch + journal` crash rebuilds, stall expiry, overload shedding,
 //! migration abort/rollback (graceful and destination-crash), the
-//! source-crash-keeps-the-window-open path, the failure-aware
-//! `begin_migration` edges, and the `DispatchTimeout` bounded-retry
-//! regression (a write whose dispatch pool dies is re-issued through
-//! the rebuilt shard, not lost or miscounted as a rejection).
+//! source-crash-keeps-the-window-open path, and the failure-aware
+//! `begin_migration` edges.
 
 use dsp_cam_cluster::{
     replay_cluster, CamCluster, ClusterError, ClusterFaultPlan, IngestConfig, MigrationPlan,
@@ -142,7 +140,6 @@ proptest! {
                 outcome.shed_writes, 0,
                 "a patient policy must never shed ({:?})", fidelity
             );
-            prop_assert_eq!(outcome.infra_failures, 0);
             prop_assert!(
                 outcome.availability() >= 0.99,
                 "availability {} < 0.99 ({:?})", outcome.availability(), fidelity
@@ -465,9 +462,7 @@ fn begin_migration_rejects_failed_participants() {
         .find(|&s| cluster.ring().assignment(s) == 1)
         .unwrap();
 
-    cluster
-        .inject_shard_fault(0, ShardFault::PoisonPool)
-        .unwrap();
+    cluster.inject_shard_fault(0, ShardFault::Crash).unwrap();
     assert_eq!(
         cluster.begin_migration(slot_on_0, 1),
         Err(ClusterError::ShardUnavailable { shard: 0 }),
@@ -485,116 +480,6 @@ fn begin_migration_rejects_failed_participants() {
     cluster.quiesce();
     assert_eq!(cluster.ring().assignment(slot_on_0), 1);
     assert_eq!(cluster.counters().migrations_completed, 1);
-}
-
-#[test]
-fn transactional_update_retries_through_the_rebuilt_shard_after_dispatch_timeout() {
-    let config = UnitConfig::builder()
-        .data_width(12)
-        .block_size(8)
-        .num_blocks(16)
-        .bus_width(64)
-        .workers(2)
-        .dispatch_deadline_ms(50)
-        .build()
-        .unwrap();
-    let mut cluster = CamCluster::new(config, 2, 16).unwrap();
-    cluster.configure_groups(2).unwrap();
-    cluster.enable_failover(replication());
-    let prefill: Vec<u64> = (1..=24).collect();
-    cluster.prefill(&prefill).unwrap();
-    cluster.quiesce();
-
-    let key = 1000u64;
-    let victim = cluster.ring().assignment(cluster.ring().slot_of(key));
-    // Arm the one-shot stall fuse: the next pooled update dispatch on
-    // the victim sleeps past the 50 ms deadline and surfaces
-    // DispatchTimeout, abandoning the shard's blocks.
-    cluster
-        .shard_mut(victim)
-        .unit_mut()
-        .inject_fault(FaultSite::PoolStall { ms: 250 });
-
-    // The write still lands: the timeout is detected, the shard
-    // rebuilds as epoch + journal, and the op re-issues exactly once.
-    cluster.update(key).unwrap();
-    let stats = cluster.failover_stats().unwrap();
-    assert_eq!(stats.failures_detected, 1);
-    assert_eq!(stats.rebuilds_completed, 1);
-    assert_eq!(
-        cluster.counters().update_rejections,
-        0,
-        "an infrastructure failure is not an admission rejection"
-    );
-
-    cluster.quiesce();
-    assert!(cluster.search(key).is_match(), "retried write lost");
-    for &w in &prefill {
-        assert!(cluster.search(w).is_match(), "key {w} lost in the rebuild");
-    }
-}
-
-/// The S1 regression at replay level: before the bounded-retry fix, a
-/// `DispatchTimeout` completion was tallied as an update rejection and
-/// its word silently lost — the digest comparison against a fault-free
-/// twin fails on the pre-fix code.
-#[test]
-fn replay_retries_dispatch_timeout_writes_through_the_rebuilt_pool() {
-    let config = UnitConfig::builder()
-        .data_width(12)
-        .block_size(8)
-        .num_blocks(16)
-        .bus_width(64)
-        .workers(2)
-        .dispatch_deadline_ms(50)
-        .build()
-        .unwrap();
-    // Prefill must be empty: the stall fuse is armed before the replay,
-    // and the prefill path would trip it early.
-    let trace = generate(&WorkloadConfig {
-        seed: 0xD15_7A11,
-        ops: 120,
-        key_space: 512,
-        zipf_s: 0.9,
-        mix: OpMix::WRITE_HEAVY,
-        stream_batch: 4,
-        arrival: Arrival::BackToBack,
-        churn_per_mille: 80,
-        prefill: 0,
-        max_live: Some(40),
-        eviction_min_gap: 1,
-    })
-    .unwrap();
-
-    let mut faulty = CamCluster::new(config, 2, 16).unwrap();
-    faulty.configure_groups(2).unwrap();
-    faulty.enable_failover(replication());
-    for i in 0..2 {
-        faulty
-            .shard_mut(i)
-            .unit_mut()
-            .inject_fault(FaultSite::PoolStall { ms: 250 });
-    }
-    let outcome = replay_cluster(&trace, &mut faulty, &IngestConfig::default()).unwrap();
-
-    let mut twin = CamCluster::new(config, 2, 16).unwrap();
-    twin.configure_groups(2).unwrap();
-    let reference = replay_cluster(&trace, &mut twin, &IngestConfig::default()).unwrap();
-
-    assert!(outcome.infra_retries >= 1, "a stalled dispatch must retry");
-    assert_eq!(outcome.infra_failures, 0, "the bounded retry succeeds");
-    assert_eq!(outcome.dropped, 0);
-    assert!(outcome.rebuilds_completed >= 1);
-    assert_eq!(
-        outcome.update_rejections, reference.update_rejections,
-        "infrastructure failures must not be counted as rejections"
-    );
-    assert!((outcome.availability() - 1.0).abs() < f64::EPSILON);
-    assert_eq!(
-        faulty.content_digest(),
-        twin.content_digest(),
-        "the timed-out write was lost instead of retried"
-    );
 }
 
 #[test]

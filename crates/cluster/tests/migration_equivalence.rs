@@ -2,10 +2,10 @@
 //! live-migrates a slot mid-traffic must be indistinguishable — per-op
 //! results, cluster counters at quiescence, content digest, and
 //! replicated snapshot answers — from a reference cluster running the
-//! identical op stream with no migration, across both fidelity tiers
-//! and worker counts {1, 4}. One arm also rehydrates the
-//! *destination* shard mid-window (snapshot/restore during migration),
-//! which must preserve the staged slot and change nothing observable.
+//! identical op stream with no migration, across both fidelity tiers.
+//! One arm also rehydrates the *destination* shard mid-window
+//! (snapshot/restore during migration), which must preserve the staged
+//! slot and change nothing observable.
 
 use dsp_cam_cluster::CamCluster;
 use dsp_cam_core::prelude::*;
@@ -38,7 +38,7 @@ fn cluster_op() -> impl Strategy<Value = ClusterOp> {
     ]
 }
 
-fn build(fidelity: FidelityMode, workers: usize) -> CamCluster {
+fn build(fidelity: FidelityMode) -> CamCluster {
     let config = UnitConfig::builder()
         .data_width(12)
         .block_size(8)
@@ -48,7 +48,6 @@ fn build(fidelity: FidelityMode, workers: usize) -> CamCluster {
         .num_blocks(8)
         .bus_width(64)
         .fidelity(fidelity)
-        .workers(workers)
         .write_buffer(WriteBufferConfig {
             capacity: 64,
             // Slow drain keeps the migration window open across several
@@ -114,74 +113,72 @@ proptest! {
         dest_offset in 1usize..3,
     ) {
         for fidelity in [FidelityMode::BitAccurate, FidelityMode::Turbo] {
-            for workers in [1usize, 4] {
-                let mut migrated = build(fidelity, workers);
-                let mut reference = build(fidelity, workers);
-                migrated.prefill(&prefill).unwrap();
-                reference.prefill(&prefill).unwrap();
-                migrated.quiesce();
-                reference.quiesce();
+            let mut migrated = build(fidelity);
+            let mut reference = build(fidelity);
+            migrated.prefill(&prefill).unwrap();
+            reference.prefill(&prefill).unwrap();
+            migrated.quiesce();
+            reference.quiesce();
 
-                let slot = migrated.ring().slot_of(slot_seed);
-                let dest = (migrated.ring().assignment(slot) + dest_offset) % 3;
-                let migrate_at = migrate_at.min(ops.len());
-                let mut since_migration: Option<usize> = None;
+            let slot = migrated.ring().slot_of(slot_seed);
+            let dest = (migrated.ring().assignment(slot) + dest_offset) % 3;
+            let migrate_at = migrate_at.min(ops.len());
+            let mut since_migration: Option<usize> = None;
 
-                for (i, op) in ops.iter().enumerate() {
-                    if i == migrate_at && migrated.ring().assignment(slot) != dest {
-                        migrated.begin_migration(slot, dest).unwrap();
-                        since_migration = Some(0);
-                    }
-                    // Mid-window snapshot/restore of the destination
-                    // shard: must preserve the staged slot words.
-                    if let Some(age) = since_migration.as_mut() {
-                        if *age == rehydrate_after && migrated.migration_in_progress() {
-                            let restored = migrated.shard(dest).unit().rehydrate();
-                            migrated.shard_mut(dest).replace_unit(restored);
-                        }
-                        *age += 1;
-                    }
-                    let out = apply(&mut migrated, op);
-                    let expected = apply(&mut reference, op);
-                    prop_assert_eq!(
-                        out, expected,
-                        "op {} diverged (fidelity {:?}, workers {}, slot {}, dest {})",
-                        i, fidelity, workers, slot, dest
-                    );
+            for (i, op) in ops.iter().enumerate() {
+                if i == migrate_at && migrated.ring().assignment(slot) != dest {
+                    migrated.begin_migration(slot, dest).unwrap();
+                    since_migration = Some(0);
                 }
-
-                migrated.quiesce();
-                reference.quiesce();
-                if migrate_at < ops.len() && since_migration.is_some() {
-                    prop_assert_eq!(migrated.counters().migrations_completed, 1);
-                    prop_assert_eq!(migrated.ring().assignment(slot), dest);
+                // Mid-window snapshot/restore of the destination
+                // shard: must preserve the staged slot words.
+                if let Some(age) = since_migration.as_mut() {
+                    if *age == rehydrate_after && migrated.migration_in_progress() {
+                        let restored = migrated.shard(dest).unit().rehydrate();
+                        migrated.shard_mut(dest).replace_unit(restored);
+                    }
+                    *age += 1;
                 }
+                let out = apply(&mut migrated, op);
+                let expected = apply(&mut reference, op);
                 prop_assert_eq!(
-                    comparable(&migrated), comparable(&reference),
-                    "counters diverged (fidelity {:?}, workers {})", fidelity, workers
+                    out, expected,
+                    "op {} diverged (fidelity {:?}, slot {}, dest {})",
+                    i, fidelity, slot, dest
                 );
-                prop_assert_eq!(
-                    migrated.content_digest(), reference.content_digest(),
-                    "stored contents diverged (fidelity {:?}, workers {})", fidelity, workers
-                );
-
-                // The replicated snapshots must answer the whole key
-                // domain identically.
-                let probes: Vec<u64> = (0..48).collect();
-                let migrated_hits: Vec<bool> = migrated
-                    .snapshot()
-                    .search_fan_out(&probes)
-                    .iter()
-                    .map(SearchResult::is_match)
-                    .collect();
-                let reference_hits: Vec<bool> = reference
-                    .snapshot()
-                    .search_fan_out(&probes)
-                    .iter()
-                    .map(SearchResult::is_match)
-                    .collect();
-                prop_assert_eq!(migrated_hits, reference_hits);
             }
+
+            migrated.quiesce();
+            reference.quiesce();
+            if migrate_at < ops.len() && since_migration.is_some() {
+                prop_assert_eq!(migrated.counters().migrations_completed, 1);
+                prop_assert_eq!(migrated.ring().assignment(slot), dest);
+            }
+            prop_assert_eq!(
+                comparable(&migrated), comparable(&reference),
+                "counters diverged (fidelity {:?})", fidelity
+            );
+            prop_assert_eq!(
+                migrated.content_digest(), reference.content_digest(),
+                "stored contents diverged (fidelity {:?})", fidelity
+            );
+
+            // The replicated snapshots must answer the whole key
+            // domain identically.
+            let probes: Vec<u64> = (0..48).collect();
+            let migrated_hits: Vec<bool> = migrated
+                .snapshot()
+                .search_fan_out(&probes)
+                .iter()
+                .map(SearchResult::is_match)
+                .collect();
+            let reference_hits: Vec<bool> = reference
+                .snapshot()
+                .search_fan_out(&probes)
+                .iter()
+                .map(SearchResult::is_match)
+                .collect();
+            prop_assert_eq!(migrated_hits, reference_hits);
         }
     }
 }

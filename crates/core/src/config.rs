@@ -297,30 +297,17 @@ pub struct UnitConfig {
     /// Unit-level bus width in bits (the paper uses 512 to match the DDR
     /// port).
     pub bus_width: u32,
-    /// Worker threads sharding independent blocks/groups during
-    /// multi-query searches and group-replicated updates. `1` (the
-    /// default) keeps everything on the calling thread; `0` means one
-    /// worker per available CPU; above 1 the groups are dispatched to
-    /// the unit's persistent [`CamRuntime`](crate::runtime::CamRuntime)
-    /// pool. Results and counters are identical at any setting — this
-    /// is a host-side execution knob, not a hardware parameter.
-    pub workers: usize,
     /// Background scrubbing / self-healing policy. `None` (the default)
     /// disables scrubbing, cross-checking and tier degradation.
     #[serde(default)]
     pub scrub: Option<ScrubPolicy>,
-    /// Deadline in milliseconds for one pool dispatch; a worker that has
-    /// not answered by then poisons the pool and the call fails with
-    /// [`CamError::DispatchTimeout`](crate::error::CamError::DispatchTimeout).
-    /// `0` (the default) waits forever.
-    #[serde(default)]
-    pub dispatch_deadline_ms: u64,
     /// Keys per plane-walk pass of the key-parallel batch kernel used by
     /// [`search_stream`](crate::unit::CamUnit::search_stream)
     /// (`1..=`[`MAX_BATCH_WIDTH`](crate::bitslice::MAX_BATCH_WIDTH);
     /// 8–64 is the performant range, `1` degenerates to the scalar
-    /// one-key-at-a-time walk). A host-side execution knob like
-    /// `workers`: results and counters are identical at any setting.
+    /// one-key-at-a-time walk). A host-side execution knob, not a
+    /// hardware parameter: results and counters are identical at any
+    /// setting.
     #[serde(default = "default_batch_width")]
     pub batch_width: usize,
     /// CAM-fronted write buffer absorbing update/delete bursts ahead of
@@ -425,9 +412,7 @@ pub struct UnitConfigBuilder {
     num_blocks: usize,
     bus_width: u32,
     fidelity: FidelityMode,
-    workers: usize,
     scrub: Option<ScrubPolicy>,
-    dispatch_deadline_ms: u64,
     batch_width: usize,
     write_buffer: Option<WriteBufferConfig>,
 }
@@ -445,9 +430,7 @@ impl Default for UnitConfigBuilder {
             num_blocks: 4,
             bus_width: 512,
             fidelity: FidelityMode::BitAccurate,
-            workers: 1,
             scrub: None,
-            dispatch_deadline_ms: 0,
             batch_width: default_batch_width(),
             write_buffer: None,
         }
@@ -527,27 +510,11 @@ impl UnitConfigBuilder {
         self
     }
 
-    /// Set the worker-thread count for multi-query searches and
-    /// replicated updates (default 1 = serial; 0 = one per CPU).
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
     /// Enable background scrubbing / self-healing with the given policy
     /// (defaults to off).
     #[must_use]
     pub fn scrub(mut self, policy: ScrubPolicy) -> Self {
         self.scrub = Some(policy);
-        self
-    }
-
-    /// Set the pool dispatch deadline in milliseconds (default `0` =
-    /// wait forever).
-    #[must_use]
-    pub fn dispatch_deadline_ms(mut self, ms: u64) -> Self {
-        self.dispatch_deadline_ms = ms;
         self
     }
 
@@ -592,9 +559,7 @@ impl UnitConfigBuilder {
             block,
             num_blocks: self.num_blocks,
             bus_width: self.bus_width,
-            workers: self.workers,
             scrub: self.scrub,
-            dispatch_deadline_ms: self.dispatch_deadline_ms,
             batch_width: self.batch_width,
             write_buffer: self.write_buffer,
         };
@@ -754,14 +719,11 @@ mod tests {
         assert_eq!(p.restore_after, 4, "K (clean sweeps to restore) is 4");
         assert!(!p.strict, "self-healing mode is the default");
         assert_eq!(UnitConfig::default().scrub, None, "scrubbing is opt-in");
-        assert_eq!(UnitConfig::default().dispatch_deadline_ms, 0);
         let c = UnitConfig::builder()
             .scrub(ScrubPolicy::default())
-            .dispatch_deadline_ms(250)
             .build()
             .unwrap();
         assert_eq!(c.scrub, Some(ScrubPolicy::default()));
-        assert_eq!(c.dispatch_deadline_ms, 250);
     }
 
     #[test]

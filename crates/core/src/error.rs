@@ -153,15 +153,6 @@ pub enum CamError {
         /// The number of blocks in the unit.
         blocks: usize,
     },
-    /// A worker of the persistent [`CamRuntime`](crate::runtime::CamRuntime)
-    /// pool panicked (or died) while executing a sharded operation. The
-    /// operation did not complete; the unit's contents and counters are
-    /// unspecified afterwards (structurally sound, but possibly partially
-    /// applied) and the pool is rebuilt on the next dispatch.
-    WorkerPoolPoisoned {
-        /// The pool worker that failed.
-        worker: usize,
-    },
     /// More concurrent search keys than configured groups.
     TooManyQueries {
         /// Keys presented.
@@ -181,16 +172,6 @@ pub enum CamError {
         group: usize,
         /// The (masked) search key that exposed the divergence.
         key: u64,
-    },
-    /// A pool worker failed to answer within the configured
-    /// [`dispatch_deadline_ms`](crate::config::UnitConfig::dispatch_deadline_ms).
-    /// The pool is torn down and rebuilt on the next dispatch; blocks
-    /// held by the stalled worker are re-materialised empty.
-    DispatchTimeout {
-        /// The pool worker that stalled.
-        worker: usize,
-        /// How long the dispatcher waited, in milliseconds.
-        waited_ms: u64,
     },
 }
 
@@ -214,12 +195,6 @@ impl fmt::Display for CamError {
             CamError::NoSuchBlock { block, blocks } => {
                 write!(f, "block {block} does not exist (unit has {blocks} blocks)")
             }
-            CamError::WorkerPoolPoisoned { worker } => {
-                write!(
-                    f,
-                    "worker {worker} of the sharded runtime pool panicked mid-operation"
-                )
-            }
             CamError::TooManyQueries {
                 presented,
                 capacity,
@@ -233,10 +208,6 @@ impl fmt::Display for CamError {
             CamError::ShadowDivergence { group, key } => write!(
                 f,
                 "shadow answer for key {key:#x} in group {group} diverged from the DSP oracle (repaired; tier degraded)"
-            ),
-            CamError::DispatchTimeout { worker, waited_ms } => write!(
-                f,
-                "pool worker {worker} missed the dispatch deadline after {waited_ms} ms"
             ),
         }
     }
@@ -336,8 +307,6 @@ mod tests {
         }
         .to_string();
         assert!(msg.contains('7') && msg.contains("block"), "{msg:?}");
-        let msg = CamError::WorkerPoolPoisoned { worker: 3 }.to_string();
-        assert!(msg.contains('3') && msg.contains("panicked"), "{msg:?}");
         assert!(!CamError::KindMismatch.to_string().is_empty());
         let msg = CamError::ShadowDivergence {
             group: 2,
@@ -345,12 +314,6 @@ mod tests {
         }
         .to_string();
         assert!(msg.contains("0xab") && msg.contains("group 2"), "{msg:?}");
-        let msg = CamError::DispatchTimeout {
-            worker: 1,
-            waited_ms: 50,
-        }
-        .to_string();
-        assert!(msg.contains("50") && msg.contains("deadline"), "{msg:?}");
     }
 
     #[test]

@@ -188,26 +188,6 @@ pub enum FaultSite {
         /// Staged-op slot whose key is toggled in the index.
         slot: usize,
     },
-    /// Arm a one-shot fuse on the [`CamRuntime`](crate::runtime::CamRuntime)
-    /// pool: the next pooled update dispatch panics in exactly one group
-    /// task before writing anything, poisoning the pool mid-operation
-    /// (`WorkerPoolPoisoned`). Exercises the transactional-drain repair
-    /// path end to end; a no-op for units dispatching serially, where a
-    /// worker upset cannot occur.
-    PoolWorker,
-    /// Arm a one-shot stall fuse on the pool: every group task of the
-    /// next pooled update dispatch sleeps `ms` milliseconds before
-    /// writing. With a configured
-    /// [`dispatch_deadline_ms`](crate::config::UnitConfig) below the
-    /// stall, the dispatch deterministically surfaces
-    /// [`CamError::DispatchTimeout`](crate::error::CamError) — the
-    /// stalled workers' blocks are abandoned (re-materialised empty)
-    /// and the pool is torn down, exactly the real hung-worker path —
-    /// without any test-only hook. A no-op for serial dispatch.
-    PoolStall {
-        /// Stall length per group task, in milliseconds.
-        ms: u64,
-    },
 }
 
 /// A deterministic, seeded fault campaign.
@@ -371,9 +351,6 @@ mod tests {
                 }
                 FaultSite::Routing { block } => assert!(block < 4),
                 FaultSite::UpdateQueue { slot } => assert!(slot < 64),
-                FaultSite::PoolWorker | FaultSite::PoolStall { .. } => {
-                    unreachable!("plans never draw pool faults; they are armed explicitly")
-                }
             }
         }
     }

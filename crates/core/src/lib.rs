@@ -60,7 +60,6 @@ pub mod journal;
 pub mod kind;
 pub mod mask;
 pub mod pipelined;
-pub mod runtime;
 pub mod scrub;
 pub mod unit;
 pub mod update_queue;
@@ -83,7 +82,6 @@ pub mod prelude {
     pub use crate::kind::CamKind;
     pub use crate::mask::{range_mask, width_mask, CamMask, RangeSpec};
     pub use crate::pipelined::{Completion, Op, RetireRecord, StreamingCam};
-    pub use crate::runtime::CamRuntime;
     pub use crate::scrub::ScrubReport;
     pub use crate::unit::{CamUnit, SearchResult};
     pub use crate::update_queue::{StagedOp, WriteBufferReport};

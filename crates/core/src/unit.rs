@@ -22,7 +22,7 @@
 //! study where the adjacency list is duplicated in all groups.
 
 use std::collections::HashMap;
-use std::sync::atomic::AtomicBool;
+#[cfg(feature = "obs")]
 use std::sync::Arc;
 
 #[cfg(feature = "obs")]
@@ -36,13 +36,12 @@ use crate::encoder::{Encoding, MatchVector, SearchOutput};
 use crate::error::{CamError, ConfigError};
 use crate::faults::{FaultPlan, FaultSite};
 use crate::mask::RangeSpec;
-use crate::runtime::{CamRuntime, GroupTask, PoolOp, PoolRun};
 use crate::scrub::{ScrubReport, ScrubState};
 use crate::update_queue::{StagedOp, WriteBuffer, WriteBufferReport};
 
-/// What one pool dispatch hands back: `(group, fill.current)` rewinds
-/// from updates and `(slot, result)` answers from searches.
-type PoolDispatch = (Vec<(usize, usize)>, Vec<(usize, SearchResult)>);
+/// Served search answers plus the first `(group, key)` divergence the
+/// sampled cross-check caught while serving them (repaired either way).
+type Served = (Vec<SearchResult>, Option<(usize, u64)>);
 
 /// The outcome of one unit-level search.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,30 +125,17 @@ struct GroupFill {
 /// Reusable per-search working buffers: the combined group vector plus
 /// one per-block vector for the scalar path, and W-wide staging for the
 /// key-parallel batch kernel — so a stream of searches allocates nothing
-/// per key (or per batch) once the buffers reach steady-state size. Each
-/// pool worker of the [`CamRuntime`] keeps one alive across jobs.
+/// per key (or per batch) once the buffers reach steady-state size.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct GroupScratch {
-    pub(crate) combined: MatchVector,
-    pub(crate) block: MatchVector,
+struct GroupScratch {
+    combined: MatchVector,
+    block: MatchVector,
     /// Staged keys of the batch currently walking the planes.
-    pub(crate) batch_keys: Vec<u64>,
+    batch_keys: Vec<u64>,
     /// Per-key per-block match vectors (batch kernel output).
-    pub(crate) batch_block: Vec<MatchVector>,
+    batch_block: Vec<MatchVector>,
     /// Per-key group-combined match vectors.
-    pub(crate) batch_combined: Vec<MatchVector>,
-}
-
-/// Holder for the lazily-built persistent worker pool. Never serialized;
-/// a cloned unit starts with a cold slot and spins its own pool up on
-/// first sharded dispatch.
-#[derive(Debug, Default)]
-struct RuntimeSlot(Option<CamRuntime>);
-
-impl Clone for RuntimeSlot {
-    fn clone(&self) -> Self {
-        RuntimeSlot(None)
-    }
+    batch_combined: Vec<MatchVector>,
 }
 
 /// An attached observability sink plus the interned scope path the unit
@@ -189,24 +175,6 @@ pub struct CamUnit {
     wbuf: WriteBuffer,
     #[serde(skip)]
     scratch: GroupScratch,
-    /// The persistent sharded worker pool (see [`CamRuntime`]), built on
-    /// first multi-worker dispatch and rebuilt whenever the effective
-    /// worker count changes.
-    #[serde(skip)]
-    runtime: RuntimeSlot,
-    /// One-shot fuse armed by [`FaultSite::PoolWorker`]: the next pooled
-    /// update dispatch hands it to exactly one group task, which panics
-    /// before writing any cell. Test-only failure injection, never
-    /// architectural state.
-    #[serde(skip)]
-    pool_fault: Option<Arc<AtomicBool>>,
-    /// One-shot fuse armed by [`FaultSite::PoolStall`]: every group
-    /// task of the next pooled update dispatch sleeps this many
-    /// milliseconds, deterministically tripping a configured dispatch
-    /// deadline. Test-only failure injection, never architectural
-    /// state.
-    #[serde(skip)]
-    pool_stall: Option<u64>,
     /// Attached observability sink; host-side monitoring, never
     /// architectural state (results and counters are identical with or
     /// without it — see `tests/obs_equivalence.rs`).
@@ -239,9 +207,6 @@ impl CamUnit {
             scrub: ScrubState::default(),
             wbuf: WriteBuffer::default(),
             scratch: GroupScratch::default(),
-            runtime: RuntimeSlot::default(),
-            pool_fault: None,
-            pool_stall: None,
             #[cfg(feature = "obs")]
             observer: None,
         };
@@ -269,14 +234,6 @@ impl CamUnit {
         self.trace_event(Event::TierSwitch {
             tier: tier_of(fidelity),
         });
-    }
-
-    /// Set the worker-thread count for subsequent multi-query searches
-    /// and replicated updates (see [`UnitConfig::workers`]). The
-    /// persistent pool is rebuilt to the new size on the next sharded
-    /// dispatch.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.config.workers = workers;
     }
 
     /// Current group count `M`.
@@ -400,22 +357,6 @@ impl CamUnit {
             .collect();
         let scrub_scope = obs.sink.register_scope(&format!("{}/scrub", obs.path));
         let wbuf_scope = obs.sink.register_scope(&format!("{}/wbuf", obs.path));
-        // Pool worker monitoring, once a persistent pool has spun up.
-        let pool_scopes: Vec<(ScopeId, usize, u64)> =
-            self.runtime.0.as_ref().map_or_else(Vec::new, |pool| {
-                pool.worker_stats()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(w, (depth, jobs))| {
-                        (
-                            obs.sink
-                                .register_scope(&format!("{}/pool/worker{w}", obs.path)),
-                            depth,
-                            jobs,
-                        )
-                    })
-                    .collect()
-            });
         obs.sink.with(|o| {
             o.set_counter(obs.scope, "issue_cycles", self.issue_cycles);
             o.set_counter(obs.scope, "update_words", self.update_words);
@@ -452,10 +393,6 @@ impl CamUnit {
                 );
                 o.set_gauge(scope, "occupancy", block.len() as i64);
                 o.set_gauge(scope, "capacity", block.capacity() as i64);
-            }
-            for &(scope, depth, jobs) in &pool_scopes {
-                o.set_gauge(scope, "queue_depth", depth as i64);
-                o.set_counter(scope, "jobs", jobs);
             }
             o.set_counter(scrub_scope, "cells_audited", self.scrub.cells_audited);
             o.set_counter(scrub_scope, "faults_detected", self.scrub.faults_detected);
@@ -578,8 +515,6 @@ impl CamUnit {
                 self.routing[block] = (self.routing[block] + 1) % self.groups;
             }
             FaultSite::UpdateQueue { slot } => self.wbuf.inject_index_fault(slot),
-            FaultSite::PoolWorker => self.pool_fault = Some(Arc::new(AtomicBool::new(true))),
-            FaultSite::PoolStall { ms } => self.pool_stall = Some(ms),
         }
     }
 
@@ -788,10 +723,16 @@ impl CamUnit {
         first
     }
 
-    /// Whether a caught divergence should surface as
-    /// [`CamError::ShadowDivergence`] instead of healing silently.
-    fn strict_scrub(&self) -> bool {
-        self.config.scrub.is_some_and(|p| p.strict)
+    /// Surface a caught divergence as [`CamError::ShadowDivergence`]
+    /// under a strict [`ScrubPolicy`]; the `try_` search variants call
+    /// this, while the infallible ones serve the repaired answer.
+    fn strict_check(&self, diverged: Option<(usize, u64)>) -> Result<(), CamError> {
+        match diverged {
+            Some((group, key)) if self.config.scrub.is_some_and(|p| p.strict) => {
+                Err(CamError::ShadowDivergence { group, key })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Fall back from Turbo to BitAccurate (the oracle itself cannot
@@ -873,7 +814,6 @@ impl CamUnit {
         self.trace_event(Event::Issue {
             kind: OpKind::ConfigureGroups,
             group: 0,
-            worker: 0,
         });
         Ok(())
     }
@@ -918,7 +858,6 @@ impl CamUnit {
         self.trace_event(Event::Issue {
             kind: OpKind::RoutingWrite,
             group: group as u32,
-            worker: 0,
         });
         Ok(())
     }
@@ -937,16 +876,6 @@ impl CamUnit {
             .filter(|(_, f)| !f.blocks.is_empty())
             .min_by_key(|(_, f)| f.blocks.len())
             .map(|(g, _)| g)
-    }
-
-    /// Resolve the configured worker count (0 = one per available CPU).
-    fn effective_workers(&self) -> usize {
-        match self.config.workers {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            n => n,
-        }
     }
 
     /// Distribute the blocks into per-group buckets of mutable
@@ -979,188 +908,6 @@ impl CamUnit {
             .collect()
     }
 
-    /// Run `op` over the first `count` groups on the persistent worker
-    /// pool, chunking groups across `lanes` workers (chunk *i* → worker
-    /// *i*, which is what observability worker attribution reports).
-    /// Blocks move into the workers by value and come back by value —
-    /// `forbid(unsafe_code)`-compatible sharding. The pool is built lazily and rebuilt when the effective
-    /// worker count changes.
-    ///
-    /// On a poisoned worker the surviving blocks are reinstalled, any
-    /// lost with a dead thread are re-materialised empty, the pool is
-    /// torn down (joining its threads), and
-    /// [`CamError::WorkerPoolPoisoned`] is returned — unless the failed
-    /// op is an idempotent search batch whose blocks all came home, in
-    /// which case the dispatch is replayed exactly once on a freshly
-    /// built pool. Updates are never replayed (a partial write would be
-    /// double-applied), and neither are deadline misses (the stalled
-    /// worker may still be executing).
-    fn dispatch_pool(
-        &mut self,
-        count: usize,
-        lanes: usize,
-        op: PoolOp,
-    ) -> Result<PoolDispatch, CamError> {
-        let (err, lost) = match self.dispatch_pool_once(count, lanes, op.clone()) {
-            Ok(out) => return Ok(out),
-            Err(pair) => pair,
-        };
-        let idempotent = matches!(op, PoolOp::SearchMulti { .. } | PoolOp::SearchStream { .. });
-        #[cfg(test)]
-        let idempotent = idempotent || matches!(op, PoolOp::FailOnce(_));
-        if !(idempotent && lost == 0 && matches!(err, CamError::WorkerPoolPoisoned { .. })) {
-            return Err(err);
-        }
-        #[cfg(feature = "obs")]
-        if let Some(obs) = &self.observer {
-            let scope = obs.sink.register_scope(&format!("{}/pool", obs.path));
-            obs.sink.with(|o| o.add(scope, "retries", 1));
-        }
-        self.dispatch_pool_once(count, lanes, op)
-            .map_err(|(err, _)| err)
-    }
-
-    /// One pool dispatch attempt; on failure the error is paired with
-    /// the number of blocks lost inside dead workers (re-materialised
-    /// empty), which gates [`CamUnit::dispatch_pool`]'s one-shot replay.
-    fn dispatch_pool_once(
-        &mut self,
-        count: usize,
-        lanes: usize,
-        op: PoolOp,
-    ) -> Result<PoolDispatch, (CamError, usize)> {
-        #[cfg(feature = "obs")]
-        let dispatched = std::time::Instant::now();
-        let pool_size = self.effective_workers().max(1);
-        if self
-            .runtime
-            .0
-            .as_ref()
-            .is_none_or(|pool| pool.size() != pool_size)
-        {
-            self.runtime.0 = Some(CamRuntime::new(pool_size));
-        }
-        let mut slots: Vec<Option<CamBlock>> = std::mem::take(&mut self.blocks)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let tasks: Vec<GroupTask> = (0..count)
-            .map(|g| GroupTask {
-                group: g,
-                current: self.fill[g].current,
-                blocks: self.fill[g]
-                    .blocks
-                    .iter()
-                    .map(|&b| {
-                        (
-                            b,
-                            slots[b].take().expect("the Routing Table is a partition"),
-                        )
-                    })
-                    .collect(),
-            })
-            .collect();
-        let chunks = chunked(tasks, lanes);
-        let deadline = (self.config.dispatch_deadline_ms > 0)
-            .then(|| std::time::Duration::from_millis(self.config.dispatch_deadline_ms));
-        let outcome = self
-            .runtime
-            .0
-            .as_ref()
-            .expect("pool built above")
-            .run(chunks, op, deadline);
-        let (returned, failed) = match outcome {
-            Ok(run) => (run, None),
-            Err(err) => (
-                PoolRun {
-                    tasks: err.tasks,
-                    ..PoolRun::default()
-                },
-                Some((err.worker, err.timed_out)),
-            ),
-        };
-        let PoolRun {
-            tasks,
-            fills,
-            results,
-            wait_ns,
-        } = returned;
-        for task in tasks {
-            for (b, block) in task.blocks {
-                slots[b] = Some(block);
-            }
-        }
-        let block_config = self.config.block;
-        let mut lost = 0usize;
-        self.blocks = slots
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    // Lost inside a dead (or deadline-abandoned) worker
-                    // thread: re-materialise an empty block so the unit
-                    // stays structurally sound.
-                    lost += 1;
-                    CamBlock::new(block_config).expect("config was validated at construction")
-                })
-            })
-            .collect();
-        if let Some((worker, timed_out)) = failed {
-            // The pool is suspect; tear it down (joining its threads)
-            // and let the next dispatch build a fresh one.
-            self.runtime.0 = None;
-            let err = if timed_out {
-                CamError::DispatchTimeout {
-                    worker,
-                    waited_ms: self.config.dispatch_deadline_ms,
-                }
-            } else {
-                CamError::WorkerPoolPoisoned { worker }
-            };
-            return Err((err, lost));
-        }
-        #[cfg(feature = "obs")]
-        self.observe_dispatch(&wait_ns, dispatched.elapsed());
-        #[cfg(not(feature = "obs"))]
-        drop(wait_ns);
-        Ok((fills, results))
-    }
-
-    /// Test-only: run an arbitrary [`PoolOp`] through the full pool
-    /// dispatch (deadline and retry handling included), sharding every
-    /// group across the configured workers.
-    #[cfg(test)]
-    pub(crate) fn dispatch_test_op(&mut self, op: PoolOp) -> Result<PoolDispatch, CamError> {
-        let lanes = self.effective_workers().min(self.groups).max(1);
-        self.dispatch_pool(self.groups, lanes, op)
-    }
-
-    /// Record pool dispatch latency: per-worker queue-wait histograms
-    /// under `{unit}/pool/worker{w}` plus the whole batch's
-    /// dispatch-to-retire wall time under `{unit}/pool`.
-    #[cfg(feature = "obs")]
-    fn observe_dispatch(&self, waits: &[(usize, u64)], elapsed: std::time::Duration) {
-        let Some(obs) = &self.observer else { return };
-        // Scope interning allocates; resolve before taking the batch lock.
-        let worker_scopes: Vec<(ScopeId, u64)> = waits
-            .iter()
-            .map(|&(w, ns)| {
-                (
-                    obs.sink
-                        .register_scope(&format!("{}/pool/worker{w}", obs.path)),
-                    ns,
-                )
-            })
-            .collect();
-        let pool_scope = obs.sink.register_scope(&format!("{}/pool", obs.path));
-        let retire_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        obs.sink.with(|o| {
-            for &(scope, ns) in &worker_scopes {
-                o.observe(scope, "dispatch_wait_ns", ns);
-            }
-            o.observe(pool_scope, "batch_retire_ns", retire_ns);
-        });
-    }
-
     /// Update: replicate `words` to every group and fill round-robin
     /// (Section III-C.2). Atomic: either every group accepts every word or
     /// nothing is written.
@@ -1168,9 +915,7 @@ impl CamUnit {
     /// # Errors
     ///
     /// * [`CamError::Full`] if a group lacks space;
-    /// * [`CamError::ValueTooWide`] for words beyond the data width;
-    /// * [`CamError::WorkerPoolPoisoned`] if a pool worker dies mid-write
-    ///   (contents are then unspecified until the next reset).
+    /// * [`CamError::ValueTooWide`] for words beyond the data width.
     pub fn update(&mut self, words: &[u64]) -> Result<(), CamError> {
         if words.is_empty() {
             return Ok(());
@@ -1189,9 +934,9 @@ impl CamUnit {
             });
         }
         if self.wbuf_enabled() {
-            self.absorb_insert(words)?;
+            self.absorb_insert(words);
         } else {
-            self.apply_words_physical(words)?;
+            self.apply_words_physical(words);
         }
         self.entries_per_group += words.len();
         let beats = words.len().div_ceil(self.config.words_per_beat()) as u64;
@@ -1207,38 +952,14 @@ impl CamUnit {
     }
 
     /// Replicate `words` into every group physically — the write engine
-    /// shared by the inline update path and the write-buffer drainer
-    /// (serial shards, or [`CamRuntime`] pool dispatch when more than one
-    /// worker is configured). Admission must already be checked; no
-    /// unit-level counters move here — block-level counters accrue as
-    /// the cells are written, identically on either path.
-    fn apply_words_physical(&mut self, words: &[u64]) -> Result<(), CamError> {
-        let workers = self.effective_workers().min(self.groups);
-        let outcomes: Vec<(usize, usize)> = if workers <= 1 {
-            let shards = Self::group_shards(&mut self.blocks, &self.fill);
-            shards
-                .into_iter()
-                .enumerate()
-                .map(|(g, mut blocks)| {
-                    (
-                        g,
-                        write_group_words(&mut blocks, self.fill[g].current, words),
-                    )
-                })
-                .collect()
-        } else {
-            let op = PoolOp::Update {
-                words: Arc::new(words.to_vec()),
-                fault: self.pool_fault.take(),
-                stall: self.pool_stall.take(),
-            };
-            let (fills, _) = self.dispatch_pool(self.groups, workers, op)?;
-            fills
-        };
-        for (g, current) in outcomes {
-            self.fill[g].current = current;
+    /// shared by the inline update path and the write-buffer drainer.
+    /// Admission must already be checked; no unit-level counters move
+    /// here — block-level counters accrue as the cells are written.
+    fn apply_words_physical(&mut self, words: &[u64]) {
+        let shards = Self::group_shards(&mut self.blocks, &self.fill);
+        for (fill, mut blocks) in self.fill.iter_mut().zip(shards) {
+            fill.current = write_group_words(&mut blocks, fill.current, words);
         }
-        Ok(())
     }
 
     /// Whether updates/deletes stage in the write buffer: a
@@ -1259,19 +980,19 @@ impl CamUnit {
     /// the burst overflows the buffer (the paper's capture port is a
     /// fixed handful of DSP slices — an oversized burst falls back to
     /// the inline write path after flushing everything in front of it).
-    fn absorb_insert(&mut self, words: &[u64]) -> Result<(), CamError> {
+    fn absorb_insert(&mut self, words: &[u64]) {
         let capacity = self.wbuf_capacity();
         if words.len() > capacity {
             self.wbuf.overflows += 1;
             self.flush_write_buffer();
-            return self.apply_words_physical(words);
+            self.apply_words_physical(words);
+            return;
         }
         if self.wbuf.depth() + words.len() > capacity {
             self.wbuf.overflows += 1;
             self.flush_write_buffer();
         }
         self.wbuf.push_insert(words, self.issue_cycles);
-        Ok(())
     }
 
     /// Stage a delete of (masked) `key`, returning whether the delete
@@ -1337,11 +1058,9 @@ impl CamUnit {
     /// unit in FIFO order — the background drainer behind
     /// [`StreamingCam`](crate::pipelined::StreamingCam) idle ticks.
     /// Inserts go through the same replicated write engine as the
-    /// inline path (including [`CamRuntime`] pool dispatch when the
-    /// worker count allows); tombstones through the same
-    /// probe/invalidate walk. No architectural unit counters move —
-    /// they were charged when the ops were absorbed. Returns the number
-    /// of ops retired.
+    /// inline path; tombstones through the same probe/invalidate walk.
+    /// No architectural unit counters move — they were charged when the
+    /// ops were absorbed. Returns the number of ops retired.
     pub fn drain_write_buffer(&mut self, max_ops: usize) -> usize {
         let mut drained = 0usize;
         #[cfg(feature = "obs")]
@@ -1355,21 +1074,7 @@ impl CamUnit {
             #[cfg(feature = "obs")]
             residencies.push(residency);
             match op {
-                StagedOp::Insert { words, .. } => {
-                    // A pool failure mid-drain is transactional: the
-                    // runtime discards the batch and the pool (rebuilt
-                    // lazily on the next dispatch), and a panicking
-                    // task unwinds before its first cell write, so
-                    // every group is either fully written or untouched.
-                    // Top the deficient groups back up from the staged
-                    // words and keep retiring from the next staged op —
-                    // a naive blanket re-apply would double-write the
-                    // groups the surviving workers finished.
-                    if self.apply_words_physical(&words).is_err() {
-                        self.repair_partial_insert(&words);
-                        self.wbuf.drain_repairs += 1;
-                    }
-                }
+                StagedOp::Insert { words, .. } => self.apply_words_physical(&words),
                 StagedOp::Tombstone { key, .. } => {
                     self.apply_delete_physical(key);
                 }
@@ -1385,75 +1090,6 @@ impl CamUnit {
     /// overflow, touched-key searches, group reconfiguration and reset.
     pub fn flush_write_buffer(&mut self) {
         self.drain_write_buffer(usize::MAX);
-    }
-
-    /// Converge every group on the full contents of a staged insert
-    /// whose pooled dispatch failed mid-flight. Replication means any
-    /// cross-group spread in the copy count of an op word is damage
-    /// from this op alone, so each group's deficit against the
-    /// best-covered group is exactly the set of op words it never
-    /// landed. Replaying those words in op order through the serial
-    /// write engine restores replication with the same cell placement
-    /// (and therefore the same first-match addresses) an untroubled
-    /// drain would have produced; the counter-neutral
-    /// [`CamBlock::probe_count`] keeps the repair invisible to every
-    /// architectural counter.
-    fn repair_partial_insert(&mut self, words: &[u64]) {
-        let mut distinct: Vec<u64> = Vec::new();
-        for &w in words {
-            if !distinct.contains(&w) {
-                distinct.push(w);
-            }
-        }
-        let counts: Vec<Vec<usize>> = self
-            .fill
-            .iter()
-            .map(|fill| {
-                distinct
-                    .iter()
-                    .map(|&w| {
-                        fill.blocks
-                            .iter()
-                            .map(|&b| self.blocks[b].probe_count(w, usize::MAX))
-                            .sum()
-                    })
-                    .collect()
-            })
-            .collect();
-        let targets: Vec<usize> = (0..distinct.len())
-            .map(|i| counts.iter().map(|c| c[i]).max().unwrap_or(0))
-            .collect();
-        for g in 0..self.groups {
-            if self.fill[g].blocks.is_empty() {
-                continue;
-            }
-            let mut deficit: HashMap<u64, usize> = distinct
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| targets[i] > counts[g][i])
-                .map(|(i, &w)| (w, targets[i] - counts[g][i]))
-                .collect();
-            if deficit.is_empty() {
-                continue;
-            }
-            let replay: Vec<u64> = words
-                .iter()
-                .copied()
-                .filter(|w| match deficit.get_mut(w) {
-                    Some(missing) if *missing > 0 => {
-                        *missing -= 1;
-                        true
-                    }
-                    _ => false,
-                })
-                .collect();
-            let current = self.fill[g].current;
-            let mut shards = Self::group_shards(&mut self.blocks, &self.fill);
-            let blocks = &mut shards[g];
-            // A stale-low `current` self-heals: `write_group_words`
-            // zero-takes and advances past the full blocks in front.
-            self.fill[g].current = write_group_words(blocks, current, &replay);
-        }
     }
 
     /// Word slots currently staged in the write buffer (0 when
@@ -1569,11 +1205,32 @@ impl CamUnit {
     /// # Errors
     ///
     /// [`CamError::TooManyQueries`] if more keys than groups are
-    /// presented; [`CamError::WorkerPoolPoisoned`] if a pool worker dies
-    /// mid-search; [`CamError::ShadowDivergence`] if a sampled
+    /// presented; [`CamError::ShadowDivergence`] if a sampled
     /// cross-check catches a divergent answer under a strict
     /// [`ScrubPolicy`] (repaired either way).
     pub fn try_search_multi(&mut self, keys: &[u64]) -> Result<Vec<SearchResult>, CamError> {
+        let (results, diverged) = self.search_multi_checked(keys)?;
+        self.strict_check(diverged)?;
+        Ok(results)
+    }
+
+    /// Multi-query search, panicking variant of
+    /// [`CamUnit::try_search_multi`]. Like [`CamUnit::search`], it
+    /// serves the repaired answer when a sampled cross-check catches a
+    /// divergence, even under a strict [`ScrubPolicy`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if more keys than groups are presented.
+    pub fn search_multi(&mut self, keys: &[u64]) -> Vec<SearchResult> {
+        self.search_multi_checked(keys)
+            .expect("more concurrent queries than configured groups")
+            .0
+    }
+
+    /// The multi-query engine behind both variants: the (corrected)
+    /// answers plus the first divergence the cross-check caught.
+    fn search_multi_checked(&mut self, keys: &[u64]) -> Result<Served, CamError> {
         if keys.len() > self.groups {
             return Err(CamError::TooManyQueries {
                 presented: keys.len(),
@@ -1583,41 +1240,16 @@ impl CamUnit {
         self.sync_for_keys(keys);
         self.issue_cycles += 1;
         self.search_count += keys.len() as u64;
-        let workers = self.effective_workers().min(keys.len().max(1));
-        let mut results: Vec<SearchResult> = if workers <= 1 {
-            keys.iter()
-                .enumerate()
-                .map(|(g, &key)| self.search_in_group(g, key))
-                .collect()
-        } else {
-            let op = PoolOp::SearchMulti {
-                keys: Arc::new(keys.to_vec()),
-                block_size: self.config.block.block_size,
-                encoding: self.config.block.encoding,
-            };
-            let (_, mut answered) = self.dispatch_pool(keys.len(), workers, op)?;
-            answered.sort_by_key(|&(g, _)| g);
-            answered.into_iter().map(|(_, result)| result).collect()
-        };
+        let mut results: Vec<SearchResult> = keys
+            .iter()
+            .enumerate()
+            .map(|(g, &key)| self.search_in_group(g, key))
+            .collect();
         let diverged = self.crosscheck_results(keys, &mut results);
         self.scrub_step();
         #[cfg(feature = "obs")]
-        self.trace_multi(keys, &results, workers);
-        if let (Some((group, key)), true) = (diverged, self.strict_scrub()) {
-            return Err(CamError::ShadowDivergence { group, key });
-        }
-        Ok(results)
-    }
-
-    /// Multi-query search, panicking variant of
-    /// [`CamUnit::try_search_multi`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if more keys than groups are presented.
-    pub fn search_multi(&mut self, keys: &[u64]) -> Vec<SearchResult> {
-        self.try_search_multi(keys)
-            .expect("more concurrent queries than configured groups")
+        self.trace_multi(keys, &results);
+        Ok((results, diverged))
     }
 
     /// Streaming multi-query search: any number of keys, batched onto the
@@ -1635,14 +1267,13 @@ impl CamUnit {
     /// identically on every fidelity tier.
     ///
     /// Results come back in the caller's key order, duplicates included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker dies mid-batch; use
-    /// [`CamUnit::try_search_stream`] to handle that as a [`CamError`].
+    /// Like [`CamUnit::search`], this path is infallible: a divergence
+    /// caught by a sampled cross-check is repaired and the corrected
+    /// answer served, even under a strict [`ScrubPolicy`]; use
+    /// [`CamUnit::try_search_stream`] to surface
+    /// [`CamError::ShadowDivergence`].
     pub fn search_stream(&mut self, keys: &[u64]) -> Vec<SearchResult> {
-        self.try_search_stream(keys)
-            .expect("sharded runtime pool poisoned mid-stream")
+        self.search_stream_checked(keys).0
     }
 
     /// Streaming multi-query search, fallible variant of
@@ -1651,12 +1282,21 @@ impl CamUnit {
     ///
     /// # Errors
     ///
-    /// [`CamError::WorkerPoolPoisoned`] if a pool worker dies mid-batch;
     /// [`CamError::ShadowDivergence`] if a sampled cross-check catches a
-    /// divergent answer under a strict [`ScrubPolicy`].
+    /// divergent answer under a strict [`ScrubPolicy`] (repaired either
+    /// way).
     pub fn try_search_stream(&mut self, keys: &[u64]) -> Result<Vec<SearchResult>, CamError> {
+        let (results, diverged) = self.search_stream_checked(keys);
+        self.strict_check(diverged)?;
+        Ok(results)
+    }
+
+    /// The streaming engine behind both variants: the (corrected)
+    /// answers in key order plus the first divergence the cross-check
+    /// caught.
+    fn search_stream_checked(&mut self, keys: &[u64]) -> Served {
         if keys.is_empty() {
-            return Ok(Vec::new());
+            return (Vec::new(), None);
         }
         self.sync_for_keys(keys);
         // Dedup preserving first-occurrence order; `slots[i]` is the
@@ -1677,53 +1317,38 @@ impl CamUnit {
         let issue_base = self.issue_cycles;
         self.issue_cycles += unique.len().div_ceil(groups) as u64;
         self.search_count += unique.len() as u64;
-        let workers = self.effective_workers().min(groups);
         let batch = self.config.batch_width;
         let block_size = self.config.block.block_size;
         let encoding = self.config.block.encoding;
-        let mut answered: Vec<(usize, SearchResult)> = if workers <= 1 {
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let shards = Self::group_shards(&mut self.blocks, &self.fill);
-            let mut answered = Vec::with_capacity(unique.len());
-            for (g, mut blocks) in shards.into_iter().enumerate() {
-                stream_group_batches(
-                    &mut blocks,
-                    &unique,
-                    g,
-                    groups,
-                    batch,
-                    block_size,
-                    encoding,
-                    &mut scratch,
-                    &mut answered,
-                );
-            }
-            self.scratch = scratch;
-            answered
-        } else {
-            let op = PoolOp::SearchStream {
-                unique: Arc::new(unique.clone()),
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let shards = Self::group_shards(&mut self.blocks, &self.fill);
+        let mut answered = Vec::with_capacity(unique.len());
+        for (g, mut blocks) in shards.into_iter().enumerate() {
+            stream_group_batches(
+                &mut blocks,
+                &unique,
+                g,
                 groups,
                 batch,
                 block_size,
                 encoding,
-            };
-            self.dispatch_pool(groups, workers, op)?.1
-        };
+                &mut scratch,
+                &mut answered,
+            );
+        }
+        self.scratch = scratch;
         answered.sort_by_key(|&(j, _)| j);
         let mut answers: Vec<SearchResult> =
             answered.into_iter().map(|(_, result)| result).collect();
         let diverged = self.crosscheck_results(&unique, &mut answers);
         self.scrub_step();
         #[cfg(feature = "obs")]
-        self.trace_stream(keys.len(), &unique, &answers, issue_base, workers);
-        if let (Some((group, key)), true) = (diverged, self.strict_scrub()) {
-            return Err(CamError::ShadowDivergence { group, key });
-        }
-        Ok(slots
+        self.trace_stream(keys.len(), &unique, &answers, issue_base);
+        let results = slots
             .into_iter()
             .map(|slot| answers[slot].clone())
-            .collect())
+            .collect();
+        (results, diverged)
     }
 
     /// Search a specific group (the case-study accelerator addresses
@@ -1750,9 +1375,7 @@ impl CamUnit {
         self.scrub_step();
         #[cfg(feature = "obs")]
         self.trace_single(OpKind::Search, key, &result);
-        if diverged && self.strict_scrub() {
-            return Err(CamError::ShadowDivergence { group, key });
-        }
+        self.strict_check(diverged.then_some((group, key)))?;
         Ok(result)
     }
 
@@ -1804,7 +1427,6 @@ impl CamUnit {
             self.trace_event(Event::Issue {
                 kind: OpKind::Delete,
                 group: 0,
-                worker: 0,
             });
         }
         self.scrub_step();
@@ -1891,7 +1513,6 @@ impl CamUnit {
         self.trace_event(Event::Issue {
             kind: OpKind::Reset,
             group: 0,
-            worker: 0,
         });
     }
 
@@ -1966,16 +1587,15 @@ impl CamUnit {
                 Event::Issue {
                     kind,
                     group: result.group as u32,
-                    worker: 0,
                 },
             );
             record_outcome(o, cycle, key, result);
         });
     }
 
-    /// Trace a multi-query batch with worker-shard attribution.
+    /// Trace a multi-query batch: one Issue plus outcome per key.
     #[cfg(feature = "obs")]
-    fn trace_multi(&self, keys: &[u64], results: &[SearchResult], workers: usize) {
+    fn trace_multi(&self, keys: &[u64], results: &[SearchResult]) {
         let Some(obs) = &self.observer else { return };
         let cycle = self.issue_cycles;
         obs.sink.with(|o| {
@@ -1985,7 +1605,6 @@ impl CamUnit {
                     Event::Issue {
                         kind: OpKind::SearchMulti,
                         group: g as u32,
-                        worker: worker_of(keys.len(), workers, g),
                     },
                 );
                 record_outcome(o, cycle, key, result);
@@ -1997,14 +1616,7 @@ impl CamUnit {
     /// unique key, stamped with the issue slot the key was packed into
     /// (`base + j / M`). One lock for the whole batch.
     #[cfg(feature = "obs")]
-    fn trace_stream(
-        &self,
-        presented: usize,
-        unique: &[u64],
-        answers: &[SearchResult],
-        base: u64,
-        workers: usize,
-    ) {
+    fn trace_stream(&self, presented: usize, unique: &[u64], answers: &[SearchResult], base: u64) {
         let Some(obs) = &self.observer else { return };
         let groups = self.groups;
         let stream_scope = obs.sink.register_scope(&format!("{}/stream", obs.path));
@@ -2041,8 +1653,6 @@ impl CamUnit {
                     Event::Issue {
                         kind: OpKind::SearchStream,
                         group: result.group as u32,
-                        // The sharded path chunks *groups* across workers.
-                        worker: worker_of(groups, workers, result.group),
                     },
                 );
                 record_outcome(o, cycle, key, result);
@@ -2085,10 +1695,9 @@ impl CamUnit {
     }
 
     /// Reset the derived, never-serialized runtime state — the search
-    /// scratch buffers, the worker-pool slot, the per-block transients
-    /// and (with `obs`) the observer attachment — returning a unit
-    /// equivalent to one that just came back from a snapshot/restore
-    /// round trip. Architectural state (contents, shadow planes, fill
+    /// scratch buffers, the per-block transients and (with `obs`) the
+    /// observer attachment — returning a unit equivalent to one that
+    /// just came back from a snapshot/restore round trip. Architectural state (contents, shadow planes, fill
     /// pointers, counters, scrub progress) is untouched, so a restored
     /// unit answers bit-identically to the original; the serde
     /// round-trip test leans on this to guard the `#[serde(skip)]`
@@ -2097,9 +1706,6 @@ impl CamUnit {
     pub fn rehydrate(&self) -> CamUnit {
         let mut unit = self.clone();
         unit.scratch = GroupScratch::default();
-        unit.runtime = RuntimeSlot::default();
-        unit.pool_fault = None;
-        unit.pool_stall = None;
         unit.wbuf.reset_transients();
         for block in &mut unit.blocks {
             block.reset_transients();
@@ -2146,15 +1752,6 @@ fn record_outcome(o: &mut ObsBatch<'_>, cycle: u64, key: u64, result: &SearchRes
     }
 }
 
-/// Which worker shard of `chunked(count items, workers)` executed item
-/// `g`: chunks are split off the tail, so chunk 0 holds the *last*
-/// `ceil(count / workers)` items.
-#[cfg(feature = "obs")]
-fn worker_of(count: usize, workers: usize, g: usize) -> u32 {
-    let per = count.div_ceil(workers.max(1));
-    ((count - 1 - g) / per) as u32
-}
-
 /// The obs-crate mirror of a [`FidelityMode`](crate::config::FidelityMode).
 #[cfg(feature = "obs")]
 fn tier_of(fidelity: crate::config::FidelityMode) -> Tier {
@@ -2172,33 +1769,12 @@ fn mask_limit(width: u32) -> u64 {
     }
 }
 
-/// Broadcast `key` to one group's blocks and combine the per-block match
-/// vectors into `scratch.combined` — the slot-interleaved address math
-/// (`block_within_group * block_size + cell`) done word-wide via
-/// [`MatchVector::or_offset`], with zero per-key allocation. The
-/// [`CamRuntime`] pool workers' multi-query path (the serial path in
-/// [`CamUnit::search_in_group`] mirrors it over block indices).
-pub(crate) fn search_group_into(
-    blocks: &mut [&mut CamBlock],
-    key: u64,
-    block_size: usize,
-    scratch: &mut GroupScratch,
-) {
-    scratch.combined.reset(blocks.len() * block_size);
-    for (slot, block) in blocks.iter_mut().enumerate() {
-        block.search_vector_into(key, &mut scratch.block);
-        scratch
-            .combined
-            .or_offset(&scratch.block, slot * block_size);
-    }
-}
-
 /// Broadcast a whole batch of keys to one group's blocks and combine the
 /// per-block match vectors into `scratch.batch_combined[k]` for each key
-/// — the W-wide sibling of [`search_group_into`], built on
+/// — the W-wide sibling of [`CamUnit::search_in_group`], built on
 /// [`CamBlock::search_batch_into`] so the `Turbo` tier walks the planes
 /// once per block for the whole batch.
-pub(crate) fn search_group_batch_into(
+fn search_group_batch_into(
     blocks: &mut [&mut CamBlock],
     keys: &[u64],
     block_size: usize,
@@ -2226,12 +1802,11 @@ pub(crate) fn search_group_batch_into(
 
 /// Answer one group's share of a deduplicated key stream — the unique
 /// keys `j ≡ group (mod groups)` — in key-parallel batches of up to
-/// `batch` keys, pushing `(j, result)` pairs onto `out`. Shared verbatim
-/// by the serial path and the [`CamRuntime`] pool workers, so both run
-/// the identical kernel with their own reusable [`GroupScratch`] and
-/// zero per-batch allocation.
-#[allow(clippy::too_many_arguments)] // mirrors the stream op's full wire format
-pub(crate) fn stream_group_batches(
+/// `batch` keys, pushing `(j, result)` pairs onto `out`, reusing the
+/// unit's [`GroupScratch`] so steady-state streams allocate nothing per
+/// batch.
+#[allow(clippy::too_many_arguments)] // the stream's full per-group geometry
+fn stream_group_batches(
     blocks: &mut [&mut CamBlock],
     unique: &[u64],
     group: usize,
@@ -2267,14 +1842,9 @@ pub(crate) fn stream_group_batches(
 }
 
 /// Round-robin `words` into one group's blocks starting at fill position
-/// `current`; returns the new position. Shared by the serial and pool
-/// replicated-update paths. A (custom-routed) group with no blocks
-/// stores nothing.
-pub(crate) fn write_group_words(
-    blocks: &mut [&mut CamBlock],
-    mut current: usize,
-    words: &[u64],
-) -> usize {
+/// `current`; returns the new position. A (custom-routed) group with no
+/// blocks stores nothing.
+fn write_group_words(blocks: &mut [&mut CamBlock], mut current: usize, words: &[u64]) -> usize {
     if blocks.is_empty() {
         return current;
     }
@@ -2291,19 +1861,6 @@ pub(crate) fn write_group_words(
         }
     }
     current
-}
-
-/// Split `work` into at most `parts` contiguous chunks for the worker
-/// threads (order within and across chunks is irrelevant to callers —
-/// they reassemble by the embedded group index).
-fn chunked<T>(mut work: Vec<T>, parts: usize) -> Vec<Vec<T>> {
-    let per = work.len().div_ceil(parts.max(1));
-    let mut chunks = Vec::new();
-    while !work.is_empty() {
-        let split = work.len().saturating_sub(per);
-        chunks.push(work.split_off(split));
-    }
-    chunks
 }
 
 #[cfg(test)]
@@ -2618,64 +2175,6 @@ mod tests {
         assert_eq!(cam.issue_cycles(), c0);
     }
 
-    fn exercised(mut cam: CamUnit) -> (Vec<SearchResult>, UnitSnapshot) {
-        cam.configure_groups(4).unwrap();
-        let words: Vec<u64> = (0..24).map(|i| i * 3).collect();
-        cam.update(&words).unwrap();
-        cam.update(&[1000, 2000]).unwrap();
-        let mut results = Vec::new();
-        for round in 0..8u64 {
-            results.extend(cam.search_multi(&[round * 3, 1000, 7, 2000]));
-        }
-        (results, cam.snapshot())
-    }
-
-    #[test]
-    fn worker_sharding_leaves_results_and_counters_unchanged() {
-        let config = UnitConfig::builder()
-            .data_width(32)
-            .block_size(32)
-            .num_blocks(8)
-            .build()
-            .unwrap();
-        let serial = exercised(CamUnit::new(config).unwrap());
-        for workers in [2, 4, 0] {
-            let config = UnitConfig::builder()
-                .data_width(32)
-                .block_size(32)
-                .num_blocks(8)
-                .workers(workers)
-                .build()
-                .unwrap();
-            let sharded = exercised(CamUnit::new(config).unwrap());
-            assert_eq!(serial.0, sharded.0, "workers={workers}: results differ");
-            assert_eq!(serial.1, sharded.1, "workers={workers}: counters differ");
-        }
-    }
-
-    #[test]
-    fn worker_sharding_with_custom_routing() {
-        // Unequal groups (group 0 = {0}, group 1 = {1,2,3}) exercise the
-        // shard builder's fill-order bookkeeping.
-        let mut serial = unit(4, 32);
-        let mut sharded = unit(4, 32);
-        sharded.set_workers(4);
-        for cam in [&mut serial, &mut sharded] {
-            cam.configure_groups(2).unwrap();
-            cam.write_routing_entry(1, 1).unwrap();
-            let words: Vec<u64> = (0..24).collect();
-            cam.update(&words).unwrap();
-        }
-        for key in 0..45u64 {
-            assert_eq!(
-                serial.try_search_multi(&[key, key + 1]).unwrap(),
-                sharded.try_search_multi(&[key, key + 1]).unwrap(),
-                "key {key}"
-            );
-        }
-        assert_eq!(serial.snapshot(), sharded.snapshot());
-    }
-
     #[test]
     fn search_stream_batches_and_dedupes() {
         let mut cam = unit(4, 32);
@@ -2723,32 +2222,6 @@ mod tests {
     }
 
     #[test]
-    fn search_stream_worker_sharding_is_equivalent() {
-        let build = |workers: usize| {
-            let config = UnitConfig::builder()
-                .data_width(32)
-                .block_size(32)
-                .num_blocks(8)
-                .workers(workers)
-                .build()
-                .unwrap();
-            let mut cam = CamUnit::new(config).unwrap();
-            cam.configure_groups(4).unwrap();
-            let words: Vec<u64> = (0..24).map(|i| i * 3).collect();
-            cam.update(&words).unwrap();
-            let keys: Vec<u64> = (0..40).map(|i| i % 13 * 3).collect();
-            let hits = cam.search_stream(&keys);
-            (hits, cam.snapshot())
-        };
-        let serial = build(1);
-        for workers in [2, 4, 0] {
-            let sharded = build(workers);
-            assert_eq!(serial.0, sharded.0, "workers={workers}: results differ");
-            assert_eq!(serial.1, sharded.1, "workers={workers}: counters differ");
-        }
-    }
-
-    #[test]
     fn search_stream_empty_is_a_noop() {
         let mut cam = unit(2, 16);
         let c0 = cam.issue_cycles();
@@ -2766,35 +2239,6 @@ mod tests {
         cam.set_fidelity(FidelityMode::Turbo);
         assert_eq!(cam.config().block.fidelity, FidelityMode::Turbo);
         assert_eq!(cam.search(5), before, "same issue cycle bump either way");
-    }
-
-    #[test]
-    fn poisoned_pool_surfaces_cam_error_and_recovers() {
-        let config = UnitConfig::builder()
-            .data_width(32)
-            .block_size(8)
-            .num_blocks(4)
-            .workers(2)
-            .build()
-            .unwrap();
-        let mut cam = CamUnit::new(config).unwrap();
-        cam.configure_groups(2).unwrap();
-        // Corrupt one group's Block Address Controller so the worker's
-        // round-robin write indexes past the group's block list and
-        // panics inside the pool.
-        cam.fill[0].current = 9;
-        let err = cam.update(&[1, 2]).unwrap_err();
-        assert!(
-            matches!(err, CamError::WorkerPoolPoisoned { .. }),
-            "got {err:?}"
-        );
-        // The unit survives: a reset restores a clean state and the next
-        // dispatch spins up a fresh pool.
-        cam.reset();
-        cam.update(&[7, 8]).unwrap();
-        let hits = cam.search_multi(&[7, 8]);
-        assert!(hits[0].is_match() && hits[1].is_match());
-        assert_eq!(cam.len(), 2);
     }
 
     #[test]
@@ -2873,60 +2317,12 @@ mod tests {
         assert_eq!(cycles_after, cycles_before + 2);
     }
 
-    #[cfg(feature = "obs")]
-    #[test]
-    fn pool_dispatch_publishes_worker_metrics() {
-        use dsp_cam_obs::ObsSink;
-
-        let config = UnitConfig::builder()
-            .data_width(32)
-            .block_size(16)
-            .num_blocks(4)
-            .workers(2)
-            .build()
-            .unwrap();
-        let mut cam = CamUnit::new(config).unwrap();
-        let sink = Arc::new(ObsSink::new());
-        cam.attach_observer(&sink);
-        cam.configure_groups(2).unwrap();
-        cam.update(&[1, 2, 3]).unwrap();
-        cam.search_multi(&[1, 2]);
-        cam.publish_metrics();
-        let snap = sink.snapshot();
-        // Dispatch/retire latency histograms from the two pool dispatches.
-        let retire = snap
-            .registry
-            .histogram("unit/pool", "batch_retire_ns")
-            .expect("batch retire histogram");
-        assert_eq!(retire.count(), 2, "one sample per dispatched batch");
-        let waits: u64 = (0..2)
-            .filter_map(|w| {
-                snap.registry
-                    .histogram(&format!("unit/pool/worker{w}"), "dispatch_wait_ns")
-            })
-            .map(dsp_cam_obs::Histogram::count)
-            .sum();
-        assert_eq!(waits, 4, "two workers waited on each of two batches");
-        // Per-worker queue gauges/counters: both lanes executed both
-        // batches and their queues drained.
-        for w in 0..2 {
-            let scope = format!("unit/pool/worker{w}");
-            assert_eq!(snap.registry.counter(&scope, "jobs"), 2, "worker {w}");
-            assert_eq!(
-                snap.registry.gauge(&scope, "queue_depth"),
-                Some(0),
-                "worker {w}"
-            );
-        }
-    }
-
     #[test]
     fn delete_then_update_round_trips_at_full_capacity() {
         let config = UnitConfig::builder()
             .data_width(32)
             .block_size(4)
             .num_blocks(4)
-            .workers(4)
             .build()
             .unwrap();
         let mut cam = CamUnit::new(config).unwrap();
@@ -3112,71 +2508,71 @@ mod tests {
         assert_eq!(cam.scrub_report().current_tier, FidelityMode::BitAccurate);
     }
 
-    /// A stalled pool worker trips the dispatch deadline: the dispatch
-    /// surfaces [`CamError::DispatchTimeout`], the pool is torn down, and
-    /// the next dispatch rebuilds it.
+    /// Strict mode only changes the `try_` variants: the infallible
+    /// `search_stream` and `search_multi` (and `Op::SearchStream`, which
+    /// `StreamingCam` serves through `search_stream`) answer a caught
+    /// divergence with the repaired result instead of panicking.
     #[test]
-    fn dispatch_deadline_times_out_stalled_worker() {
+    fn strict_scrub_infallible_searches_serve_the_repaired_answer() {
+        use crate::pipelined::{Completion, Op, StreamingCam};
         let config = UnitConfig::builder()
-            .data_width(32)
+            .data_width(16)
             .block_size(8)
-            .num_blocks(4)
-            .workers(2)
-            .dispatch_deadline_ms(25)
+            .num_blocks(2)
+            .fidelity(FidelityMode::Turbo)
+            .scrub(ScrubPolicy {
+                cells_per_op: 4,
+                crosscheck_interval: 1,
+                restore_after: 2,
+                strict: true,
+            })
             .build()
             .unwrap();
-        let mut cam = CamUnit::new(config).unwrap();
-        cam.configure_groups(2).unwrap();
-        cam.update(&[1, 2]).unwrap();
-        let err = cam
-            .dispatch_test_op(PoolOp::StallMs(250))
-            .expect_err("the stall outlives the 25 ms deadline");
-        assert_eq!(
-            err,
-            CamError::DispatchTimeout {
-                worker: 0,
-                waited_ms: 25
-            }
-        );
-        // Stalled workers' blocks were abandoned and re-materialised
-        // empty; a reset plus fresh writes bring the unit (and a brand
-        // new pool) back.
-        cam.reset();
-        cam.update(&[7, 8]).unwrap();
-        let hits = cam.search_multi(&[7, 8]);
-        assert!(hits[0].is_match() && hits[1].is_match());
-    }
+        // Key 5's match-if-1 plane bit flipped in cell 0: Turbo misses a
+        // stored key the oracle matches.
+        let fault = FaultSite::Shadow {
+            block: 0,
+            fault: ShadowFault::Plane {
+                cell: 0,
+                key_bit: 0,
+                one_plane: true,
+            },
+        };
+        let faulted = || {
+            let mut cam = CamUnit::new(config).unwrap();
+            cam.update(&[5, 9]).unwrap();
+            cam.inject_fault(fault);
+            cam
+        };
+        let mut clean = CamUnit::new(config).unwrap();
+        clean.update(&[5, 9]).unwrap();
+        let expected = clean.search_stream(&[5, 9]);
+        assert!(expected.iter().all(SearchResult::is_match));
 
-    /// A one-shot worker failure on an idempotent dispatch is absorbed:
-    /// the pool is rebuilt and the batch replayed exactly once.
-    #[test]
-    fn poisoned_search_dispatch_retries_once_with_rebuilt_pool() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let config = UnitConfig::builder()
-            .data_width(32)
-            .block_size(8)
-            .num_blocks(4)
-            .workers(2)
-            .build()
-            .unwrap();
-        let mut cam = CamUnit::new(config).unwrap();
-        cam.configure_groups(2).unwrap();
-        cam.update(&[1, 2, 3]).unwrap();
-        let fuse = Arc::new(AtomicBool::new(true));
-        cam.dispatch_test_op(PoolOp::FailOnce(Arc::clone(&fuse)))
-            .expect("one worker failure is absorbed by the replay");
-        assert!(!fuse.load(Ordering::Relaxed), "the fuse fired exactly once");
-        // No state was lost: the panic was caught, every block came home
-        // and the replay ran on a rebuilt pool.
-        let hits = cam.search_multi(&[1, 3]);
-        assert!(hits[0].is_match() && hits[1].is_match());
-        assert_eq!(cam.len(), 3);
-        // The retry budget is per dispatch, not per unit: a freshly armed
-        // fuse on a later dispatch is absorbed again.
-        let again = Arc::new(AtomicBool::new(true));
-        cam.dispatch_test_op(PoolOp::FailOnce(Arc::clone(&again)))
-            .expect("each dispatch carries its own single replay");
-        assert!(!again.load(Ordering::Relaxed));
+        let mut cam = faulted();
+        assert_eq!(cam.search_stream(&[5, 9]), expected, "repaired answers");
+        assert_eq!(cam.scrub_report().divergences, 1);
+
+        let mut twin = faulted();
+        assert_eq!(
+            twin.try_search_stream(&[5, 9]).unwrap_err(),
+            CamError::ShadowDivergence { group: 0, key: 5 }
+        );
+
+        let mut twin = faulted();
+        let hits = twin.search_multi(&[5]);
+        assert_eq!(hits[0].first_address(), Some(0), "repaired answer");
+
+        let mut pipe = StreamingCam::new(config).unwrap();
+        pipe.unit_mut().update(&[5, 9]).unwrap();
+        pipe.unit_mut().inject_fault(fault);
+        pipe.issue(Op::SearchStream(vec![5, 9])).unwrap();
+        pipe.drain();
+        let retired = pipe.drain_retired();
+        assert!(
+            matches!(&retired[..], [(_, Completion::SearchStream(hits))] if *hits == expected),
+            "{retired:?}"
+        );
     }
 
     /// Scrub repair interacts correctly with deletion's free-list: a
@@ -3247,7 +2643,6 @@ mod tests {
             .data_width(16)
             .block_size(8)
             .num_blocks(2)
-            .workers(2)
             .scrub(ScrubPolicy {
                 cells_per_op: 16,
                 crosscheck_interval: 4,

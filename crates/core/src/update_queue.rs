@@ -18,8 +18,7 @@
 //! * **drain** — [`StreamingCam`](crate::pipelined::StreamingCam) idle
 //!   ticks (and explicit [`drain_write_buffer`]/[`flush_write_buffer`]
 //!   calls) retire staged ops into the main unit in FIFO order through
-//!   the normal dispatch machinery, including the [`CamRuntime`]
-//!   worker pool.
+//!   the same replicated write engine the inline path uses.
 //!
 //! The FIFO of [`StagedOp`]s is the *golden* buffer state; the key
 //! index is derived acceleration state, exposed to fault injection
@@ -29,7 +28,6 @@
 //!
 //! [`drain_write_buffer`]: crate::unit::CamUnit::drain_write_buffer
 //! [`flush_write_buffer`]: crate::unit::CamUnit::flush_write_buffer
-//! [`CamRuntime`]: crate::runtime::CamRuntime
 
 use std::collections::{HashMap, VecDeque};
 
@@ -109,9 +107,6 @@ pub struct WriteBufferReport {
     /// referenced a key the derived index no longer held. Each one is a
     /// detected index divergence, charged to the sweep audit.
     pub index_underflows: u64,
-    /// Staged inserts re-applied serially after a pool poisoning
-    /// interrupted their dispatch (the transactional-drain repair path).
-    pub drain_repairs: u64,
 }
 
 /// The bounded content-addressable staging structure fronting a
@@ -148,7 +143,6 @@ pub struct WriteBuffer {
     /// Underflows not yet claimed by a sweep audit (subset of
     /// `index_underflows` pending collection by [`WriteBuffer::audit_index`]).
     unaudited_underflows: u64,
-    pub(crate) drain_repairs: u64,
 }
 
 impl WriteBuffer {
@@ -186,7 +180,6 @@ impl WriteBuffer {
             index_faults_injected: self.index_faults_injected,
             index_faults_repaired: self.index_faults_repaired,
             index_underflows: self.index_underflows,
-            drain_repairs: self.drain_repairs,
         }
     }
 

@@ -11,10 +11,10 @@
 //!   oracle-exact. Sizes straddle the 63/64/65 packed-word boundary and
 //!   multi-tile counts around `TILE_CELLS`.
 //! * **Batch-vs-scalar differential** — full [`CamUnit`]s at batch
-//!   widths {1, 7, 32, 64} × both fidelity tiers × 1 and 4 workers
-//!   must be observationally identical (results, snapshot, per-block
-//!   counters) to a width-1 single-worker reference under random
-//!   operation sequences heavy on `search_stream`.
+//!   widths {1, 7, 32, 64} × both fidelity tiers must be
+//!   observationally identical (results, snapshot, per-block counters)
+//!   to a width-1 reference under random operation sequences heavy on
+//!   `search_stream`.
 
 use dsp_cam_core::bitslice::{tile_of, BitSliceIndex, TileState, MAX_BATCH_WIDTH, TILE_CELLS};
 use dsp_cam_core::prelude::*;
@@ -235,14 +235,13 @@ fn unit_op() -> impl Strategy<Value = UnitOp> {
     ]
 }
 
-fn build_unit(fidelity: FidelityMode, workers: usize, batch_width: usize) -> CamUnit {
+fn build_unit(fidelity: FidelityMode, batch_width: usize) -> CamUnit {
     let config = UnitConfig::builder()
         .data_width(WIDTH)
         .block_size(8)
         .num_blocks(4)
         .bus_width(64)
         .fidelity(fidelity)
-        .workers(workers)
         .batch_width(batch_width)
         .build()
         .unwrap();
@@ -272,16 +271,14 @@ proptest! {
     fn batch_width_never_changes_observable_behaviour(
         ops in proptest::collection::vec(unit_op(), 1..25),
     ) {
-        let mut reference = build_unit(FidelityMode::BitAccurate, 1, 1);
+        let mut reference = build_unit(FidelityMode::BitAccurate, 1);
         let mut candidates: Vec<(String, CamUnit)> = Vec::new();
         for fidelity in [FidelityMode::BitAccurate, FidelityMode::Turbo] {
-            for workers in [1usize, 4] {
-                for batch_width in [1usize, 7, 32, MAX_BATCH_WIDTH] {
-                    candidates.push((
-                        format!("{fidelity:?}/w{workers}/b{batch_width}"),
-                        build_unit(fidelity, workers, batch_width),
-                    ));
-                }
+            for batch_width in [1usize, 7, 32, MAX_BATCH_WIDTH] {
+                candidates.push((
+                    format!("{fidelity:?}/b{batch_width}"),
+                    build_unit(fidelity, batch_width),
+                ));
             }
         }
         for (i, op) in ops.iter().enumerate() {

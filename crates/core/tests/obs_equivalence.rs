@@ -2,7 +2,7 @@
 //! metrics/trace sink must be purely passive. A unit with a tracer
 //! recording every event must produce bit-identical match vectors,
 //! match addresses, and cycle counters to an unobserved unit, across both
-//! fidelity tiers and both serial and sharded execution.
+//! fidelity tiers.
 //!
 //! The default proptest configuration runs 256 random sequences per
 //! property, which is the acceptance floor for this suite.
@@ -40,14 +40,13 @@ fn obs_op(width: u32) -> impl Strategy<Value = ObsOp> {
     ]
 }
 
-fn build(fidelity: FidelityMode, workers: usize) -> CamUnit {
+fn build(fidelity: FidelityMode) -> CamUnit {
     let config = UnitConfig::builder()
         .data_width(16)
         .block_size(8)
         .num_blocks(4)
         .bus_width(64)
         .fidelity(fidelity)
-        .workers(workers)
         .build()
         .unwrap();
     CamUnit::new(config).unwrap()
@@ -85,46 +84,44 @@ const TIERS: [FidelityMode; 2] = [FidelityMode::BitAccurate, FidelityMode::Turbo
 proptest! {
     // 256 random operation sequences per property (stub default).
 
-    /// The tracer is invisible: every tier × worker-count configuration
-    /// produces identical results and counters observed vs unobserved.
+    /// The tracer is invisible: every tier produces identical results
+    /// and counters observed vs unobserved.
     #[test]
     fn tracing_never_perturbs_results(
         ops in proptest::collection::vec(obs_op(16), 1..30),
     ) {
         for fidelity in TIERS {
-            for workers in [1usize, 4] {
-                let sink = Arc::new(ObsSink::new());
-                let mut plain = build(fidelity, workers);
-                let mut observed = build(fidelity, workers);
-                observed.attach_observer(&sink);
-                for (i, op) in ops.iter().enumerate() {
-                    let want = apply(&mut plain, op);
-                    let got = apply(&mut observed, op);
-                    prop_assert_eq!(
-                        &want, &got,
-                        "observed {:?}/w{} diverged at op {} ({:?})",
-                        fidelity, workers, i, op
-                    );
-                }
+            let sink = Arc::new(ObsSink::new());
+            let mut plain = build(fidelity);
+            let mut observed = build(fidelity);
+            observed.attach_observer(&sink);
+            for (i, op) in ops.iter().enumerate() {
+                let want = apply(&mut plain, op);
+                let got = apply(&mut observed, op);
                 prop_assert_eq!(
-                    plain.snapshot(), observed.snapshot(),
-                    "unit counters diverged under {:?}/w{}", fidelity, workers
-                );
-                prop_assert_eq!(
-                    block_counters(&plain), block_counters(&observed),
-                    "block counters diverged under {:?}/w{}", fidelity, workers
-                );
-                // A missed delete records nothing by design, so run one
-                // always-recording op before asserting the sink saw
-                // traffic while results stayed equal.
-                let (want, got) = (plain.search(7), observed.search(7));
-                prop_assert_eq!(want, got);
-                let snap = sink.snapshot();
-                prop_assert!(
-                    snap.events_recorded > 0,
-                    "no events recorded under {:?}/w{}", fidelity, workers
+                    &want, &got,
+                    "observed {:?} diverged at op {} ({:?})",
+                    fidelity, i, op
                 );
             }
+            prop_assert_eq!(
+                plain.snapshot(), observed.snapshot(),
+                "unit counters diverged under {:?}", fidelity
+            );
+            prop_assert_eq!(
+                block_counters(&plain), block_counters(&observed),
+                "block counters diverged under {:?}", fidelity
+            );
+            // A missed delete records nothing by design, so run one
+            // always-recording op before asserting the sink saw traffic
+            // while results stayed equal.
+            let (want, got) = (plain.search(7), observed.search(7));
+            prop_assert_eq!(want, got);
+            let snap = sink.snapshot();
+            prop_assert!(
+                snap.events_recorded > 0,
+                "no events recorded under {:?}", fidelity
+            );
         }
     }
 
@@ -138,8 +135,8 @@ proptest! {
     ) {
         for fidelity in TIERS {
             let sink = Arc::new(ObsSink::with_trace_capacity(4));
-            let mut plain = build(fidelity, 1);
-            let mut observed = build(fidelity, 1);
+            let mut plain = build(fidelity);
+            let mut observed = build(fidelity);
             observed.attach_observer(&sink);
             for op in &before {
                 let want = apply(&mut plain, op);
@@ -173,8 +170,8 @@ proptest! {
         after in proptest::collection::vec(obs_op(16), 1..12),
     ) {
         let sink = Arc::new(ObsSink::new());
-        let mut plain = build(FidelityMode::Turbo, 1);
-        let mut observed = build(FidelityMode::Turbo, 1);
+        let mut plain = build(FidelityMode::Turbo);
+        let mut observed = build(FidelityMode::Turbo);
         observed.attach_observer(&sink);
         for op in &before {
             let want = apply(&mut plain, op);

@@ -2,8 +2,7 @@
 //! buffering enabled, any interleaving of search/update/delete must be
 //! observationally identical — per-op results and errors, unit counters,
 //! snapshots and block accounting at quiescence — to `bypass` mode,
-//! across both fidelity tiers, worker counts {1, 4} and buffer
-//! capacities {1, 7, 64} (capacity 1 exercises the overflow →
+//! across both fidelity tiers and buffer capacities {1, 7, 64} (capacity 1 exercises the overflow →
 //! synchronous-fallback path on every multi-word burst). A separate
 //! property proves injected key-index faults never leak into drained
 //! contents or delete decisions, and are healed by the scrub sweep.
@@ -50,14 +49,13 @@ fn wb_op() -> impl Strategy<Value = WbOp> {
     ]
 }
 
-fn build(fidelity: FidelityMode, workers: usize, wbuf: Option<WriteBufferConfig>) -> CamUnit {
+fn build(fidelity: FidelityMode, wbuf: Option<WriteBufferConfig>) -> CamUnit {
     let mut builder = UnitConfig::builder()
         .data_width(12)
         .block_size(8)
         .num_blocks(4)
         .bus_width(64)
-        .fidelity(fidelity)
-        .workers(workers);
+        .fidelity(fidelity);
     if let Some(policy) = wbuf {
         builder = builder.write_buffer(policy);
     }
@@ -116,38 +114,36 @@ proptest! {
     fn buffered_is_observationally_identical_to_bypass(
         ops in proptest::collection::vec(wb_op(), 1..30),
     ) {
-        // 2 tiers x workers {1, 4} x capacities {1, 7, 64}, each pair
-        // (buffered, bypass) fed the identical op stream.
+        // 2 tiers x capacities {1, 7, 64}, each pair (buffered, bypass)
+        // fed the identical op stream.
         for fidelity in [FidelityMode::BitAccurate, FidelityMode::Turbo] {
-            for workers in [1usize, 4] {
-                for capacity in [1usize, 7, 64] {
-                    let mut buf = build(fidelity, workers, Some(buffered(capacity)));
-                    let mut base = build(fidelity, workers, Some(bypass()));
-                    for (i, op) in ops.iter().enumerate() {
-                        let b = apply(&mut buf, op);
-                        let want = apply(&mut base, op);
-                        prop_assert_eq!(
-                            &want, &b,
-                            "{:?}/w{}/cap{} diverged at op {} ({:?})",
-                            fidelity, workers, capacity, i, op
-                        );
-                    }
-                    // Quiescence: drain whatever is still staged, then
-                    // every architectural observable must be identical.
-                    buf.flush_write_buffer();
-                    prop_assert_eq!(buf.write_buffer_depth(), 0);
+            for capacity in [1usize, 7, 64] {
+                let mut buf = build(fidelity, Some(buffered(capacity)));
+                let mut base = build(fidelity, Some(bypass()));
+                for (i, op) in ops.iter().enumerate() {
+                    let b = apply(&mut buf, op);
+                    let want = apply(&mut base, op);
                     prop_assert_eq!(
-                        buf.snapshot(), base.snapshot(),
-                        "{:?}/w{}/cap{} snapshot diverged at quiescence",
-                        fidelity, workers, capacity
+                        &want, &b,
+                        "{:?}/cap{} diverged at op {} ({:?})",
+                        fidelity, capacity, i, op
                     );
-                    prop_assert_eq!(
-                        block_counters(&buf), block_counters(&base),
-                        "{:?}/w{}/cap{} block accounting diverged at quiescence",
-                        fidelity, workers, capacity
-                    );
-                    prop_assert_eq!(buf.audit_shadows(), 0, "shadow divergence after drain");
                 }
+                // Quiescence: drain whatever is still staged, then every
+                // architectural observable must be identical.
+                buf.flush_write_buffer();
+                prop_assert_eq!(buf.write_buffer_depth(), 0);
+                prop_assert_eq!(
+                    buf.snapshot(), base.snapshot(),
+                    "{:?}/cap{} snapshot diverged at quiescence",
+                    fidelity, capacity
+                );
+                prop_assert_eq!(
+                    block_counters(&buf), block_counters(&base),
+                    "{:?}/cap{} block accounting diverged at quiescence",
+                    fidelity, capacity
+                );
+                prop_assert_eq!(buf.audit_shadows(), 0, "shadow divergence after drain");
             }
         }
     }
@@ -160,7 +156,7 @@ proptest! {
         // A snapshot/restore round trip mid-burst (rehydrate drops the
         // derived index; the staged FIFO is architectural) must leave
         // the restored unit answering bit-identically to the original.
-        let mut original = build(FidelityMode::Turbo, 1, Some(buffered(16)));
+        let mut original = build(FidelityMode::Turbo, Some(buffered(16)));
         for op in &ops {
             apply(&mut original, op);
         }
@@ -187,8 +183,8 @@ proptest! {
         // any shadow fault), but the golden FIFO drives drains and
         // delete decisions — so at quiescence the unit must still be
         // bit-identical to bypass.
-        let mut buf = build(FidelityMode::Turbo, 1, Some(buffered(64)));
-        let mut base = build(FidelityMode::Turbo, 1, Some(bypass()));
+        let mut buf = build(FidelityMode::Turbo, Some(buffered(64)));
+        let mut base = build(FidelityMode::Turbo, Some(bypass()));
         for op in &ops {
             // Results may legitimately differ while the index is
             // faulted (stale reads); apply without comparing, but keep
@@ -218,8 +214,8 @@ proptest! {
 
 #[test]
 fn capacity_one_falls_back_synchronously_and_counts_overflows() {
-    let mut buf = build(FidelityMode::Turbo, 1, Some(buffered(1)));
-    let mut base = build(FidelityMode::Turbo, 1, Some(bypass()));
+    let mut buf = build(FidelityMode::Turbo, Some(buffered(1)));
+    let mut base = build(FidelityMode::Turbo, Some(bypass()));
     for round in 0..8u64 {
         let words = [round * 3, round * 3 + 1, round * 3 + 2];
         assert_eq!(buf.update(&words), base.update(&words));
@@ -238,7 +234,7 @@ fn capacity_one_falls_back_synchronously_and_counts_overflows() {
 
 #[test]
 fn staged_writes_are_read_your_writes_consistent() {
-    let mut cam = build(FidelityMode::Turbo, 1, Some(buffered(32)));
+    let mut cam = build(FidelityMode::Turbo, Some(buffered(32)));
     cam.update(&[7, 8, 9]).unwrap();
     assert_eq!(cam.write_buffer_depth(), 3, "update staged, not applied");
     // Searching an in-flight key flushes and answers correctly.
@@ -258,66 +254,6 @@ fn staged_writes_are_read_your_writes_consistent() {
         staged,
         "untouched search must not flush"
     );
-}
-
-#[test]
-fn poisoned_pool_drain_still_converges_to_bypass() {
-    // Stage a burst, then arm a one-shot pool-worker fault so the first
-    // drained insert's dispatch panics in exactly one group task.
-    // Pre-fix the drainer swallowed the error and moved on, leaving the
-    // poisoned group missing the whole insert — replication silently
-    // broken until the next reset. The transactional drain tops the
-    // deficient group back up and resumes with the next staged op, so
-    // the buffered arm still converges to the bypass reference.
-    let mk = |wbuf: WriteBufferConfig| {
-        let config = UnitConfig::builder()
-            .data_width(12)
-            .block_size(8)
-            .num_blocks(4)
-            .bus_width(64)
-            .workers(4)
-            .write_buffer(wbuf)
-            .build()
-            .unwrap();
-        let mut unit = CamUnit::new(config).unwrap();
-        unit.configure_groups(2).unwrap();
-        unit
-    };
-    let mut buf = mk(buffered(16));
-    let mut base = mk(bypass());
-    for unit in [&mut buf, &mut base] {
-        unit.update(&[1, 2, 3]).unwrap();
-        unit.update(&[4, 2]).unwrap();
-        assert!(unit.delete_first(2), "staged/inline delete decisions agree");
-    }
-    assert_eq!(buf.write_buffer_depth(), 6, "burst staged, not applied");
-    buf.inject_fault(FaultSite::PoolWorker);
-    // One staged op per call, the way streaming idle ticks drain.
-    while buf.write_buffer_depth() > 0 {
-        buf.drain_write_buffer(1);
-    }
-    assert_eq!(
-        buf.write_buffer_report().drain_repairs,
-        1,
-        "exactly the poisoned dispatch is repaired"
-    );
-    for key in 0u64..8 {
-        assert_eq!(buf.search(key), base.search(key), "search({key}) diverged");
-    }
-    assert_eq!(buf.snapshot(), base.snapshot(), "quiescent counters agree");
-    assert_eq!(
-        block_counters(&buf),
-        block_counters(&base),
-        "block accounting agrees after the repair"
-    );
-    // The fuse is spent and the pool rebuilt: later bursts drain clean.
-    for unit in [&mut buf, &mut base] {
-        unit.update(&[9, 10]).unwrap();
-        unit.flush_write_buffer();
-    }
-    assert_eq!(buf.write_buffer_report().drain_repairs, 1);
-    assert_eq!(buf.snapshot(), base.snapshot());
-    assert_eq!(block_counters(&buf), block_counters(&base));
 }
 
 #[test]

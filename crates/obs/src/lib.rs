@@ -54,7 +54,6 @@ mod tests {
                 Event::Issue {
                     kind: OpKind::Search,
                     group: 0,
-                    worker: 0,
                 },
             );
             o.add(unit, "search_count", 1);

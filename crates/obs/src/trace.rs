@@ -100,8 +100,6 @@ pub enum Event {
         kind: OpKind,
         /// Logical group the work was routed to.
         group: u32,
-        /// Worker shard that executed it (0 when serial).
-        worker: u32,
     },
     /// A search key hit at least one valid cell.
     Match {
@@ -183,14 +181,9 @@ impl Event {
     fn payload(&self) -> Vec<(String, Json)> {
         let int = |v: u64| Json::Int(i128::from(v));
         match *self {
-            Event::Issue {
-                kind,
-                group,
-                worker,
-            } => vec![
+            Event::Issue { kind, group } => vec![
                 ("op".to_owned(), Json::Str(kind.name().to_owned())),
                 ("group".to_owned(), int(u64::from(group))),
-                ("worker".to_owned(), int(u64::from(worker))),
             ],
             Event::Match {
                 key,
@@ -344,8 +337,8 @@ impl EventTracer {
     /// VCD time must be non-decreasing but batch events share a cycle
     /// stamp, so the time axis is the *record ordinal*; the real stamp
     /// is exported on the 64-bit `cycle` signal. Signals: `event`
-    /// (3-bit variant code), `cycle`, `key` (48-bit), `group`, `worker`,
-    /// `tier` (2-bit).
+    /// (3-bit variant code), `cycle`, `key` (48-bit), `group`, `tier`
+    /// (2-bit).
     #[must_use]
     pub fn to_vcd(&self, module: &str) -> Vcd {
         let mut vcd = Vcd::new(module);
@@ -353,16 +346,14 @@ impl EventTracer {
         let sig_cycle = vcd.add_signal("cycle", 64);
         let sig_key = vcd.add_signal("key", 48);
         let sig_group = vcd.add_signal("group", 16);
-        let sig_worker = vcd.add_signal("worker", 8);
         let sig_tier = vcd.add_signal("tier", 2);
         for (t, record) in self.records().enumerate() {
             let t = t as u64;
             vcd.sample(t, sig_event, record.event.code());
             vcd.sample(t, sig_cycle, record.cycle);
             match record.event {
-                Event::Issue { group, worker, .. } => {
+                Event::Issue { group, .. } => {
                     vcd.sample(t, sig_group, u64::from(group));
-                    vcd.sample(t, sig_worker, u64::from(worker));
                 }
                 Event::Match { key, group, .. } | Event::Miss { key, group } => {
                     vcd.sample(t, sig_key, key);
@@ -405,7 +396,6 @@ mod tests {
             Event::Issue {
                 kind: OpKind::SearchStream,
                 group: 2,
-                worker: 1,
             },
         );
         tracer.record(
@@ -446,7 +436,6 @@ mod tests {
             Event::Issue {
                 kind: OpKind::Search,
                 group: 1,
-                worker: 0,
             },
         );
         tracer.record(

@@ -94,23 +94,11 @@ impl PhaseProbe {
 /// assert_eq!(report.triangles, 1);
 /// assert!(report.ms > 0.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CamTriangleCounter {
     geometry: CamGeometry,
     costs: PipelineCosts,
-    workers: usize,
     scrub: Option<ScrubPolicy>,
-}
-
-impl Default for CamTriangleCounter {
-    fn default() -> Self {
-        CamTriangleCounter {
-            geometry: CamGeometry::default(),
-            costs: PipelineCosts::default(),
-            workers: 1,
-            scrub: None,
-        }
-    }
 }
 
 impl CamTriangleCounter {
@@ -128,16 +116,6 @@ impl CamTriangleCounter {
             costs,
             ..CamTriangleCounter::default()
         }
-    }
-
-    /// Shard the driven unit's group work across `workers` host threads
-    /// of its worker pool (`0` = one per available core). Only the
-    /// hardware-model paths are affected; cycle accounting and counts
-    /// are worker-invariant.
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
     }
 
     /// Run the driven unit with background scrubbing under `policy`:
@@ -264,8 +242,7 @@ impl CamTriangleCounter {
             .num_blocks(self.geometry.num_blocks)
             .bus_width(512)
             .encoding(Encoding::Priority)
-            .fidelity(fidelity)
-            .workers(self.workers);
+            .fidelity(fidelity);
         if let Some(policy) = self.scrub {
             builder = builder.scrub(policy);
         }
@@ -393,22 +370,6 @@ mod tests {
         assert_eq!(accurate.triangles, turbo.triangles);
         assert_eq!(accurate.cycles, turbo.cycles);
         assert_eq!(accurate.intersection_steps, turbo.intersection_steps);
-    }
-
-    #[test]
-    fn hardware_model_is_worker_invariant() {
-        let edges = dsp_cam_graph::generate::erdos_renyi(24, 60, 4);
-        let g = graph(&edges);
-        let serial = CamTriangleCounter::new()
-            .run_on_hardware_model_with(&g, FidelityMode::Turbo)
-            .unwrap();
-        let pooled = CamTriangleCounter::new()
-            .with_workers(4)
-            .run_on_hardware_model_with(&g, FidelityMode::Turbo)
-            .unwrap();
-        assert_eq!(serial.triangles, pooled.triangles);
-        assert_eq!(serial.cycles, pooled.cycles);
-        assert_eq!(serial.intersection_steps, pooled.intersection_steps);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! * [`replay_streaming`] / [`replay_direct`] — the two replay arms:
 //!   cycle-accurate `StreamingCam` ticks (arrival-aware, so burst
 //!   queueing shows up in retire latency) and transaction-level
-//!   `CamUnit` calls (the `CamRuntime` pool path). The differential
+//!   `CamUnit` calls. The differential
 //!   test suite proves the two arms observationally identical at
 //!   quiescence.
 //!

@@ -8,8 +8,7 @@
 //!   the single issue slot, and every completion's end-to-end latency
 //!   lands in the retire log.
 //! * [`replay_direct`] applies the same trace through transaction-level
-//!   [`CamUnit`] calls — the path `CamRuntime` pool dispatch rides on —
-//!   with no clock at all.
+//!   [`CamUnit`] calls with no clock at all.
 //!
 //! The two arms retire completions in different global orders (the
 //! update pipe is one stage shorter than the search pipe, so streaming
@@ -132,9 +131,8 @@ pub fn replay_streaming(trace: &Trace, cam: &mut StreamingCam) -> ReplayOutcome 
     outcome
 }
 
-/// Replay `trace` through transaction-level [`CamUnit`] calls — the
-/// same operations the `CamRuntime` pool path dispatches — returning
-/// completions in trace order. The write buffer is flushed at the end
+/// Replay `trace` through transaction-level [`CamUnit`] calls,
+/// returning completions in trace order. The write buffer is flushed at the end
 /// so the unit reaches the same quiescent state as the streaming arm.
 pub fn replay_direct(trace: &Trace, unit: &mut CamUnit) -> ReplayOutcome {
     prefill(unit, trace);

@@ -2,9 +2,8 @@
 //! cycle-accurate `StreamingCam` ticks must be observationally
 //! identical to the same trace applied through direct transaction-level
 //! `CamUnit` calls — per-pipe completion streams, the unit snapshot,
-//! and per-block counters at quiescence — across both fidelity tiers,
-//! worker counts 1 and 4 (persistent-pool dispatch), and with
-//! the write buffer on and off.
+//! and per-block counters at quiescence — across both fidelity tiers
+//! and with the write buffer on and off.
 //!
 //! The two arms intentionally differ in *global* completion order (the
 //! update pipe is one stage shorter than the search pipe) and in idle
@@ -18,14 +17,13 @@ use dsp_cam_workload::{
 };
 use proptest::prelude::*;
 
-fn unit_config(fidelity: FidelityMode, workers: usize, buffered: bool) -> UnitConfig {
+fn unit_config(fidelity: FidelityMode, buffered: bool) -> UnitConfig {
     let mut builder = UnitConfig::builder()
         .data_width(16)
         .block_size(8)
         .num_blocks(4)
         .bus_width(64)
-        .fidelity(fidelity)
-        .workers(workers);
+        .fidelity(fidelity);
     if buffered {
         builder = builder.write_buffer(WriteBufferConfig {
             capacity: 16,
@@ -95,45 +93,45 @@ fn block_counters(cam: &CamUnit) -> Vec<(usize, u64, u64, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    // The test name seeds the generated cases, so it keeps its
+    // `_workers_` infix.
     #[test]
     fn streaming_replay_matches_direct_calls_across_tiers_workers_and_buffering(
         workload in workload_config(),
     ) {
         let trace = generate(&workload).expect("strategy yields valid configs");
         for fidelity in [FidelityMode::BitAccurate, FidelityMode::Turbo] {
-            for workers in [1usize, 4] {
-                for buffered in [false, true] {
-                    let config = unit_config(fidelity, workers, buffered);
-                    let mut cam = streaming_cam(config, 2);
-                    let streamed = replay_streaming(&trace, &mut cam);
-                    let mut unit = direct_unit(config, 2);
-                    let direct = replay_direct(&trace, &mut unit);
+            for buffered in [false, true] {
+                let config = unit_config(fidelity, buffered);
+                let mut cam = streaming_cam(config, 2);
+                let streamed = replay_streaming(&trace, &mut cam);
+                let mut unit = direct_unit(config, 2);
+                let direct = replay_direct(&trace, &mut unit);
 
-                    let label = format!(
-                        "{fidelity:?} workers={workers} buffered={buffered}"
-                    );
-                    let (stream_writes, stream_searches) = split_by_pipe(&streamed.completions);
-                    let (direct_writes, direct_searches) = split_by_pipe(&direct.completions);
-                    prop_assert_eq!(
-                        stream_writes, direct_writes,
-                        "write-pipe completions diverged [{}]", &label
-                    );
-                    prop_assert_eq!(
-                        stream_searches, direct_searches,
-                        "search-pipe completions diverged [{}]", &label
-                    );
-                    prop_assert_eq!(
-                        cam.unit().snapshot(), unit.snapshot(),
-                        "quiescent snapshot diverged [{}]", &label
-                    );
-                    prop_assert_eq!(
-                        block_counters(cam.unit()), block_counters(&unit),
-                        "block counters diverged [{}]", &label
-                    );
-                    prop_assert_eq!(cam.buffer_depth(), 0, "streaming arm not quiescent");
-                    prop_assert_eq!(unit.write_buffer_depth(), 0, "direct arm not quiescent");
-                    prop_assert_eq!(cam.audit_shadows(), 0, "shadow divergence [{}]", &label);
-                }
+                let label = format!(
+                    "{fidelity:?} buffered={buffered}"
+                );
+                let (stream_writes, stream_searches) = split_by_pipe(&streamed.completions);
+                let (direct_writes, direct_searches) = split_by_pipe(&direct.completions);
+                prop_assert_eq!(
+                    stream_writes, direct_writes,
+                    "write-pipe completions diverged [{}]", &label
+                );
+                prop_assert_eq!(
+                    stream_searches, direct_searches,
+                    "search-pipe completions diverged [{}]", &label
+                );
+                prop_assert_eq!(
+                    cam.unit().snapshot(), unit.snapshot(),
+                    "quiescent snapshot diverged [{}]", &label
+                );
+                prop_assert_eq!(
+                    block_counters(cam.unit()), block_counters(&unit),
+                    "block counters diverged [{}]", &label
+                );
+                prop_assert_eq!(cam.buffer_depth(), 0, "streaming arm not quiescent");
+                prop_assert_eq!(unit.write_buffer_depth(), 0, "direct arm not quiescent");
+                prop_assert_eq!(cam.audit_shadows(), 0, "shadow divergence [{}]", &label);
             }
         }
     }
@@ -146,7 +144,7 @@ proptest! {
         prop_assert_eq!(trace_a.digest(), trace_b.digest());
 
         let run = |trace: &dsp_cam_workload::Trace| {
-            let mut cam = streaming_cam(unit_config(FidelityMode::Turbo, 1, true), 2);
+            let mut cam = streaming_cam(unit_config(FidelityMode::Turbo, true), 2);
             let outcome = replay_streaming(trace, &mut cam);
             (outcome.completions, outcome.records, outcome.ticks)
         };

@@ -36,17 +36,6 @@ cargo test -q --offline --workspace
 echo "==> cargo test (--features obs: metrics + tracing instrumented)"
 cargo test -q --offline --workspace --features obs
 
-# The worker-pool runtime must also hold up without test-harness
-# parallelism masking ordering bugs: a single-threaded smoke pass of the
-# runtime + dispatch suites under both feature sets.
-echo "==> cargo test --test-threads=1 smoke (runtime + dispatch, default)"
-run_filtered -q --offline -p dsp-cam-core -- runtime pool --test-threads=1
-run_filtered -q --offline -p dsp-cam-core --test tier_equivalence pool -- --test-threads=1
-
-echo "==> cargo test --test-threads=1 smoke (runtime + dispatch, obs)"
-run_filtered -q --offline -p dsp-cam-core --features obs -- runtime pool --test-threads=1
-run_filtered -q --offline -p dsp-cam-core --features obs --test tier_equivalence pool -- --test-threads=1
-
 # The chaos differential suite is the contract of the fault/scrub
 # subsystem: run it explicitly under both feature sets (it is part of
 # the workspace runs above, but a rename must not silently drop it).
@@ -99,6 +88,13 @@ cargo clippy --offline --features obs --example trace_report -- -D warnings
 
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --offline --workspace --no-run
+
+# The repository benchmark (BENCHMARK.json) is its own cargo workspace,
+# so the builds above never compile it: build it here so a core API it
+# uses cannot disappear unnoticed. --locked also fails the stage when a
+# dependency change would rewrite perfbench/Cargo.lock.
+echo "==> perfbench benchmark build (release, --locked)"
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 # Release-mode perf floors on a fixed-seed key stream: the key-parallel
 # batch kernel must beat its one-key degenerate >= 2x at 8192 entries,
