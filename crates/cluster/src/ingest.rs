@@ -36,7 +36,7 @@
 
 use std::collections::VecDeque;
 
-use dsp_cam_core::pipelined::{Completion, Op, RetireRecord};
+use dsp_cam_core::pipelined::{Op, RetireRecord};
 use dsp_cam_workload::{percentile, Trace};
 
 use crate::cluster::{CamCluster, ClusterError};
@@ -85,7 +85,9 @@ pub struct ClusterReplayOutcome {
     pub issued: u64,
     /// Completions harvested from shard pipelines.
     pub completions: u64,
-    /// Searches answered synchronously by a frozen migration replica.
+    /// Searches answered synchronously by a frozen migration replica
+    /// (the replay's change in
+    /// [`ClusterCounters::frozen_reads`](crate::ClusterCounters::frozen_reads)).
     pub frozen_answers: u64,
     /// Search keys answered from a replica epoch while their home
     /// shard was down (degraded reads).
@@ -96,7 +98,8 @@ pub struct ClusterReplayOutcome {
     /// Total lockstep cycles, quiescence included.
     pub ticks: u64,
     /// Matching search completions (frozen and degraded answers
-    /// included).
+    /// included). This and the next two fields are the replay's change
+    /// in the same-named [`ClusterCounters`](crate::ClusterCounters) fields.
     pub search_hits: u64,
     /// Deletes that invalidated an entry.
     pub delete_hits: u64,
@@ -264,6 +267,9 @@ pub fn replay_cluster(
         per_shard_latencies: vec![Vec::new(); shards],
         ..ClusterReplayOutcome::default()
     };
+    // Hits, rejections and frozen answers are tallied once, by the
+    // cluster; the outcome reports their change over the replay.
+    let before = *cluster.counters();
 
     let start = cluster.cycle();
     let arrivals = trace.arrivals(start);
@@ -349,21 +355,15 @@ pub fn replay_cluster(
             let Some(&record) = queue.front() else { break };
             let arrival = arrivals[record];
             let plan = cluster.plan(&trace.records[record].op);
-            outcome.frozen_answers += plan.frozen.len() as u64;
             outcome.presented += (plan.frozen.len() + plan.degraded.len()) as u64;
-            for (_, result) in plan.frozen {
-                outcome.search_hits += u64::from(result.is_match());
-                outcome
-                    .frozen_latencies
-                    .push((now - arrival) + search_latency);
-            }
+            let latency = (now - arrival) + search_latency;
+            outcome
+                .frozen_latencies
+                .extend(std::iter::repeat_n(latency, plan.frozen.len()));
             outcome.degraded_answers += plan.degraded.len() as u64;
-            for (_, result) in plan.degraded {
-                outcome.search_hits += u64::from(result.is_match());
-                outcome
-                    .degraded_latencies
-                    .push((now - arrival) + search_latency);
-            }
+            outcome
+                .degraded_latencies
+                .extend(std::iter::repeat_n(latency, plan.degraded.len()));
             for (shard, op, _) in plan.subs {
                 outcome.presented += presented_of(&op);
                 subs.push_back(PendingSub { shard, op, arrival });
@@ -440,9 +440,6 @@ pub fn replay_cluster(
                     .degraded_answer(target, &sub.op)
                     .expect("non-write sub");
                 outcome.degraded_answers += results.len() as u64;
-                for result in &results {
-                    outcome.search_hits += u64::from(result.is_match());
-                }
                 let latency = (now - sub.arrival) + search_latency;
                 outcome
                     .degraded_latencies
@@ -472,6 +469,11 @@ pub fn replay_cluster(
     cluster.quiesce();
     harvest(cluster, &mut outcome, &mut outstanding);
 
+    let after = cluster.counters();
+    outcome.search_hits = after.search_hits - before.search_hits;
+    outcome.delete_hits = after.delete_hits - before.delete_hits;
+    outcome.update_rejections = after.update_rejections - before.update_rejections;
+    outcome.frozen_answers = after.frozen_reads - before.frozen_reads;
     outcome.ticks = cluster.cycle() - start;
     outcome.dropped = outcome.issued - outcome.completions;
     outcome.migration_stalls = cluster.migration_stalls().to_vec();
@@ -543,21 +545,6 @@ fn harvest(
             cluster.tally(&done);
             outcome.completions += 1;
             issued.pop_front();
-            match &done {
-                Completion::Search(r) => {
-                    outcome.search_hits += u64::from(r.is_match());
-                }
-                Completion::SearchStream(rs) | Completion::SearchMulti(Ok(rs)) => {
-                    outcome.search_hits += rs.iter().filter(|r| r.is_match()).count() as u64;
-                }
-                Completion::SearchMulti(Err(_)) | Completion::Update(Ok(())) => {}
-                Completion::Update(Err(_)) => {
-                    outcome.update_rejections += 1;
-                }
-                Completion::Delete(hit) => {
-                    outcome.delete_hits += u64::from(*hit);
-                }
-            }
         }
         let records = cluster.shard_mut(i).take_retire_log();
         outcome.per_shard_latencies[i].extend(records.iter().map(RetireRecord::latency));

@@ -59,11 +59,13 @@
 //! # Key-parallel batch kernel
 //!
 //! [`BitSliceIndex::search_batch_into`] answers up to
-//! [`MAX_BATCH_WIDTH`] keys in a *single* pass over the planes: each
-//! loaded `match_if_0[b]`/`match_if_1[b]` word is AND-ed into W per-key
-//! accumulators selected by each key's bit `b`, turning `W × width`
-//! plane streams into one. Per-word early exit survives in batch form —
-//! the walk stops as soon as every key's accumulator is dead.
+//! [`MAX_BATCH_WIDTH`] keys in a *single* pass over the tiles: within a
+//! live word, each `match_if_0[b]`/`match_if_1[b]` word is AND-ed into
+//! register-held accumulators selected by each key's bit `b`, four keys
+//! at a time, while the tile is hot in L1 — so a tile streams in from
+//! memory once per batch, not once per key. Per-word early exit
+//! survives in batch form: a group of four stops as soon as all of its
+//! accumulators are dead.
 //!
 //! Updates stay incremental: re-shadowing one cell touches one bit in
 //! each of the `2 × width` plane bitmaps plus the valid bitmap —
@@ -273,9 +275,26 @@ impl BitSliceIndex {
     ///
     /// Panics if `cell` is out of range.
     pub fn refresh(&mut self, cell: usize, from: &CamCell) {
+        self.program(
+            cell,
+            from.stored(),
+            !from.pattern_mask().value(),
+            from.is_valid(),
+        );
+    }
+
+    /// Program `cell` as storing `stored` under the `care` bit mask
+    /// (`1` = compared; only the low `width` bits of either are read),
+    /// valid or not — the one write primitive of the index, behind
+    /// [`BitSliceIndex::refresh`] and the quad-packed lanes of
+    /// [`DenseCamBlock`](crate::dense::DenseCamBlock), whose oracle is
+    /// not a [`CamCell`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is out of range.
+    pub(crate) fn program(&mut self, cell: usize, stored: u64, care: u64, valid: bool) {
         assert!(cell < self.len, "cell {cell} out of range {}", self.len);
-        let stored = from.stored() & M48;
-        let care = !from.pattern_mask().value() & M48;
         let bit = 1u64 << (cell % 64);
         let word = cell / 64;
         for b in 0..self.width {
@@ -294,7 +313,7 @@ impl BitSliceIndex {
                 self.planes[one_slot] &= !bit;
             }
         }
-        self.set_valid(cell, from.is_valid());
+        self.set_valid(cell, valid);
     }
 
     /// Re-shadow every cell (the block's reset path).
@@ -416,37 +435,27 @@ impl BitSliceIndex {
     /// tiles are skipped via the occupancy list without loading a word.
     pub fn search_into(&self, key: u64, scratch: &mut Vec<u64>) {
         let width = self.width;
-        let stride = self.tile_stride();
         scratch.clear();
         scratch.resize(self.valid.len(), 0);
-        for (t, &occupancy) in self.occupancy.iter().enumerate() {
-            if occupancy == 0 {
-                continue; // the output words are already zero
-            }
-            let tile = &self.planes[t * stride..][..stride];
-            let first = t * TILE_WORDS;
-            let last = (first + TILE_WORDS).min(self.valid.len());
-            for (w, out) in scratch.iter_mut().enumerate().take(last).skip(first) {
-                let lane = w - first;
-                let mut acc = self.valid[w];
-                for b in 0..width {
-                    if acc == 0 {
-                        break;
-                    }
-                    let take_one = key >> b & 1 == 1;
-                    acc &= tile[(b + usize::from(take_one) * width) * TILE_WORDS + lane];
+        live_words(self, |tile, lane, w, mut acc| {
+            for b in 0..width {
+                if acc == 0 {
+                    break;
                 }
-                *out = acc;
+                let take_one = key >> b & 1 == 1;
+                acc &= tile[(b + usize::from(take_one) * width) * TILE_WORDS + lane];
             }
-        }
+            scratch[w] = acc;
+        });
     }
 
     /// Answer up to [`MAX_BATCH_WIDTH`] keys in a **single pass** over
     /// the planes: per word, each selected `match_if_0[b]`/`match_if_1[b]`
-    /// word is loaded once and AND-ed into one accumulator per key,
-    /// turning `keys.len() × width` plane streams into one. The walk
-    /// early-exits a word the moment every key's accumulator is dead,
-    /// and skips empty tiles via the occupancy list with zero loads.
+    /// word is AND-ed into register-held accumulators, four keys at a
+    /// time, so every tile streams through the cache once for the
+    /// whole batch. Each lane group early-exits a word the moment all of
+    /// its accumulators are dead, and empty tiles are skipped via the
+    /// occupancy list with zero loads.
     ///
     /// `scratch[k]` receives exactly the packed words
     /// [`BitSliceIndex::search_into`] would produce for `keys[k]` —
@@ -459,57 +468,16 @@ impl BitSliceIndex {
     /// buffers than keys.
     pub fn search_batch_into(&self, keys: &[u64], scratch: &mut [Vec<u64>]) {
         assert!(
-            keys.len() <= MAX_BATCH_WIDTH,
-            "batch of {} keys exceeds MAX_BATCH_WIDTH {MAX_BATCH_WIDTH}",
-            keys.len()
-        );
-        assert!(
             scratch.len() >= keys.len(),
             "{} scratch buffers for {} keys",
             scratch.len(),
             keys.len()
         );
-        let width = self.width;
-        let stride = self.tile_stride();
-        let words = self.valid.len();
         for buf in &mut scratch[..keys.len()] {
             buf.clear();
-            buf.resize(words, 0);
+            buf.resize(self.valid.len(), 0);
         }
-        let mut acc = [0u64; MAX_BATCH_WIDTH];
-        for (t, &occupancy) in self.occupancy.iter().enumerate() {
-            if occupancy == 0 {
-                continue; // O(1) skip: no plane or valid word touched
-            }
-            let tile = &self.planes[t * stride..][..stride];
-            let first = t * TILE_WORDS;
-            let last = (first + TILE_WORDS).min(words);
-            for w in first..last {
-                let lane = w - first;
-                let valid = self.valid[w];
-                if valid == 0 {
-                    continue; // outputs stay zero, as the scalar walk leaves them
-                }
-                for a in &mut acc[..keys.len()] {
-                    *a = valid;
-                }
-                for b in 0..width {
-                    let zero = tile[b * TILE_WORDS + lane];
-                    let one = tile[(b + width) * TILE_WORDS + lane];
-                    let mut any = 0u64;
-                    for (a, &key) in acc[..keys.len()].iter_mut().zip(keys) {
-                        *a &= if key >> b & 1 == 1 { one } else { zero };
-                        any |= *a;
-                    }
-                    if any == 0 {
-                        break;
-                    }
-                }
-                for (a, buf) in acc[..keys.len()].iter().zip(scratch.iter_mut()) {
-                    buf[w] = *a;
-                }
-            }
-        }
+        walk_batch(self, keys, |k, w, bits| scratch[k][w] = bits);
     }
 
     /// Broadcast `key` to every shadowed cell (allocating wrapper around
@@ -520,6 +488,95 @@ impl BitSliceIndex {
         self.search_into(key, &mut bits);
         MatchVector::from_raw(bits, self.len)
     }
+}
+
+/// Keys whose accumulators the batch kernel keeps in registers at once.
+const LANES: usize = 4;
+
+/// OR the batch kernel's answer for `keys[k]` straight into `out[k]`,
+/// the index's cell 0 landing at cell `offset` — the one bridge from the
+/// kernel to match vectors (dense and scalar blocks, and the unit's
+/// group combine). Returns a mask with bit `k` set when `keys[k]`
+/// matched. Panics as [`BitSliceIndex::search_batch_into`] does, or if a
+/// vector cannot hold the index at `offset`.
+pub(crate) fn search_batch_or(
+    index: &BitSliceIndex,
+    keys: &[u64],
+    out: &mut [MatchVector],
+    offset: usize,
+) -> u64 {
+    let mut hits = 0u64;
+    walk_batch(index, keys, |k, w, bits| {
+        if bits != 0 {
+            out[k].or_word(offset + w * 64, bits);
+            hits |= 1 << k;
+        }
+    });
+    hits
+}
+
+/// The batch kernel: match every live word [`LANES`] keys at a time and
+/// hand each key's output word to `emit(key, word, bits)` (words never
+/// emitted are zero).
+fn walk_batch(index: &BitSliceIndex, keys: &[u64], mut emit: impl FnMut(usize, usize, u64)) {
+    assert!(
+        keys.len() <= MAX_BATCH_WIDTH,
+        "batch of {} keys exceeds MAX_BATCH_WIDTH {MAX_BATCH_WIDTH}",
+        keys.len()
+    );
+    live_words(index, |tile, lane, w, valid| {
+        for (g, lanes) in keys.chunks(LANES).enumerate() {
+            let acc = match_lanes(tile, lane, index.width, valid, lanes);
+            for (i, &bits) in acc[..lanes.len()].iter().enumerate() {
+                emit(g * LANES + i, w, bits);
+            }
+        }
+    });
+}
+
+/// Both kernels' walk: visit every word holding a valid cell as
+/// `(tile planes, lane within the tile, word, valid bits)`, skipping
+/// empty tiles via the occupancy list with no plane or valid-word load.
+/// Words never visited answer all-miss.
+fn live_words(index: &BitSliceIndex, mut visit: impl FnMut(&[u64], usize, usize, u64)) {
+    let stride = index.tile_stride();
+    for (t, &occupancy) in index.occupancy.iter().enumerate() {
+        if occupancy == 0 {
+            continue;
+        }
+        let tile = &index.planes[t * stride..][..stride];
+        let first = t * TILE_WORDS;
+        for w in first..(first + TILE_WORDS).min(index.valid.len()) {
+            if index.valid[w] != 0 {
+                visit(tile, w - first, w, index.valid[w]);
+            }
+        }
+    }
+}
+
+/// Match up to [`LANES`] keys against word `lane` of one tile, stopping
+/// once every accumulator is dead (unused lanes start dead).
+fn match_lanes(tile: &[u64], lane: usize, width: usize, valid: u64, keys: &[u64]) -> [u64; LANES] {
+    let mut key = [0u64; LANES];
+    let mut acc = [0u64; LANES];
+    for (i, &k) in keys.iter().enumerate() {
+        key[i] = k;
+        acc[i] = valid;
+    }
+    for b in 0..width {
+        let zero = tile[b * TILE_WORDS + lane];
+        let one = tile[(b + width) * TILE_WORDS + lane];
+        let mut any = 0u64;
+        for (a, k) in acc.iter_mut().zip(key) {
+            let take_one = 0u64.wrapping_sub(k >> b & 1);
+            *a &= zero ^ ((zero ^ one) & take_one);
+            any |= *a;
+        }
+        if any == 0 {
+            break;
+        }
+    }
+    acc
 }
 
 #[cfg(test)]

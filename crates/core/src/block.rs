@@ -15,10 +15,11 @@
 //!   register (sizes ≥ 256 standalone — Table VI's latency step from 3 to
 //!   4 cycles).
 
+use dsp48::word::mask_width;
 use serde::{Deserialize, Serialize};
 
-use crate::bitslice::BitSliceIndex;
-use crate::cell::CamCell;
+use crate::bitslice::{search_batch_or, BitSliceIndex};
+use crate::cell::{CamCell, Entry};
 use crate::config::{BlockConfig, FidelityMode};
 use crate::encoder::{MatchVector, SearchOutput};
 use crate::error::{CamError, ConfigError};
@@ -72,10 +73,6 @@ pub struct CamBlock {
     /// scratch, not architectural state.
     #[serde(skip)]
     vector_scratch: MatchVector,
-    /// Reusable packed-word buffers behind [`CamBlock::search_batch_into`]
-    /// (one per batched key) — host-side scratch like `vector_scratch`.
-    #[serde(skip)]
-    batch_scratch: Vec<Vec<u64>>,
     /// Monitoring tallies for the observability layer — plain fields
     /// bumped on the broadcast path (no locking) and read at publish
     /// time, so the hot loop never touches a sink.
@@ -115,7 +112,6 @@ impl CamBlock {
             update_beats: 0,
             searches: 0,
             vector_scratch: MatchVector::default(),
-            batch_scratch: Vec::new(),
             #[cfg(feature = "obs")]
             obs: BlockObs::default(),
         })
@@ -179,17 +175,6 @@ impl CamBlock {
                 self.write_ptr += 1;
                 cell
             }
-        }
-    }
-
-    /// Return a just-allocated cell whose write failed, undoing
-    /// [`CamBlock::alloc_cell`] so failed operations stay atomic.
-    fn release_cell(&mut self, cell: usize) {
-        if cell + 1 == self.write_ptr {
-            self.write_ptr -= 1;
-        } else {
-            let at = self.holes.partition_point(|&h| h > cell);
-            self.holes.insert(at, cell);
         }
     }
 
@@ -347,12 +332,7 @@ impl CamBlock {
     }
 
     fn mask_key(&self, key: u64) -> u64 {
-        let w = self.config.cell.data_width;
-        if w >= 64 {
-            key
-        } else {
-            key & ((1u64 << w) - 1)
-        }
+        key & mask_width(self.config.cell.data_width)
     }
 
     /// Write `words` through the Cell Address Controller, one beat's worth
@@ -366,78 +346,61 @@ impl CamBlock {
     ///
     /// [`free_slots`]: CamBlock::free_slots
     pub fn update(&mut self, words: &[u64]) -> Result<(), CamError> {
-        if words.len() > self.free_slots() {
-            return Err(CamError::Full {
-                rejected: words.len() - self.free_slots(),
-                group: None,
-            });
-        }
-        // Validate before mutating so the operation is atomic.
-        let limit = self.mask_key(u64::MAX);
-        if let Some(&bad) = words.iter().find(|&&w| w > limit) {
-            return Err(CamError::ValueTooWide {
-                value: bad,
-                data_width: self.config.cell.data_width,
-            });
-        }
-        for &word in words {
-            let cell = self.alloc_cell();
-            self.cells[cell].write(word).expect("validated above");
-            self.reshadow(cell);
-        }
-        let beats = words.len().div_ceil(self.config.words_per_beat()).max(1) as u64;
-        self.cycles += beats * self.config.update_latency();
-        self.update_beats += beats;
-        Ok(())
-    }
-
-    /// Write what fits and return how many words were accepted (the group
-    /// controller's spill path).
-    pub fn update_partial(&mut self, words: &[u64]) -> usize {
-        let take = words.len().min(self.free_slots());
-        if take == 0 {
-            return 0;
-        }
-        match self.update(&words[..take]) {
-            Ok(()) => take,
-            Err(_) => 0,
-        }
+        self.write_entries(words)
     }
 
     /// Write power-of-two ranges (RMCAM update path).
     ///
     /// # Errors
     ///
-    /// As [`CamBlock::update`], plus [`CamError::KindMismatch`] for
-    /// non-range blocks.
+    /// [`CamError::KindMismatch`] for non-range blocks, then as
+    /// [`CamBlock::update`] (a base beyond the width is `ValueTooWide`).
     pub fn update_ranges(&mut self, ranges: &[RangeSpec]) -> Result<(), CamError> {
-        if ranges.len() > self.free_slots() {
+        self.write_entries(ranges)
+    }
+
+    /// The block's one write path: reject the whole batch — kind, then
+    /// capacity, then width — before any cell is touched, then claim a
+    /// cell per entry, program it, re-shadow it, and charge one update
+    /// latency per bus beat.
+    pub(crate) fn write_entries<E: Entry>(&mut self, entries: &[E]) -> Result<(), CamError> {
+        if E::KIND.is_some_and(|kind| kind != self.config.cell.kind) {
+            return Err(CamError::KindMismatch);
+        }
+        if entries.len() > self.free_slots() {
             return Err(CamError::Full {
-                rejected: ranges.len() - self.free_slots(),
+                rejected: entries.len() - self.free_slots(),
                 group: None,
             });
         }
-        for &range in ranges {
+        let limit = self.mask_key(u64::MAX);
+        if let Some(value) = entries.iter().map(|e| e.width_probe()).find(|&v| v > limit) {
+            return Err(CamError::ValueTooWide {
+                value,
+                data_width: self.config.cell.data_width,
+            });
+        }
+        for &entry in entries {
             let cell = self.alloc_cell();
-            if let Err(err) = self.cells[cell].write_range(range) {
-                self.release_cell(cell);
-                return Err(err);
-            }
+            entry
+                .write_to(&mut self.cells[cell])
+                .expect("validated above");
             self.reshadow(cell);
         }
-        let beats = ranges.len().div_ceil(self.config.words_per_beat()).max(1) as u64;
+        let beats = entries.len().div_ceil(self.config.words_per_beat()).max(1) as u64;
         self.cycles += beats * self.config.update_latency();
         self.update_beats += beats;
         Ok(())
     }
 
-    /// The one broadcast path every public search shares: mask the key,
-    /// produce the match vector on the configured tier, account cycles.
-    /// The tiers are interchangeable by construction — identical key
-    /// masking, identical compare semantics, identical counter bumps.
-    /// Writes into `out` reusing its allocation, so a warmed-up block
-    /// broadcasts without touching the heap.
-    fn broadcast_into(&mut self, key: u64, out: &mut MatchVector) {
+    /// Raw match vector for `key` into a caller-provided vector — the one
+    /// broadcast path every search shares: mask the key, produce the
+    /// match vector on the configured tier, account cycles. The tiers
+    /// are interchangeable by construction — identical key masking,
+    /// identical compare semantics, identical counter bumps. Writes into
+    /// `out` reusing its allocation, so a warmed-up block broadcasts
+    /// without touching the heap.
+    pub fn search_vector_into(&mut self, key: u64, out: &mut MatchVector) {
         let key = self.mask_key(key);
         match self.config.fidelity {
             FidelityMode::BitAccurate => {
@@ -453,14 +416,21 @@ impl CamBlock {
                 out.fill_raw(bitslice.len(), |bits| bitslice.search_into(key, bits));
             }
         }
-        self.cycles += self.config.search_latency();
-        self.searches += 1;
+        self.tally(1, u64::from(out.any()));
+    }
+
+    /// Charge `n` broadcasts, `matched` of which hit: one search latency
+    /// and one search tick each, plus the match/miss monitoring tallies.
+    fn tally(&mut self, n: u64, matched: u64) {
+        self.cycles += n * self.config.search_latency();
+        self.searches += n;
         #[cfg(feature = "obs")]
-        if out.any() {
-            self.obs.matches += 1;
-        } else {
-            self.obs.misses += 1;
+        {
+            self.obs.matches += matched;
+            self.obs.misses += n - matched;
         }
+        #[cfg(not(feature = "obs"))]
+        let _ = matched;
     }
 
     /// Broadcast `key` to every cell and encode the match vector.
@@ -469,7 +439,7 @@ impl CamBlock {
     /// paper's search-path description.
     pub fn search(&mut self, key: u64) -> SearchOutput {
         let mut matches = std::mem::take(&mut self.vector_scratch);
-        self.broadcast_into(key, &mut matches);
+        self.search_vector_into(key, &mut matches);
         let out = self.config.encoding.encode(&matches);
         self.vector_scratch = matches;
         out
@@ -479,24 +449,17 @@ impl CamBlock {
     /// by encodings layered at unit level).
     pub fn search_vector(&mut self, key: u64) -> MatchVector {
         let mut matches = MatchVector::default();
-        self.broadcast_into(key, &mut matches);
+        self.search_vector_into(key, &mut matches);
         matches
-    }
-
-    /// [`CamBlock::search_vector`] into a caller-provided vector, reusing
-    /// its allocation — the building block of the unit's batched search
-    /// paths.
-    pub fn search_vector_into(&mut self, key: u64, out: &mut MatchVector) {
-        self.broadcast_into(key, out);
     }
 
     /// Broadcast a whole batch of up to
     /// [`MAX_BATCH_WIDTH`](crate::bitslice::MAX_BATCH_WIDTH) keys,
     /// filling `out[k]` with the match vector for `keys[k]` (extra `out`
     /// entries are grown/reused, never shrunk). On the `Turbo` tier the
-    /// batch is answered in a **single pass** over the bit planes via
-    /// [`BitSliceIndex::search_batch_into`]; `BitAccurate` broadcasts
-    /// key-by-key. Results and counter bumps are exactly those of
+    /// batch is answered in a **single pass** over the bit planes by the
+    /// kernel behind [`BitSliceIndex::search_batch_into`]; `BitAccurate`
+    /// broadcasts key-by-key. Results and counter bumps are exactly those of
     /// `keys.len()` sequential [`CamBlock::search_vector_into`] calls:
     /// one search-latency charge, one search tick and one match/miss
     /// tally per key.
@@ -508,36 +471,34 @@ impl CamBlock {
         if out.len() < keys.len() {
             out.resize_with(keys.len(), MatchVector::default);
         }
+        for vector in &mut out[..keys.len()] {
+            vector.reset(self.cells.len());
+        }
+        self.search_batch_or(keys, &mut out[..keys.len()], 0);
+    }
+
+    /// [`CamBlock::search_batch_into`] OR-ed into caller vectors with
+    /// cell 0 landing at cell `offset` — the unit's group combine, which
+    /// lays a group's blocks out side by side in one vector per key.
+    ///
+    /// # Panics
+    ///
+    /// As [`CamBlock::search_batch_into`], or if a vector cannot hold the
+    /// block at `offset`.
+    pub(crate) fn search_batch_or(&mut self, keys: &[u64], out: &mut [MatchVector], offset: usize) {
         if self.config.fidelity != FidelityMode::Turbo {
-            for (key, vector) in keys.iter().zip(out.iter_mut()) {
-                self.broadcast_into(*key, vector);
+            let mut vector = std::mem::take(&mut self.vector_scratch);
+            for (&key, combined) in keys.iter().zip(out.iter_mut()) {
+                self.search_vector_into(key, &mut vector);
+                combined.or_offset(&vector, offset);
             }
+            self.vector_scratch = vector;
             return;
         }
-        let mut masked = [0u64; crate::bitslice::MAX_BATCH_WIDTH];
-        for (slot, &key) in masked.iter_mut().zip(keys) {
-            *slot = self.mask_key(key);
-        }
-        if self.batch_scratch.len() < keys.len() {
-            self.batch_scratch.resize_with(keys.len(), Vec::new);
-        }
-        self.bitslice
-            .search_batch_into(&masked[..keys.len()], &mut self.batch_scratch);
-        let len = self.bitslice.len();
-        for (words, vector) in self.batch_scratch[..keys.len()].iter().zip(out.iter_mut()) {
-            vector.fill_raw(len, |bits| {
-                bits.clear();
-                bits.extend_from_slice(words);
-            });
-            self.cycles += self.config.search_latency();
-            self.searches += 1;
-            #[cfg(feature = "obs")]
-            if vector.any() {
-                self.obs.matches += 1;
-            } else {
-                self.obs.misses += 1;
-            }
-        }
+        // The index reads only the low `data_width` key bits, so the
+        // redundant high bits need no masking here.
+        let hits = search_batch_or(&self.bitslice, keys, out, offset);
+        self.tally(keys.len() as u64, u64::from(hits.count_ones()));
     }
 
     /// Invalidate the entry at `cell` (extension beyond the paper: the
@@ -596,31 +557,7 @@ impl CamBlock {
     /// * [`CamError::Full`] when no cell is free;
     /// * [`CamError::ValueTooWide`] for values or masks beyond the width.
     pub fn update_masked(&mut self, value: u64, dont_care: u64) -> Result<(), CamError> {
-        if self.config.cell.kind != crate::kind::CamKind::Ternary {
-            return Err(CamError::KindMismatch);
-        }
-        if self.is_full() {
-            return Err(CamError::Full {
-                rejected: 1,
-                group: None,
-            });
-        }
-        let limit = self.mask_key(u64::MAX);
-        if value > limit || dont_care > limit {
-            return Err(CamError::ValueTooWide {
-                value: value.max(dont_care),
-                data_width: self.config.cell.data_width,
-            });
-        }
-        let cell = self.alloc_cell();
-        if let Err(err) = self.cells[cell].write_masked(value, dont_care) {
-            self.release_cell(cell);
-            return Err(err);
-        }
-        self.reshadow(cell);
-        self.cycles += self.config.update_latency();
-        self.update_beats += 1;
-        Ok(())
+        self.write_entries(&[(value, dont_care)])
     }
 
     /// Assert the reset signal: clear every cell and the fill pointer.
@@ -639,7 +576,6 @@ impl CamBlock {
     /// (crate::unit::CamUnit::rehydrate)'s wire-round-trip model.
     pub(crate) fn reset_transients(&mut self) {
         self.vector_scratch = MatchVector::default();
-        self.batch_scratch = Vec::new();
         #[cfg(feature = "obs")]
         {
             self.obs = BlockObs::default();
@@ -744,15 +680,6 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert!(!b.search(4).is_match());
         assert_eq!(b.free_slots(), 1);
-    }
-
-    #[test]
-    fn update_partial_spills() {
-        let mut b = block(4);
-        let taken = b.update_partial(&[1, 2, 3, 4, 5, 6]);
-        assert_eq!(taken, 4);
-        assert!(b.is_full());
-        assert_eq!(b.update_partial(&[7]), 0);
     }
 
     #[test]
@@ -961,6 +888,23 @@ mod tests {
         assert!(b.update_ranges(&[RangeSpec::new(0, 2).unwrap()]).is_err());
         assert_eq!(b.len(), 1, "failed write must not consume a cell");
         assert_eq!(b.free_slots(), 7);
+        // A batch whose second base is too wide lands nothing at all.
+        let cfg = BlockConfig::standalone(CellConfig::range_matching(16), 8, 512);
+        let mut r = CamBlock::new(cfg).unwrap();
+        let before = (r.len(), r.update_beats(), r.cycles());
+        let batch = [
+            RangeSpec::new(16, 4).unwrap(),
+            RangeSpec::new(1 << 20, 4).unwrap(),
+        ];
+        assert_eq!(
+            r.update_ranges(&batch),
+            Err(CamError::ValueTooWide {
+                value: 1 << 20,
+                data_width: 16
+            })
+        );
+        assert_eq!((r.len(), r.update_beats(), r.cycles()), before);
+        assert!(!r.search(16).is_match(), "the first range must not land");
     }
 
     #[test]

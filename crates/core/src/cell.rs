@@ -6,11 +6,12 @@
 //! cell can never produce a spurious match against a zero key.
 
 use dsp48::cam_profile::CamDsp;
-use dsp48::word::P48;
+use dsp48::word::{mask_width, P48};
 use serde::{Deserialize, Serialize};
 
 use crate::config::CellConfig;
 use crate::error::{CamError, ConfigError};
+use crate::kind::CamKind;
 use crate::mask::{CamMask, RangeSpec};
 
 /// One CAM entry backed by a DSP slice.
@@ -101,18 +102,32 @@ impl CamCell {
     }
 
     fn check_width(&self, value: u64) -> Result<(), CamError> {
-        let limit = if self.config.data_width == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.config.data_width) - 1
-        };
-        if value > limit {
+        if value > mask_width(self.config.data_width) {
             return Err(CamError::ValueTooWide {
                 value,
                 data_width: self.config.data_width,
             });
         }
         Ok(())
+    }
+
+    fn check_kind(&self, kind: CamKind) -> Result<(), CamError> {
+        if self.config.kind == kind {
+            Ok(())
+        } else {
+            Err(CamError::KindMismatch)
+        }
+    }
+
+    /// The one write primitive behind every kind (they differ only in
+    /// the mask, Table II): program the pattern detector with the base
+    /// mask ORed with the entry's own don't-care bits, store the value
+    /// and raise the valid bit; one cycle.
+    fn program(&mut self, value: u64, entry_mask: P48) {
+        self.dsp
+            .set_mask(self.base_mask.with_entry_mask(entry_mask).bits());
+        self.dsp.write(value);
+        self.valid = true;
     }
 
     /// Write a plain value (BCAM/TCAM path); one cycle.
@@ -122,9 +137,7 @@ impl CamCell {
     /// [`CamError::ValueTooWide`] if the value does not fit the data width.
     pub fn write(&mut self, value: u64) -> Result<(), CamError> {
         self.check_width(value)?;
-        self.dsp.set_mask(self.base_mask.bits());
-        self.dsp.write(value);
-        self.valid = true;
+        self.program(value, P48::ZERO);
         Ok(())
     }
 
@@ -136,14 +149,9 @@ impl CamCell {
     /// * [`CamError::KindMismatch`] unless the cell is range-matching;
     /// * [`CamError::ValueTooWide`] if the base does not fit.
     pub fn write_range(&mut self, range: RangeSpec) -> Result<(), CamError> {
-        if self.config.kind != crate::kind::CamKind::RangeMatching {
-            return Err(CamError::KindMismatch);
-        }
+        self.check_kind(CamKind::RangeMatching)?;
         self.check_width(range.base)?;
-        self.dsp
-            .set_mask(self.base_mask.with_entry_mask(range.mask()).bits());
-        self.dsp.write(range.stored_value());
-        self.valid = true;
+        self.program(range.stored_value(), range.mask());
         Ok(())
     }
 
@@ -157,15 +165,10 @@ impl CamCell {
     /// * [`CamError::KindMismatch`] unless the cell is ternary;
     /// * [`CamError::ValueTooWide`] if value or mask exceed the width.
     pub fn write_masked(&mut self, value: u64, dont_care: u64) -> Result<(), CamError> {
-        if self.config.kind != crate::kind::CamKind::Ternary {
-            return Err(CamError::KindMismatch);
-        }
+        self.check_kind(CamKind::Ternary)?;
         self.check_width(value)?;
         self.check_width(dont_care)?;
-        self.dsp
-            .set_mask(self.base_mask.with_entry_mask(P48::new(dont_care)).bits());
-        self.dsp.write(value);
-        self.valid = true;
+        self.program(value, P48::new(dont_care));
         Ok(())
     }
 
@@ -185,10 +188,74 @@ impl CamCell {
     }
 }
 
+/// One entry on the write datapath. Binary, ternary and range CAMs
+/// differ only in the don't-care mask each cell is programmed with
+/// (Table II), so the unit and the block carry every entry shape through
+/// one generic write path and only the final cell write tells them apart.
+pub(crate) trait Entry: Copy {
+    /// The kind of cell that stores this shape (`None`: every kind).
+    const KIND: Option<CamKind>;
+
+    /// The value [`CamError::ValueTooWide`] reports when the entry does
+    /// not fit the data width.
+    fn width_probe(self) -> u64;
+
+    /// Program the entry into `cell`.
+    fn write_to(self, cell: &mut CamCell) -> Result<(), CamError>;
+
+    /// The batch as plain words, when it is one — the only shape the
+    /// write buffer stages.
+    fn as_words(_entries: &[Self]) -> Option<&[u64]> {
+        None
+    }
+}
+
+/// A plain word, which every kind stores.
+impl Entry for u64 {
+    const KIND: Option<CamKind> = None;
+
+    fn width_probe(self) -> u64 {
+        self
+    }
+
+    fn write_to(self, cell: &mut CamCell) -> Result<(), CamError> {
+        cell.write(self)
+    }
+
+    fn as_words(entries: &[u64]) -> Option<&[u64]> {
+        Some(entries)
+    }
+}
+
+/// A power-of-two range (RMCAM).
+impl Entry for RangeSpec {
+    const KIND: Option<CamKind> = Some(CamKind::RangeMatching);
+
+    fn width_probe(self) -> u64 {
+        self.base
+    }
+
+    fn write_to(self, cell: &mut CamCell) -> Result<(), CamError> {
+        cell.write_range(self)
+    }
+}
+
+/// A `(value, dont_care)` pair (per-entry TCAM).
+impl Entry for (u64, u64) {
+    const KIND: Option<CamKind> = Some(CamKind::Ternary);
+
+    fn width_probe(self) -> u64 {
+        self.0.max(self.1)
+    }
+
+    fn write_to(self, cell: &mut CamCell) -> Result<(), CamError> {
+        cell.write_masked(self.0, self.1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kind::CamKind;
 
     #[test]
     fn binary_cell_exact_match() {

@@ -14,11 +14,17 @@
 //! * TCAM/RMCAM masks are not available (the pattern-detector mask covers
 //!   the whole 48-bit word, not lanes) — binary matching only.
 //!
+//! The `Turbo` tier answers from the crate's one bit-sliced engine, a
+//! [`BitSliceIndex`] of width 12 with one entry per lane, so dense blocks
+//! share its tile layout, occupancy skip lists and key-parallel batch
+//! kernel.
+//!
 //! [`CamBlock`]: crate::block::CamBlock
 
 use dsp48::simd_cam::{SimdCamDsp, LANES, LANE_MAX};
 use serde::{Deserialize, Serialize};
 
+use crate::bitslice::{search_batch_or, BitSliceIndex, MAX_BATCH_WIDTH};
 use crate::config::FidelityMode;
 use crate::encoder::MatchVector;
 use crate::error::CamError;
@@ -41,34 +47,17 @@ use crate::error::CamError;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DenseCamBlock {
     slices: Vec<SimdCamDsp>,
-    /// Packed lane-valid bitmap.
-    lane_valid: Vec<u64>,
-    /// Transposed shadow for the turbo tier, word-major like
-    /// [`BitSliceIndex`](crate::bitslice::BitSliceIndex): the
-    /// `2 × 12` plane words of 64-lane word group `w` live at
-    /// `planes[w * 24 ..]` — `match_if_0` per bit, then `match_if_1`.
-    planes: Vec<u64>,
+    /// Transposed shadow for the turbo tier: one 12-bit entry per lane,
+    /// at the lane's fill-order address, programmed from the slice
+    /// registers on every insert.
+    index: BitSliceIndex,
     fidelity: FidelityMode,
     write_ptr: usize,
     cycles: u64,
 }
 
 /// Bits per packed lane (the `FOUR12` SIMD granularity).
-const LANE_BITS: usize = 12;
-
-/// Plane words for `words` 64-lane word groups, all lanes "store 0":
-/// every `match_if_0` plane is all-ones, every `match_if_1` plane zero.
-fn fresh_planes(words: usize) -> Vec<u64> {
-    (0..words * 2 * LANE_BITS)
-        .map(|i| {
-            if (i / LANE_BITS).is_multiple_of(2) {
-                u64::MAX
-            } else {
-                0
-            }
-        })
-        .collect()
-}
+const LANE_BITS: u32 = 12;
 
 impl DenseCamBlock {
     /// Update latency in cycles (same as the scalar cell).
@@ -102,8 +91,7 @@ impl DenseCamBlock {
         let lanes = slices.len() * LANES;
         DenseCamBlock {
             slices,
-            lane_valid: vec![0; lanes.div_ceil(64)],
-            planes: fresh_planes(lanes.div_ceil(64)),
+            index: BitSliceIndex::new(lanes, LANE_BITS),
             fidelity,
             write_ptr: 0,
             cycles: 0,
@@ -153,29 +141,13 @@ impl DenseCamBlock {
                 group: None,
             });
         }
-        if value > LANE_MAX {
-            return Err(CamError::ValueTooWide {
-                value,
-                data_width: 12,
-            });
-        }
+        check_key(value)?;
         let slice = self.write_ptr / LANES;
         let lane = self.write_ptr % LANES;
         self.slices[slice].write_lane(lane, value);
         // Mirror the oracle: read the lane back from the slice registers.
         let stored = self.slices[slice].lane_value(lane);
-        self.lane_valid[self.write_ptr / 64] |= 1 << (self.write_ptr % 64);
-        let bit = 1u64 << (self.write_ptr % 64);
-        let base = (self.write_ptr / 64) * 2 * LANE_BITS;
-        for b in 0..LANE_BITS {
-            if stored >> b & 1 == 1 {
-                self.planes[base + b] &= !bit;
-                self.planes[base + LANE_BITS + b] |= bit;
-            } else {
-                self.planes[base + b] |= bit;
-                self.planes[base + LANE_BITS + b] &= !bit;
-            }
-        }
+        self.index.program(self.write_ptr, stored, LANE_MAX, true);
         self.write_ptr += 1;
         self.cycles += Self::UPDATE_LATENCY;
         Ok(())
@@ -188,15 +160,10 @@ impl DenseCamBlock {
     ///
     /// [`CamError::ValueTooWide`] for keys beyond 12 bits.
     pub fn search(&mut self, key: u64) -> Result<MatchVector, CamError> {
-        if key > LANE_MAX {
-            return Err(CamError::ValueTooWide {
-                value: key,
-                data_width: 12,
-            });
-        }
-        let matches = match self.fidelity {
+        check_key(key)?;
+        let mut matches = MatchVector::new(self.capacity());
+        match self.fidelity {
             FidelityMode::BitAccurate => {
-                let mut matches = MatchVector::new(self.capacity());
                 for (s, slice) in self.slices.iter_mut().enumerate() {
                     let flags = slice.search(key);
                     for (lane, &hit) in flags.iter().enumerate() {
@@ -205,39 +172,19 @@ impl DenseCamBlock {
                         }
                     }
                 }
-                matches
             }
             FidelityMode::Turbo => {
-                let capacity = self.capacity();
-                let (planes, valid) = (&self.planes, &self.lane_valid);
-                let mut matches = MatchVector::default();
-                matches.fill_raw(capacity, |bits| {
-                    bits.clear();
-                    bits.resize(valid.len(), 0);
-                    for (w, out) in bits.iter_mut().enumerate() {
-                        let mut acc = valid[w];
-                        let base = w * 2 * LANE_BITS;
-                        for b in 0..LANE_BITS {
-                            if acc == 0 {
-                                break;
-                            }
-                            let take_one = key >> b & 1 == 1;
-                            acc &= planes[base + b + usize::from(take_one) * LANE_BITS];
-                        }
-                        *out = acc;
-                    }
-                });
-                matches
+                let index = &self.index;
+                matches.fill_raw(index.len(), |bits| index.search_into(key, bits));
             }
-        };
+        }
         self.cycles += Self::SEARCH_LATENCY;
         Ok(matches)
     }
 
     /// Key-parallel broadcast search: answer up to
-    /// [`MAX_BATCH_WIDTH`](crate::bitslice::MAX_BATCH_WIDTH) keys in a
-    /// single pass over the transposed planes, loading each plane word
-    /// once and AND-ing it into every key's accumulator.
+    /// [`MAX_BATCH_WIDTH`] keys in one pass of the index's batch kernel
+    /// ([`BitSliceIndex::search_batch_into`]).
     ///
     /// `out` is grown (never shrunk) to cover `keys`; slot `k` receives
     /// the match vector for `keys[k]`, bit-identical to a [`search`] per
@@ -261,19 +208,11 @@ impl DenseCamBlock {
         out: &mut Vec<MatchVector>,
     ) -> Result<(), CamError> {
         assert!(
-            keys.len() <= crate::bitslice::MAX_BATCH_WIDTH,
-            "batch of {} keys exceeds the {}-key kernel limit",
+            keys.len() <= MAX_BATCH_WIDTH,
+            "batch of {} keys exceeds the {MAX_BATCH_WIDTH}-key kernel limit",
             keys.len(),
-            crate::bitslice::MAX_BATCH_WIDTH,
         );
-        for &key in keys {
-            if key > LANE_MAX {
-                return Err(CamError::ValueTooWide {
-                    value: key,
-                    data_width: 12,
-                });
-            }
-        }
+        keys.iter().try_for_each(|&key| check_key(key))?;
         if out.len() < keys.len() {
             out.resize_with(keys.len(), MatchVector::default);
         }
@@ -283,40 +222,10 @@ impl DenseCamBlock {
             }
             return Ok(());
         }
-        let capacity = self.capacity();
-        let (planes, valid) = (&self.planes, &self.lane_valid);
-        let mut acc = [0u64; crate::bitslice::MAX_BATCH_WIDTH];
-        for vector in out.iter_mut().take(keys.len()) {
-            vector.fill_raw(capacity, |bits| {
-                bits.clear();
-                bits.resize(valid.len(), 0);
-            });
+        for vector in &mut out[..keys.len()] {
+            vector.reset(self.index.len());
         }
-        for w in 0..valid.len() {
-            let lanes = valid[w];
-            if lanes == 0 {
-                continue;
-            }
-            for a in &mut acc[..keys.len()] {
-                *a = lanes;
-            }
-            let base = w * 2 * LANE_BITS;
-            for b in 0..LANE_BITS {
-                let zero = planes[base + b];
-                let one = planes[base + LANE_BITS + b];
-                let mut any = 0u64;
-                for (a, &key) in acc[..keys.len()].iter_mut().zip(keys) {
-                    *a &= if key >> b & 1 == 1 { one } else { zero };
-                    any |= *a;
-                }
-                if any == 0 {
-                    break;
-                }
-            }
-            for (a, vector) in acc[..keys.len()].iter().zip(out.iter_mut()) {
-                vector.fill_raw(capacity, |bits| bits[w] = *a);
-            }
-        }
+        search_batch_or(&self.index, keys, &mut out[..keys.len()], 0);
         self.cycles += Self::SEARCH_LATENCY * keys.len() as u64;
         Ok(())
     }
@@ -339,12 +248,21 @@ impl DenseCamBlock {
         for slice in &mut self.slices {
             slice.clear();
         }
-        self.lane_valid.fill(0);
-        let words = self.lane_valid.len();
-        self.planes.copy_from_slice(&fresh_planes(words));
+        self.index = BitSliceIndex::new(self.capacity(), LANE_BITS);
         self.write_ptr = 0;
         self.cycles += 1;
     }
+}
+
+/// [`CamError::ValueTooWide`] for a value or key beyond one 12-bit lane.
+fn check_key(value: u64) -> Result<(), CamError> {
+    if value > LANE_MAX {
+        return Err(CamError::ValueTooWide {
+            value,
+            data_width: LANE_BITS,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -403,14 +321,16 @@ mod tests {
 
     #[test]
     fn reset_reuses_all_lanes() {
-        let mut cam = DenseCamBlock::new(8);
-        cam.insert(1).unwrap();
-        cam.insert(2).unwrap();
-        cam.reset();
-        assert!(cam.is_empty());
-        assert!(!cam.search(1).unwrap().any());
-        cam.insert(3).unwrap();
-        assert_eq!(cam.search(3).unwrap().first(), Some(0));
+        for tier in [FidelityMode::BitAccurate, FidelityMode::Turbo] {
+            let mut cam = DenseCamBlock::with_fidelity(8, tier);
+            cam.insert(1).unwrap();
+            cam.insert(2).unwrap();
+            cam.reset();
+            assert!(cam.is_empty());
+            assert!(!cam.search(1).unwrap().any(), "{tier:?}");
+            cam.insert(3).unwrap();
+            assert_eq!(cam.search(3).unwrap().first(), Some(0), "{tier:?}");
+        }
     }
 
     #[test]
@@ -422,7 +342,6 @@ mod tests {
 
     #[test]
     fn shadow_tiers_match_bit_accurate() {
-        use crate::config::FidelityMode;
         let mut accurate = DenseCamBlock::new(16);
         let mut turbo = DenseCamBlock::with_fidelity(16, FidelityMode::Turbo);
         for cam in [&mut accurate, &mut turbo] {
@@ -430,10 +349,16 @@ mod tests {
                 cam.insert(v).unwrap();
             }
         }
-        for probe in [5u64, 100, 4095, 0, 77, 1, 4094] {
+        let probes = [5u64, 100, 4095, 0, 77, 1, 4094];
+        for probe in probes {
             let want = accurate.search(probe).unwrap();
             assert_eq!(want, turbo.search(probe).unwrap(), "turbo, probe {probe}");
         }
+        // Unwritten lanes must not answer key 0 on the batch path either.
+        assert_eq!(
+            accurate.search_batch(&probes).unwrap(),
+            turbo.search_batch(&probes).unwrap()
+        );
         assert_eq!(accurate.cycles(), turbo.cycles());
         turbo.reset();
         assert!(!turbo.search(5).unwrap().any(), "reset clears the shadow");
@@ -441,7 +366,6 @@ mod tests {
 
     #[test]
     fn turbo_tier_across_word_boundary() {
-        use crate::config::FidelityMode;
         let mut accurate = DenseCamBlock::new(130);
         let mut turbo = DenseCamBlock::with_fidelity(130, FidelityMode::Turbo);
         for cam in [&mut accurate, &mut turbo] {
@@ -460,7 +384,6 @@ mod tests {
 
     #[test]
     fn batch_kernel_matches_scalar_search() {
-        use crate::config::FidelityMode;
         for tier in [FidelityMode::BitAccurate, FidelityMode::Turbo] {
             // 130 lanes crosses a 64-lane word-group boundary.
             let mut reference = DenseCamBlock::with_fidelity(130, tier);

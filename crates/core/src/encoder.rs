@@ -91,16 +91,21 @@ impl MatchVector {
             other.len,
             self.len
         );
-        let word = offset / 64;
-        let shift = offset % 64;
         for (i, &w) in other.bits.iter().enumerate() {
-            if w == 0 {
-                continue;
-            }
-            self.bits[word + i] |= w << shift;
-            if shift != 0 && (w >> (64 - shift)) != 0 {
-                self.bits[word + i + 1] |= w >> (64 - shift);
-            }
+            self.or_word(offset + i * 64, w);
+        }
+    }
+
+    /// OR one packed word of match flags into this vector with its bit 0
+    /// landing at cell `at` (the caller keeps every set bit in range).
+    pub(crate) fn or_word(&mut self, at: usize, bits: u64) {
+        if bits == 0 {
+            return;
+        }
+        let (word, shift) = (at / 64, at % 64);
+        self.bits[word] |= bits << shift;
+        if shift != 0 && bits >> (64 - shift) != 0 {
+            self.bits[word + 1] |= bits >> (64 - shift);
         }
     }
 

@@ -74,6 +74,14 @@ pub(crate) struct ScrubState {
 }
 
 impl ScrubState {
+    /// Ledger `n` divergent entries found and repaired in place
+    /// (detection and repair are one step, so both totals move).
+    pub(crate) fn record_repairs(&mut self, n: u64) {
+        self.faults_detected += n;
+        self.faults_repaired += n;
+        self.sweep_faults += n;
+    }
+
     /// Snapshot the state into a public [`ScrubReport`].
     pub(crate) fn report(&self, current_tier: FidelityMode) -> ScrubReport {
         ScrubReport {

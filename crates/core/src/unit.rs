@@ -25,14 +25,16 @@ use std::collections::HashMap;
 #[cfg(feature = "obs")]
 use std::sync::Arc;
 
+use dsp48::word::mask_width;
 #[cfg(feature = "obs")]
 use dsp_cam_obs::{Event, ObsBatch, ObsSink, OpKind, ScopeId, Tier};
 use serde::{Deserialize, Serialize};
 
 use crate::block::CamBlock;
 use crate::bus::{BusCommand, Opcode};
+use crate::cell::Entry;
 use crate::config::{FidelityMode, ScrubPolicy, UnitConfig};
-use crate::encoder::{Encoding, MatchVector, SearchOutput};
+use crate::encoder::{MatchVector, SearchOutput};
 use crate::error::{CamError, ConfigError};
 use crate::faults::{FaultPlan, FaultSite};
 use crate::mask::RangeSpec;
@@ -130,10 +132,8 @@ struct GroupFill {
 struct GroupScratch {
     combined: MatchVector,
     block: MatchVector,
-    /// Staged keys of the batch currently walking the planes.
+    /// The unique keys one group answers, walked in batches.
     batch_keys: Vec<u64>,
-    /// Per-key per-block match vectors (batch kernel output).
-    batch_block: Vec<MatchVector>,
     /// Per-key group-combined match vectors.
     batch_combined: Vec<MatchVector>,
 }
@@ -194,12 +194,15 @@ impl CamUnit {
         let blocks = (0..config.num_blocks)
             .map(|_| CamBlock::new(config.block))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut unit = CamUnit {
+        Ok(CamUnit {
             config,
             blocks,
             routing: vec![0; config.num_blocks],
             groups: 1,
-            fill: Vec::new(),
+            fill: vec![GroupFill {
+                blocks: (0..config.num_blocks).collect(),
+                current: 0,
+            }],
             entries_per_group: 0,
             issue_cycles: 0,
             update_words: 0,
@@ -209,9 +212,7 @@ impl CamUnit {
             scratch: GroupScratch::default(),
             #[cfg(feature = "obs")]
             observer: None,
-        };
-        unit.rebuild_groups(1);
-        Ok(unit)
+        })
     }
 
     /// The unit configuration.
@@ -583,10 +584,7 @@ impl CamUnit {
             let repaired = self.blocks[b].scrub_cell(c);
             self.scrub.cells_audited += 1;
             if repaired > 0 {
-                let repaired = repaired as u64;
-                self.scrub.faults_detected += repaired;
-                self.scrub.faults_repaired += repaired;
-                self.scrub.sweep_faults += repaired;
+                self.scrub.record_repairs(repaired as u64);
                 #[cfg(feature = "obs")]
                 if let Some(started) = started {
                     repairs.push(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -616,18 +614,12 @@ impl CamUnit {
         // The write buffer's derived key index is shadow state like any
         // other: re-derive it from the golden FIFO and score divergence.
         let wbuf_divergent = self.wbuf.audit_index();
-        if wbuf_divergent > 0 {
-            self.scrub.faults_detected += wbuf_divergent;
-            self.scrub.faults_repaired += wbuf_divergent;
-            self.scrub.sweep_faults += wbuf_divergent;
-        }
+        self.scrub.record_repairs(wbuf_divergent);
         for (g, f) in self.fill.iter().enumerate() {
             for &b in &f.blocks {
                 if self.routing[b] != g {
                     self.routing[b] = g;
-                    self.scrub.faults_detected += 1;
-                    self.scrub.faults_repaired += 1;
-                    self.scrub.sweep_faults += 1;
+                    self.scrub.record_repairs(1);
                 }
             }
         }
@@ -646,79 +638,51 @@ impl CamUnit {
         }
     }
 
-    /// Sampled cross-check of one served answer against the DSP oracle.
+    /// Sampled cross-check of served answers against the DSP oracle.
     /// Every `crosscheck_interval`-th unique key is recomputed straight
     /// from cell state (counter-neutral); a mismatch proves the serving
     /// shadow diverged, so the answering group is bulk-repaired, the
-    /// *corrected* answer substituted into `result`, and the tier
-    /// degraded. Returns whether a divergence was caught.
-    fn crosscheck_result(&mut self, key: u64, result: &mut SearchResult) -> bool {
-        let Some(policy) = self.config.scrub else {
-            return false;
-        };
-        if policy.crosscheck_interval == 0 {
-            return false;
-        }
-        self.scrub.crosscheck_clock += 1;
-        if !self
-            .scrub
-            .crosscheck_clock
-            .is_multiple_of(policy.crosscheck_interval)
-        {
-            return false;
-        }
-        self.scrub.crosschecks += 1;
-        let group = result.group;
-        let block_size = self.config.block.block_size;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch
-            .combined
-            .reset(self.fill[group].blocks.len() * block_size);
-        for (slot, &b) in self.fill[group].blocks.iter().enumerate() {
-            self.blocks[b].oracle_vector_into(key, &mut scratch.block);
-            scratch
-                .combined
-                .or_offset(&scratch.block, slot * block_size);
-        }
-        let expected = self.config.block.encoding.encode(&scratch.combined);
-        self.scratch = scratch;
-        if expected == result.output {
-            return false;
-        }
-        // The serving shadow lied. Repair the whole answering group from
-        // the oracle, serve the oracle's answer, and fall back to the
-        // oracle tier.
-        self.scrub.divergences += 1;
-        let block_ids = self.fill[group].blocks.clone();
-        let repaired: usize = block_ids
-            .into_iter()
-            .map(|b| self.blocks[b].scrub_all())
-            .sum();
-        let repaired = repaired as u64;
-        self.scrub.faults_detected += repaired;
-        self.scrub.faults_repaired += repaired;
-        self.scrub.sweep_faults += repaired;
-        self.scrub.clean_sweeps = 0;
-        result.output = expected;
-        self.degrade_tier();
-        true
-    }
-
-    /// Cross-check a batch of served answers (same sampling clock as
-    /// [`CamUnit::crosscheck_result`], advanced once per answer).
-    /// Returns the first divergence as `(group, key)` for strict-mode
-    /// error reporting; every caught divergence is repaired and
-    /// corrected regardless.
+    /// *corrected* answer substituted into `results`, and the tier
+    /// degraded. Returns the first divergence as `(group, key)` for
+    /// strict-mode error reporting.
     fn crosscheck_results(
         &mut self,
         keys: &[u64],
         results: &mut [SearchResult],
     ) -> Option<(usize, u64)> {
+        let policy = self.config.scrub.filter(|p| p.crosscheck_interval > 0)?;
         let mut first = None;
         for (&key, result) in keys.iter().zip(results.iter_mut()) {
-            if self.crosscheck_result(key, result) && first.is_none() {
-                first = Some((result.group, key));
+            self.scrub.crosscheck_clock += 1;
+            if !self
+                .scrub
+                .crosscheck_clock
+                .is_multiple_of(policy.crosscheck_interval)
+            {
+                continue;
             }
+            self.scrub.crosschecks += 1;
+            let group = result.group;
+            let expected = self
+                .group_result(group, key, |block, k, out| block.oracle_vector_into(k, out))
+                .output;
+            if expected == result.output {
+                continue;
+            }
+            // The serving shadow lied. Repair the whole answering group
+            // from the oracle, serve the oracle's answer, and fall back to
+            // the oracle tier.
+            self.scrub.divergences += 1;
+            let repaired: usize = self.fill[group]
+                .blocks
+                .iter()
+                .map(|&b| self.blocks[b].scrub_all())
+                .sum();
+            self.scrub.record_repairs(repaired as u64);
+            self.scrub.clean_sweeps = 0;
+            result.output = expected;
+            self.degrade_tier();
+            first = first.or(Some((group, key)));
         }
         first
     }
@@ -774,17 +738,28 @@ impl CamUnit {
         });
     }
 
-    fn rebuild_groups(&mut self, m: usize) {
-        let n = self.config.num_blocks / m;
-        self.groups = m;
-        self.routing = (0..self.config.num_blocks).map(|b| b / n).collect();
-        self.fill = (0..m)
+    /// Install a Routing Table partitioning the blocks into `groups`
+    /// groups, each group's Block Address Controller filling its blocks
+    /// in address order — the shared body of both Routing Table writes.
+    /// Staged writes retire first so per-block counters converge with
+    /// the inline path; then every block is cleared, because the
+    /// all-groups replication invariant cannot survive a repartition.
+    /// One issue cycle.
+    fn repartition(&mut self, groups: usize, routing: Vec<usize>) {
+        self.flush_write_buffer();
+        for block in &mut self.blocks {
+            block.reset();
+        }
+        self.fill = (0..groups)
             .map(|g| GroupFill {
-                blocks: (g * n..(g + 1) * n).collect(),
+                blocks: (0..routing.len()).filter(|&b| routing[b] == g).collect(),
                 current: 0,
             })
             .collect();
+        self.groups = groups;
+        self.routing = routing;
         self.entries_per_group = 0;
+        self.issue_cycles += 1;
     }
 
     /// Reconfigure the group count `M` at runtime (the user kernel writes
@@ -802,14 +777,8 @@ impl CamUnit {
                 blocks: self.config.num_blocks,
             });
         }
-        // Retire staged writes first so per-block counters converge with
-        // the inline path before contents are cleared.
-        self.flush_write_buffer();
-        for block in &mut self.blocks {
-            block.reset();
-        }
-        self.rebuild_groups(m);
-        self.issue_cycles += 1;
+        let n = self.config.num_blocks / m;
+        self.repartition(m, (0..self.config.num_blocks).map(|b| b / n).collect());
         #[cfg(feature = "obs")]
         self.trace_event(Event::Issue {
             kind: OpKind::ConfigureGroups,
@@ -840,20 +809,9 @@ impl CamUnit {
                 groups: self.groups,
             });
         }
-        self.flush_write_buffer();
-        self.routing[block] = group;
-        for b in &mut self.blocks {
-            b.reset();
-        }
-        let routing = self.routing.clone();
-        self.fill = (0..self.groups)
-            .map(|g| GroupFill {
-                blocks: (0..routing.len()).filter(|&b| routing[b] == g).collect(),
-                current: 0,
-            })
-            .collect();
-        self.entries_per_group = 0;
-        self.issue_cycles += 1;
+        let mut routing = self.routing.clone();
+        routing[block] = group;
+        self.repartition(self.groups, routing);
         #[cfg(feature = "obs")]
         self.trace_event(Event::Issue {
             kind: OpKind::RoutingWrite,
@@ -878,36 +836,6 @@ impl CamUnit {
             .map(|(g, _)| g)
     }
 
-    /// Distribute the blocks into per-group buckets of mutable
-    /// references, each bucket in the group's fill order. Groups own
-    /// disjoint block sets (the Routing Table is a partition), which is
-    /// what lets every bucket hold its `&mut` borrows at once.
-    fn group_shards<'a>(
-        blocks: &'a mut [CamBlock],
-        fill: &[GroupFill],
-    ) -> Vec<Vec<&'a mut CamBlock>> {
-        let mut owner: Vec<Option<(usize, usize)>> = vec![None; blocks.len()];
-        for (g, f) in fill.iter().enumerate() {
-            for (pos, &b) in f.blocks.iter().enumerate() {
-                owner[b] = Some((g, pos));
-            }
-        }
-        let mut buckets: Vec<Vec<(usize, &mut CamBlock)>> =
-            (0..fill.len()).map(|_| Vec::new()).collect();
-        for (b, block) in blocks.iter_mut().enumerate() {
-            if let Some((g, pos)) = owner[b] {
-                buckets[g].push((pos, block));
-            }
-        }
-        buckets
-            .into_iter()
-            .map(|mut bucket| {
-                bucket.sort_by_key(|&(pos, _)| pos);
-                bucket.into_iter().map(|(_, block)| block).collect()
-            })
-            .collect()
-    }
-
     /// Update: replicate `words` to every group and fill round-robin
     /// (Section III-C.2). Atomic: either every group accepts every word or
     /// nothing is written.
@@ -917,48 +845,79 @@ impl CamUnit {
     /// * [`CamError::Full`] if a group lacks space;
     /// * [`CamError::ValueTooWide`] for words beyond the data width.
     pub fn update(&mut self, words: &[u64]) -> Result<(), CamError> {
-        if words.is_empty() {
+        self.write_entries(words)
+    }
+
+    /// The unit's one write path, behind [`CamUnit::update`],
+    /// [`CamUnit::update_ranges`] and [`CamUnit::update_masked`]: reject
+    /// the whole batch — kind, then capacity, then width — before
+    /// anything is written, replicate it to every group (staged in the
+    /// write buffer when one is enabled), then charge the issue counters,
+    /// trace and scrub once. An empty batch is a no-op.
+    fn write_entries<E: Entry>(&mut self, entries: &[E]) -> Result<(), CamError> {
+        if entries.is_empty() {
             return Ok(());
         }
-        if words.len() > self.free_per_group() {
+        if E::KIND.is_some_and(|kind| kind != self.config.block.cell.kind) {
+            return Err(CamError::KindMismatch);
+        }
+        let n = entries.len();
+        if n > self.free_per_group() {
             return Err(CamError::Full {
-                rejected: words.len() - self.free_per_group(),
+                rejected: n - self.free_per_group(),
                 group: self.limiting_group(),
             });
         }
-        let limit = mask_limit(self.config.block.cell.data_width);
-        if let Some(&bad) = words.iter().find(|&&w| w > limit) {
-            return Err(CamError::ValueTooWide {
-                value: bad,
-                data_width: self.config.block.cell.data_width,
-            });
+        let data_width = self.config.block.cell.data_width;
+        let limit = mask_width(data_width);
+        if let Some(value) = entries.iter().map(|e| e.width_probe()).find(|&v| v > limit) {
+            return Err(CamError::ValueTooWide { value, data_width });
         }
-        if self.wbuf_enabled() {
-            self.absorb_insert(words);
-        } else {
-            self.apply_words_physical(words);
+        match E::as_words(entries) {
+            // Only binary units buffer, and they only take plain words.
+            Some(words) if self.wbuf_enabled() => self.absorb_insert(words),
+            _ => self.apply_entries_physical(entries),
         }
-        self.entries_per_group += words.len();
-        let beats = words.len().div_ceil(self.config.words_per_beat()) as u64;
+        self.entries_per_group += n;
+        let beats = n.div_ceil(self.config.words_per_beat()) as u64;
         self.issue_cycles += beats;
-        self.update_words += words.len() as u64;
+        self.update_words += n as u64;
         #[cfg(feature = "obs")]
         self.trace_event(Event::Update {
-            words: words.len() as u32,
+            words: n as u32,
             beats: beats as u32,
         });
         self.scrub_step();
         Ok(())
     }
 
-    /// Replicate `words` into every group physically — the write engine
-    /// shared by the inline update path and the write-buffer drainer.
-    /// Admission must already be checked; no unit-level counters move
-    /// here — block-level counters accrue as the cells are written.
-    fn apply_words_physical(&mut self, words: &[u64]) {
-        let shards = Self::group_shards(&mut self.blocks, &self.fill);
-        for (fill, mut blocks) in self.fill.iter_mut().zip(shards) {
-            fill.current = write_group_words(&mut blocks, fill.current, words);
+    /// Replicate `entries` into every group physically, each group
+    /// filling its blocks in order from its Block Address Controller's
+    /// position — the write engine shared by the inline update path and
+    /// the write-buffer drainer. Admission must already be checked; no
+    /// unit-level counters move here — block-level counters accrue as
+    /// the cells are written. A (custom-routed) group with no blocks
+    /// stores nothing.
+    fn apply_entries_physical<E: Entry>(&mut self, entries: &[E]) {
+        for fill in &mut self.fill {
+            let mut remaining = entries;
+            while !fill.blocks.is_empty() && !remaining.is_empty() {
+                let block = &mut self.blocks[fill.blocks[fill.current]];
+                let (head, tail) = remaining.split_at(remaining.len().min(block.free_slots()));
+                if !head.is_empty() {
+                    block
+                        .write_entries(head)
+                        .expect("admission was checked before writing");
+                }
+                remaining = tail;
+                if !remaining.is_empty() {
+                    fill.current += 1;
+                    debug_assert!(
+                        fill.current < fill.blocks.len(),
+                        "capacity was checked before writing"
+                    );
+                }
+            }
         }
     }
 
@@ -982,17 +941,15 @@ impl CamUnit {
     /// the inline write path after flushing everything in front of it).
     fn absorb_insert(&mut self, words: &[u64]) {
         let capacity = self.wbuf_capacity();
-        if words.len() > capacity {
-            self.wbuf.overflows += 1;
-            self.flush_write_buffer();
-            self.apply_words_physical(words);
-            return;
-        }
         if self.wbuf.depth() + words.len() > capacity {
             self.wbuf.overflows += 1;
             self.flush_write_buffer();
         }
-        self.wbuf.push_insert(words, self.issue_cycles);
+        if words.len() > capacity {
+            self.apply_entries_physical(words);
+        } else {
+            self.wbuf.push_insert(words, self.issue_cycles);
+        }
     }
 
     /// Stage a delete of (masked) `key`, returning whether the delete
@@ -1047,7 +1004,7 @@ impl CamUnit {
         if self.wbuf.is_empty() {
             return;
         }
-        let limit = mask_limit(self.config.block.cell.data_width);
+        let limit = mask_width(self.config.block.cell.data_width);
         if keys.iter().any(|&k| self.wbuf.touched(k & limit)) {
             self.wbuf.search_flushes += 1;
             self.flush_write_buffer();
@@ -1074,7 +1031,9 @@ impl CamUnit {
             #[cfg(feature = "obs")]
             residencies.push(residency);
             match op {
-                StagedOp::Insert { words, .. } => self.apply_words_physical(&words),
+                StagedOp::Insert { words, .. } => {
+                    self.apply_entries_physical(&words);
+                }
                 StagedOp::Tombstone { key, .. } => {
                     self.apply_delete_physical(key);
                 }
@@ -1122,54 +1081,14 @@ impl CamUnit {
     }
 
     /// RMCAM update path: replicate power-of-two ranges to every group.
+    /// Atomic like [`CamUnit::update`].
     ///
     /// # Errors
     ///
-    /// As [`CamUnit::update`], plus [`CamError::KindMismatch`] on
-    /// non-range units.
+    /// [`CamError::KindMismatch`] on non-range units, then as
+    /// [`CamUnit::update`] (a base beyond the width is `ValueTooWide`).
     pub fn update_ranges(&mut self, ranges: &[RangeSpec]) -> Result<(), CamError> {
-        if ranges.is_empty() {
-            return Ok(());
-        }
-        if self.config.block.cell.kind != crate::kind::CamKind::RangeMatching {
-            return Err(CamError::KindMismatch);
-        }
-        if ranges.len() > self.free_per_group() {
-            return Err(CamError::Full {
-                rejected: ranges.len() - self.free_per_group(),
-                group: self.limiting_group(),
-            });
-        }
-        for g in 0..self.groups {
-            if self.fill[g].blocks.is_empty() {
-                continue;
-            }
-            let mut remaining = ranges;
-            while !remaining.is_empty() {
-                let fill = &mut self.fill[g];
-                let block_idx = fill.blocks[fill.current];
-                let free = self.blocks[block_idx].free_slots();
-                let take = remaining.len().min(free);
-                if take > 0 {
-                    self.blocks[block_idx].update_ranges(&remaining[..take])?;
-                    remaining = &remaining[take..];
-                }
-                if !remaining.is_empty() {
-                    self.fill[g].current += 1;
-                }
-            }
-        }
-        self.entries_per_group += ranges.len();
-        let beats = ranges.len().div_ceil(self.config.words_per_beat()) as u64;
-        self.issue_cycles += beats;
-        self.update_words += ranges.len() as u64;
-        #[cfg(feature = "obs")]
-        self.trace_event(Event::Update {
-            words: ranges.len() as u32,
-            beats: beats as u32,
-        });
-        self.scrub_step();
-        Ok(())
+        self.write_entries(ranges)
     }
 
     /// The Routing Compute module's key-to-group mapping for single-query
@@ -1187,16 +1106,22 @@ impl CamUnit {
     /// infallible even in strict mode; use [`CamUnit::search_group`] to
     /// surface [`CamError::ShadowDivergence`].
     pub fn search(&mut self, key: u64) -> SearchResult {
+        self.search_single(self.route_key(key), key).0
+    }
+
+    /// The single-key engine behind [`CamUnit::search`] and
+    /// [`CamUnit::search_group`]: the (corrected) answer from `group`
+    /// plus the `(group, key)` divergence the sampled cross-check caught.
+    fn search_single(&mut self, group: usize, key: u64) -> (SearchResult, Option<(usize, u64)>) {
         self.sync_for_keys(&[key]);
-        let group = self.route_key(key);
         self.issue_cycles += 1;
         self.search_count += 1;
-        let mut result = self.search_in_group(group, key);
-        self.crosscheck_result(key, &mut result);
+        let mut result = self.group_result(group, key, CamBlock::search_vector_into);
+        let diverged = self.crosscheck_results(&[key], std::slice::from_mut(&mut result));
         self.scrub_step();
         #[cfg(feature = "obs")]
-        self.trace_single(OpKind::Search, key, &result);
-        result
+        self.trace_issue(OpKind::Search, &[key], std::slice::from_ref(&result));
+        (result, diverged)
     }
 
     /// Multi-query search: up to `M` keys, key *i* served by group *i*,
@@ -1243,12 +1168,12 @@ impl CamUnit {
         let mut results: Vec<SearchResult> = keys
             .iter()
             .enumerate()
-            .map(|(g, &key)| self.search_in_group(g, key))
+            .map(|(group, &key)| self.group_result(group, key, CamBlock::search_vector_into))
             .collect();
         let diverged = self.crosscheck_results(keys, &mut results);
         self.scrub_step();
         #[cfg(feature = "obs")]
-        self.trace_multi(keys, &results);
+        self.trace_issue(OpKind::SearchMulti, keys, &results);
         Ok((results, diverged))
     }
 
@@ -1312,29 +1237,14 @@ impl CamUnit {
             });
             slots.push(slot);
         }
-        let groups = self.groups;
         #[cfg(feature = "obs")]
         let issue_base = self.issue_cycles;
-        self.issue_cycles += unique.len().div_ceil(groups) as u64;
+        self.issue_cycles += unique.len().div_ceil(self.groups) as u64;
         self.search_count += unique.len() as u64;
-        let batch = self.config.batch_width;
-        let block_size = self.config.block.block_size;
-        let encoding = self.config.block.encoding;
         let mut scratch = std::mem::take(&mut self.scratch);
-        let shards = Self::group_shards(&mut self.blocks, &self.fill);
         let mut answered = Vec::with_capacity(unique.len());
-        for (g, mut blocks) in shards.into_iter().enumerate() {
-            stream_group_batches(
-                &mut blocks,
-                &unique,
-                g,
-                groups,
-                batch,
-                block_size,
-                encoding,
-                &mut scratch,
-                &mut answered,
-            );
+        for group in 0..self.groups {
+            self.stream_group(group, &unique, &mut scratch, &mut answered);
         }
         self.scratch = scratch;
         answered.sort_by_key(|&(j, _)| j);
@@ -1349,6 +1259,56 @@ impl CamUnit {
             .map(|slot| answers[slot].clone())
             .collect();
         (results, diverged)
+    }
+
+    /// Answer one group's share of a deduplicated key stream — unique
+    /// keys `j ≡ group (mod M)` — in key-parallel batches of up to
+    /// [`UnitConfig::batch_width`] keys: each batch walks the group's
+    /// blocks once, each block OR-ing its answers straight into one
+    /// group-wide vector per key at its slot offset — the W-wide sibling
+    /// of [`CamUnit::group_result`]. Pushes `(j, result)` pairs onto `out`;
+    /// the reused scratch keeps steady-state streams allocation-free.
+    fn stream_group(
+        &mut self,
+        group: usize,
+        unique: &[u64],
+        scratch: &mut GroupScratch,
+        out: &mut Vec<(usize, SearchResult)>,
+    ) {
+        let batch = self
+            .config
+            .batch_width
+            .clamp(1, crate::bitslice::MAX_BATCH_WIDTH);
+        let block_size = self.config.block.block_size;
+        let blocks = &self.fill[group].blocks;
+        scratch.batch_keys.clear();
+        scratch
+            .batch_keys
+            .extend(unique.iter().skip(group).step_by(self.groups));
+        for (c, keys) in scratch.batch_keys.chunks(batch).enumerate() {
+            if scratch.batch_combined.len() < keys.len() {
+                scratch
+                    .batch_combined
+                    .resize_with(keys.len(), MatchVector::default);
+            }
+            for combined in &mut scratch.batch_combined[..keys.len()] {
+                combined.reset(blocks.len() * block_size);
+            }
+            for (slot, &b) in blocks.iter().enumerate() {
+                self.blocks[b].search_batch_or(
+                    keys,
+                    &mut scratch.batch_combined[..keys.len()],
+                    slot * block_size,
+                );
+            }
+            for (k, combined) in scratch.batch_combined[..keys.len()].iter().enumerate() {
+                let output = self.config.block.encoding.encode(combined);
+                out.push((
+                    group + (c * batch + k) * self.groups,
+                    SearchResult { group, output },
+                ));
+            }
+        }
     }
 
     /// Search a specific group (the case-study accelerator addresses
@@ -1367,37 +1327,35 @@ impl CamUnit {
                 groups: self.groups,
             });
         }
-        self.sync_for_keys(&[key]);
-        self.issue_cycles += 1;
-        self.search_count += 1;
-        let mut result = self.search_in_group(group, key);
-        let diverged = self.crosscheck_result(key, &mut result);
-        self.scrub_step();
-        #[cfg(feature = "obs")]
-        self.trace_single(OpKind::Search, key, &result);
-        self.strict_check(diverged.then_some((group, key)))?;
+        let (result, diverged) = self.search_single(group, key);
+        self.strict_check(diverged)?;
         Ok(result)
     }
 
-    fn search_in_group(&mut self, group: usize, key: u64) -> SearchResult {
-        let mut scratch = std::mem::take(&mut self.scratch);
+    /// Answer `key` from `group`: `probe` fills each block's match
+    /// vector — the configured tier's broadcast for a search, the DSP
+    /// oracle for the cross-check's reference answer — and the vectors
+    /// are ORed at their group-local offsets and encoded.
+    fn group_result(
+        &mut self,
+        group: usize,
+        key: u64,
+        mut probe: impl FnMut(&mut CamBlock, u64, &mut MatchVector),
+    ) -> SearchResult {
         let block_size = self.config.block.block_size;
-        let (fill, blocks) = (&self.fill, &mut self.blocks);
+        let mut scratch = std::mem::take(&mut self.scratch);
         scratch
             .combined
-            .reset(fill[group].blocks.len() * block_size);
-        for (slot, &b) in fill[group].blocks.iter().enumerate() {
-            blocks[b].search_vector_into(key, &mut scratch.block);
+            .reset(self.fill[group].blocks.len() * block_size);
+        for (slot, &b) in self.fill[group].blocks.iter().enumerate() {
+            probe(&mut self.blocks[b], key, &mut scratch.block);
             scratch
                 .combined
                 .or_offset(&scratch.block, slot * block_size);
         }
-        let result = SearchResult {
-            group,
-            output: self.config.block.encoding.encode(&scratch.combined),
-        };
+        let output = self.config.block.encoding.encode(&scratch.combined);
         self.scratch = scratch;
-        result
+        SearchResult { group, output }
     }
 
     /// Delete the first entry matching `key` (extension beyond the paper:
@@ -1415,7 +1373,7 @@ impl CamUnit {
     /// issue cycle and emits no observability event.
     pub fn delete_first(&mut self, key: u64) -> bool {
         let deleted_any = if self.wbuf_enabled() {
-            let key = key & mask_limit(self.config.block.cell.data_width);
+            let key = key & mask_width(self.config.block.cell.data_width);
             self.absorb_delete(key)
         } else {
             self.apply_delete_physical(key)
@@ -1438,12 +1396,10 @@ impl CamUnit {
     /// write-buffer drainer. No unit-level counters move here.
     fn apply_delete_physical(&mut self, key: u64) -> bool {
         let mut deleted_any = false;
-        for g in 0..self.groups {
-            let block_ids = self.fill[g].blocks.clone();
-            for (pos, &b) in block_ids.iter().enumerate() {
+        for fill in &mut self.fill {
+            for (pos, &b) in fill.blocks.iter().enumerate() {
                 if let Some(cell) = self.blocks[b].probe_first(key) {
                     self.blocks[b].invalidate(cell);
-                    let fill = &mut self.fill[g];
                     fill.current = fill.current.min(pos);
                     deleted_any = true;
                     break;
@@ -1461,39 +1417,7 @@ impl CamUnit {
     /// As [`CamUnit::update`], plus [`CamError::KindMismatch`] for
     /// non-ternary units.
     pub fn update_masked(&mut self, value: u64, dont_care: u64) -> Result<(), CamError> {
-        if self.config.block.cell.kind != crate::kind::CamKind::Ternary {
-            return Err(CamError::KindMismatch);
-        }
-        if self.free_per_group() == 0 {
-            return Err(CamError::Full {
-                rejected: 1,
-                group: self.limiting_group(),
-            });
-        }
-        for g in 0..self.groups {
-            if self.fill[g].blocks.is_empty() {
-                continue;
-            }
-            // Spill to the next block when the current one is full.
-            loop {
-                let fill = &mut self.fill[g];
-                let block_idx = fill.blocks[fill.current];
-                if self.blocks[block_idx].is_full() {
-                    fill.current += 1;
-                    debug_assert!(fill.current < fill.blocks.len());
-                    continue;
-                }
-                self.blocks[block_idx].update_masked(value, dont_care)?;
-                break;
-            }
-        }
-        self.entries_per_group += 1;
-        self.issue_cycles += 1;
-        self.update_words += 1;
-        #[cfg(feature = "obs")]
-        self.trace_event(Event::Update { words: 1, beats: 1 });
-        self.scrub_step();
-        Ok(())
+        self.write_entries(&[(value, dont_care)])
     }
 
     /// Assert the global reset: clear every block and fill pointer.
@@ -1576,38 +1500,15 @@ impl CamUnit {
         }
     }
 
-    /// Trace a single-key search: Issue plus Match/Miss, one lock.
+    /// Trace one issue cycle: an Issue plus Match/Miss per served key,
+    /// one lock.
     #[cfg(feature = "obs")]
-    fn trace_single(&self, kind: OpKind, key: u64, result: &SearchResult) {
+    fn trace_issue(&self, kind: OpKind, keys: &[u64], results: &[SearchResult]) {
         let Some(obs) = &self.observer else { return };
         let cycle = self.issue_cycles;
         obs.sink.with(|o| {
-            o.record(
-                cycle,
-                Event::Issue {
-                    kind,
-                    group: result.group as u32,
-                },
-            );
-            record_outcome(o, cycle, key, result);
-        });
-    }
-
-    /// Trace a multi-query batch: one Issue plus outcome per key.
-    #[cfg(feature = "obs")]
-    fn trace_multi(&self, keys: &[u64], results: &[SearchResult]) {
-        let Some(obs) = &self.observer else { return };
-        let cycle = self.issue_cycles;
-        obs.sink.with(|o| {
-            for (g, (&key, result)) in keys.iter().zip(results).enumerate() {
-                o.record(
-                    cycle,
-                    Event::Issue {
-                        kind: OpKind::SearchMulti,
-                        group: g as u32,
-                    },
-                );
-                record_outcome(o, cycle, key, result);
+            for (&key, result) in keys.iter().zip(results) {
+                record_served(o, cycle, kind, key, result);
             }
         });
     }
@@ -1648,14 +1549,7 @@ impl CamUnit {
             );
             for (j, (&key, result)) in unique.iter().zip(answers).enumerate() {
                 let cycle = base + (j / groups) as u64;
-                o.record(
-                    cycle,
-                    Event::Issue {
-                        kind: OpKind::SearchStream,
-                        group: result.group as u32,
-                    },
-                );
-                record_outcome(o, cycle, key, result);
+                record_served(o, cycle, OpKind::SearchStream, key, result);
             }
         });
     }
@@ -1733,10 +1627,11 @@ impl CamUnit {
     }
 }
 
-/// Record a search outcome as a Match or Miss event.
+/// Record one served search: its Issue, then a Match or Miss event.
 #[cfg(feature = "obs")]
-fn record_outcome(o: &mut ObsBatch<'_>, cycle: u64, key: u64, result: &SearchResult) {
+fn record_served(o: &mut ObsBatch<'_>, cycle: u64, kind: OpKind, key: u64, result: &SearchResult) {
     let group = result.group as u32;
+    o.record(cycle, Event::Issue { kind, group });
     if result.is_match() {
         o.record(
             cycle,
@@ -1759,108 +1654,6 @@ fn tier_of(fidelity: crate::config::FidelityMode) -> Tier {
         crate::config::FidelityMode::BitAccurate => Tier::BitAccurate,
         crate::config::FidelityMode::Turbo => Tier::Turbo,
     }
-}
-
-fn mask_limit(width: u32) -> u64 {
-    if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    }
-}
-
-/// Broadcast a whole batch of keys to one group's blocks and combine the
-/// per-block match vectors into `scratch.batch_combined[k]` for each key
-/// — the W-wide sibling of [`CamUnit::search_in_group`], built on
-/// [`CamBlock::search_batch_into`] so the `Turbo` tier walks the planes
-/// once per block for the whole batch.
-fn search_group_batch_into(
-    blocks: &mut [&mut CamBlock],
-    keys: &[u64],
-    block_size: usize,
-    scratch: &mut GroupScratch,
-) {
-    if scratch.batch_combined.len() < keys.len() {
-        scratch
-            .batch_combined
-            .resize_with(keys.len(), MatchVector::default);
-    }
-    for combined in &mut scratch.batch_combined[..keys.len()] {
-        combined.reset(blocks.len() * block_size);
-    }
-    for (slot, block) in blocks.iter_mut().enumerate() {
-        block.search_batch_into(keys, &mut scratch.batch_block);
-        for (combined, vector) in scratch
-            .batch_combined
-            .iter_mut()
-            .zip(&scratch.batch_block[..keys.len()])
-        {
-            combined.or_offset(vector, slot * block_size);
-        }
-    }
-}
-
-/// Answer one group's share of a deduplicated key stream — the unique
-/// keys `j ≡ group (mod groups)` — in key-parallel batches of up to
-/// `batch` keys, pushing `(j, result)` pairs onto `out`, reusing the
-/// unit's [`GroupScratch`] so steady-state streams allocate nothing per
-/// batch.
-#[allow(clippy::too_many_arguments)] // the stream's full per-group geometry
-fn stream_group_batches(
-    blocks: &mut [&mut CamBlock],
-    unique: &[u64],
-    group: usize,
-    groups: usize,
-    batch: usize,
-    block_size: usize,
-    encoding: Encoding,
-    scratch: &mut GroupScratch,
-    out: &mut Vec<(usize, SearchResult)>,
-) {
-    let batch = batch.clamp(1, crate::bitslice::MAX_BATCH_WIDTH);
-    let mut j = group;
-    while j < unique.len() {
-        let start = j;
-        let mut keys = std::mem::take(&mut scratch.batch_keys);
-        keys.clear();
-        while j < unique.len() && keys.len() < batch {
-            keys.push(unique[j]);
-            j += groups;
-        }
-        search_group_batch_into(blocks, &keys, block_size, scratch);
-        for (k, combined) in scratch.batch_combined[..keys.len()].iter().enumerate() {
-            out.push((
-                start + k * groups,
-                SearchResult {
-                    group,
-                    output: encoding.encode(combined),
-                },
-            ));
-        }
-        scratch.batch_keys = keys;
-    }
-}
-
-/// Round-robin `words` into one group's blocks starting at fill position
-/// `current`; returns the new position. A (custom-routed) group with no
-/// blocks stores nothing.
-fn write_group_words(blocks: &mut [&mut CamBlock], mut current: usize, words: &[u64]) -> usize {
-    if blocks.is_empty() {
-        return current;
-    }
-    let mut remaining = words;
-    while !remaining.is_empty() {
-        let taken = blocks[current].update_partial(remaining);
-        remaining = &remaining[taken..];
-        if !remaining.is_empty() {
-            current += 1;
-            debug_assert!(
-                current < blocks.len(),
-                "capacity was checked before writing"
-            );
-        }
-    }
-    current
 }
 
 #[cfg(test)]

@@ -127,31 +127,61 @@ proptest! {
 
     #[test]
     fn range_unit_matches_reference(
-        ranges in proptest::collection::vec((0u64..0x1000, 0u32..8), 1..8),
+        batches in proptest::collection::vec(
+            proptest::collection::vec(
+                (prop_oneof![7 => 0u64..0x1000, 1 => 0x1_0000u64..0x2_0000], 0u32..8),
+                1..5,
+            ),
+            1..8,
+        ),
         keys in proptest::collection::vec(0u64..0x2000, 1..16),
     ) {
         let config = UnitConfig::builder()
             .kind(CamKind::RangeMatching)
             .data_width(16)
             .block_size(8)
-            .num_blocks(1)
+            .num_blocks(4)
             .bus_width(64)
             .build()
             .unwrap();
         let mut cam = CamUnit::new(config).unwrap();
-        let mut oracle = RefCam::new(8, 16, 0);
-        for (base, log2) in ranges {
-            let aligned = base & !((1u64 << log2) - 1);
-            let spec = RangeSpec::new(aligned, log2).unwrap();
-            cam.update_ranges(&[spec]).unwrap();
-            oracle.insert_range(spec);
-        }
-        for &k in &keys {
-            prop_assert_eq!(
-                cam.search(k).first_address(),
-                oracle.search(k),
-                "range divergence at key {:#x}", k
-            );
+        cam.configure_groups(2).unwrap();
+        let capacity = cam.capacity();
+        let mut oracle = RefCam::new(capacity, 16, 0);
+        for batch in batches {
+            let specs: Vec<RangeSpec> = batch
+                .iter()
+                .map(|&(base, log2)| RangeSpec::new(base & !((1u64 << log2) - 1), log2).unwrap())
+                .collect();
+            // Capacity is checked before width; a rejected batch lands nothing.
+            let expected = if oracle.len() + specs.len() > capacity {
+                Err(CamError::Full {
+                    rejected: oracle.len() + specs.len() - capacity,
+                    group: Some(0),
+                })
+            } else if let Some(wide) = specs.iter().find(|s| s.base >> 16 != 0) {
+                Err(CamError::ValueTooWide { value: wide.base, data_width: 16 })
+            } else {
+                Ok(())
+            };
+            let before = cam.snapshot();
+            prop_assert_eq!(cam.update_ranges(&specs), expected.clone());
+            if expected.is_ok() {
+                for &spec in &specs {
+                    oracle.insert_range(spec);
+                }
+            } else {
+                prop_assert_eq!(cam.snapshot(), before, "rejected batch must leave no trace");
+            }
+            for &k in &keys {
+                for g in 0..2 {
+                    prop_assert_eq!(
+                        cam.search_group(g, k).unwrap().first_address(),
+                        oracle.search(k),
+                        "group {} range divergence at key {:#x}", g, k
+                    );
+                }
+            }
         }
     }
 

@@ -83,6 +83,20 @@ echo "==> shard-failover example smoke run (fixed seed, default + obs)"
 cargo run -q --offline --example shard_failover
 cargo run -q --offline --example shard_failover --features obs
 
+# The remaining examples, run once each under default features: among
+# them database_index and packet_classifier are the only examples that
+# exercise range and per-entry ternary writes end to end, and
+# triangle_counting replays the paper's case study on a quarter-scale
+# as20000102 stand-in. Their outputs (RTL, VCD) land under target/.
+echo "==> example smoke runs (default)"
+for ex in quickstart packet_classifier database_index dynamic_groups \
+          stream_dedup rtl_export waveform_dump; do
+    echo "--- example: $ex"
+    cargo run -q --offline --example "$ex"
+done
+echo "--- example: triangle_counting as20000102 4"
+cargo run -q --offline --example triangle_counting as20000102 4
+
 echo "==> clippy + compile-check the obs example"
 cargo clippy --offline --features obs --example trace_report -- -D warnings
 
