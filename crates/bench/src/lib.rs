@@ -9,6 +9,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod artefact;
 pub mod cluster;
 pub mod failover;
 pub mod search_rates;

@@ -18,6 +18,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use dsp_cam_core::prelude::*;
+use dsp_cam_workload::percentile;
+
+use crate::artefact::Row;
 
 /// A search:update:delete operation ratio, in ops per round.
 #[derive(Debug, Clone, Copy)]
@@ -80,32 +83,24 @@ pub struct UpdateLatencyRow {
 }
 
 impl UpdateLatencyRow {
-    /// Buffered over inline update p99 — must stay at or under
-    /// [`UPDATE_P99_RATIO_CEILING`].
-    #[must_use]
-    pub fn p99_ratio(&self) -> f64 {
-        self.buffered_update_p99_ns / self.inline_update_p99_ns
-    }
-
-    /// Buffered over inline search throughput under writes — must stay
-    /// at or above [`SEARCH_UNDER_WRITES_FLOOR`] on the write-heavy mix.
-    #[must_use]
-    pub fn search_ratio(&self) -> f64 {
-        self.buffered_search_kps / self.inline_search_kps
+    /// The `update_queue_rows` entry, with buffered-over-inline ratios.
+    pub(crate) fn row(&self) -> Row {
+        let p99_ratio = self.buffered_update_p99_ns / self.inline_update_p99_ns;
+        let search_ratio = self.buffered_search_kps / self.inline_search_kps;
+        Row::default()
+            .int("entries", self.entries as u64)
+            .text("mix", self.mix.label())
+            .float("buffered_update_p50_ns", self.buffered_update_p50_ns, 0)
+            .float("buffered_update_p99_ns", self.buffered_update_p99_ns, 0)
+            .float("inline_update_p50_ns", self.inline_update_p50_ns, 0)
+            .float("inline_update_p99_ns", self.inline_update_p99_ns, 0)
+            .float("update_p99_buffered_over_inline", p99_ratio, 3)
+            .float("buffered_search_keys_per_sec", self.buffered_search_kps, 1)
+            .float("inline_search_keys_per_sec", self.inline_search_kps, 1)
+            .float("search_buffered_over_inline", search_ratio, 2)
+            .int("buffered_drained_ops", self.buffered_drained_ops)
     }
 }
-
-/// Release-mode ceiling on [`UpdateLatencyRow::p99_ratio`] at 8192
-/// entries under the write-heavy mix: absorbing an insert into the
-/// staging queue must cost at most half of applying it inline through
-/// the replicated groups, even at the latency tail.
-pub const UPDATE_P99_RATIO_CEILING: f64 = 0.5;
-
-/// Release-mode floor on [`UpdateLatencyRow::search_ratio`] at 8192
-/// entries under the write-heavy mix: with updates absorbed off the
-/// search path, mixed-stream search throughput must at least double
-/// over the inline baseline.
-pub const SEARCH_UNDER_WRITES_FLOOR: f64 = 2.0;
 
 /// Fresh inserts land far above the prefilled search range so in-window
 /// searches never touch a staged key (a touched-key search flushes the
@@ -297,22 +292,14 @@ pub fn measure_update_latency(
     UpdateLatencyRow {
         entries,
         mix,
-        buffered_update_p50_ns: percentile_ns(&mut buffered_ns, 50.0),
-        buffered_update_p99_ns: percentile_ns(&mut buffered_ns, 99.0),
-        inline_update_p50_ns: percentile_ns(&mut inline_ns, 50.0),
-        inline_update_p99_ns: percentile_ns(&mut inline_ns, 99.0),
+        buffered_update_p50_ns: percentile(&buffered_ns, 50.0) as f64,
+        buffered_update_p99_ns: percentile(&buffered_ns, 99.0) as f64,
+        inline_update_p50_ns: percentile(&inline_ns, 50.0) as f64,
+        inline_update_p99_ns: percentile(&inline_ns, 99.0) as f64,
         buffered_search_kps: b_keys as f64 / b_secs,
         inline_search_kps: i_keys as f64 / i_secs,
         buffered_drained_ops: buffered.write_buffer_report().drained_ops,
     }
-}
-
-/// Nearest-rank percentile over `samples` (sorted in place).
-fn percentile_ns(samples: &mut [u64], q: f64) -> f64 {
-    assert!(!samples.is_empty(), "percentile of an empty sample");
-    samples.sort_unstable();
-    let rank = ((q / 100.0) * samples.len() as f64).ceil() as usize;
-    samples[rank.clamp(1, samples.len()) - 1] as f64
 }
 
 /// Measure both canonical mixes at each of `sizes` entries.
@@ -370,17 +357,8 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_use_nearest_rank() {
-        let mut samples: Vec<u64> = (1..=100).collect();
-        assert!((percentile_ns(&mut samples, 50.0) - 50.0).abs() < 1e-9);
-        assert!((percentile_ns(&mut samples, 99.0) - 99.0).abs() < 1e-9);
-        let mut one = vec![7u64];
-        assert!((percentile_ns(&mut one, 99.0) - 7.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn measurement_is_sane_at_reduced_size() {
-        // The 0.5x / 2x floors are release-only (update_queue_smoke);
+        // The update-queue floors are release-only (update_queue_smoke);
         // in debug the measurement just has to produce finite, positive
         // numbers from a round count large enough to fill the p99 rank.
         let row = measure_update_latency(512, UpdateMix::WRITE_HEAVY, 5, 3);
@@ -389,7 +367,6 @@ mod tests {
         assert!(row.inline_update_p99_ns >= row.inline_update_p50_ns);
         assert!(row.buffered_search_kps > 0.0 && row.buffered_search_kps.is_finite());
         assert!(row.inline_search_kps > 0.0 && row.inline_search_kps.is_finite());
-        assert!(row.p99_ratio() > 0.0 && row.search_ratio() > 0.0);
         assert!(
             row.buffered_drained_ops > 0,
             "the buffered arm must actually have staged and drained writes"
@@ -433,9 +410,8 @@ mod tests {
         }
     }
 
-    /// Release-mode floor regression for the update queue: buffered
-    /// update p99 at most half of inline, and search throughput under
-    /// the write-heavy mix at least doubled, at 8192 entries. Run by
+    /// Release-mode regression for the `update_queue_rows` floors on the
+    /// write-heavy 8192-entry row. Run by
     /// `scripts/ci.sh` as
     /// `cargo test --release -p dsp-cam-bench -- --ignored`; too slow
     /// (and too noisy) for the default debug test pass, hence ignored.
@@ -443,21 +419,6 @@ mod tests {
     #[ignore = "release-mode perf smoke, run explicitly by scripts/ci.sh"]
     fn update_queue_smoke() {
         let row = measure_update_latency(8192, UpdateMix::WRITE_HEAVY, 120, 8);
-        assert!(
-            row.p99_ratio() <= UPDATE_P99_RATIO_CEILING,
-            "buffered update p99 must be <= {UPDATE_P99_RATIO_CEILING}x inline under \
-             50:45:5 at 8192 entries, got {:.3}x ({:.0} ns vs {:.0} ns)",
-            row.p99_ratio(),
-            row.buffered_update_p99_ns,
-            row.inline_update_p99_ns
-        );
-        assert!(
-            row.search_ratio() >= SEARCH_UNDER_WRITES_FLOOR,
-            "buffered search throughput must be >= {SEARCH_UNDER_WRITES_FLOOR}x inline under \
-             50:45:5 at 8192 entries, got {:.2}x ({:.0} vs {:.0} keys/s)",
-            row.search_ratio(),
-            row.buffered_search_kps,
-            row.inline_search_kps
-        );
+        crate::artefact::check("update_queue_rows", vec![row.row()]);
     }
 }

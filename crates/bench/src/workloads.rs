@@ -16,8 +16,6 @@
 //! fields are wall-clock noisy. `scripts/ci.sh` enforces the floors in
 //! release mode via [`workload_smoke`](self#release-floors).
 
-use std::io;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use dsp_cam_core::prelude::*;
@@ -26,10 +24,9 @@ use dsp_cam_workload::{
     streaming_cam, Arrival, OpMix, TraceCounts, WorkloadConfig,
 };
 
-use crate::failover::{
-    measure_degraded_mode, DegradedModeRow, DEGRADED_AVAILABILITY_FLOOR,
-    DEGRADED_RECOVERY_TICKS_CEILING,
-};
+use crate::artefact::Section::{Object, Rows};
+use crate::artefact::{self, Row, Value};
+use crate::failover::measure_degraded_mode;
 
 /// Ops in the `degraded_mode` scenario. The cycle-accurate cluster
 /// ingest loop is ~50× slower per op than the replay arms, so the
@@ -43,23 +40,6 @@ pub const SCENARIO_ENTRIES: usize = 8192;
 /// Ops per canonical scenario recorded in `BENCH_workloads.json`.
 pub const SCENARIO_OPS: u64 = 1_000_000;
 
-/// Regression floors and ceilings for one scenario. Throughput floors
-/// are wall-clock (release-mode only, sized ~3× under the reference
-/// machine); latency ceilings are in cycles and *deterministic* — a
-/// violated ceiling means the replay schedule itself changed, not that
-/// the machine was slow.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkloadFloors {
-    /// Minimum streaming-arm application ops/sec (wall clock, release).
-    pub streaming_min_ops_per_sec: f64,
-    /// Minimum direct-arm application ops/sec (wall clock, release).
-    pub direct_min_ops_per_sec: f64,
-    /// Ceiling on the p50 end-to-end retire latency in cycles.
-    pub p50_retire_cycles_ceiling: u64,
-    /// Ceiling on the p99 end-to-end retire latency in cycles.
-    pub p99_retire_cycles_ceiling: u64,
-}
-
 /// One canonical workload scenario: a name, the generator config, and
 /// whether the scenario unit runs its write buffer.
 #[derive(Debug, Clone)]
@@ -70,8 +50,6 @@ pub struct WorkloadScenario {
     pub workload: WorkloadConfig,
     /// Whether the unit runs the CAM-fronted write buffer.
     pub write_buffer: bool,
-    /// Release-mode regression floors.
-    pub floors: WorkloadFloors,
 }
 
 /// The three canonical scenarios behind `BENCH_workloads.json`:
@@ -105,14 +83,6 @@ pub fn canonical_scenarios() -> Vec<WorkloadScenario> {
                 ..base.clone()
             },
             write_buffer: false,
-            // Reference machine: ~200k ops/s streaming, ~174k direct;
-            // retire p50/p99/max 6/8/8 cycles at 1M ops.
-            floors: WorkloadFloors {
-                streaming_min_ops_per_sec: 60_000.0,
-                direct_min_ops_per_sec: 55_000.0,
-                p50_retire_cycles_ceiling: 12,
-                p99_retire_cycles_ceiling: 16,
-            },
         },
         WorkloadScenario {
             name: "write_heavy",
@@ -125,15 +95,6 @@ pub fn canonical_scenarios() -> Vec<WorkloadScenario> {
                 ..base.clone()
             },
             write_buffer: true,
-            // Reference machine: ~61k ops/s both arms (update-dominated,
-            // every write replicated into 4 groups); retire p50/p99/max
-            // 6/8/8 cycles at 1M ops.
-            floors: WorkloadFloors {
-                streaming_min_ops_per_sec: 20_000.0,
-                direct_min_ops_per_sec: 20_000.0,
-                p50_retire_cycles_ceiling: 12,
-                p99_retire_cycles_ceiling: 16,
-            },
         },
         WorkloadScenario {
             name: "bursty_zipfian",
@@ -149,15 +110,6 @@ pub fn canonical_scenarios() -> Vec<WorkloadScenario> {
                 ..base
             },
             write_buffer: true,
-            // Reference machine: ~188k ops/s streaming, ~217k direct;
-            // retire p50/p99/max 19/61/133 cycles at 1M ops — bursts
-            // queue behind the single issue slot, so the tail is real.
-            floors: WorkloadFloors {
-                streaming_min_ops_per_sec: 60_000.0,
-                direct_min_ops_per_sec: 65_000.0,
-                p50_retire_cycles_ceiling: 32,
-                p99_retire_cycles_ceiling: 96,
-            },
         },
     ]
 }
@@ -211,10 +163,36 @@ pub struct ScenarioResult {
 }
 
 impl ScenarioResult {
-    /// Streaming cycles per application op — the II = 1 sanity number.
-    #[must_use]
-    pub fn cycles_per_op(&self) -> f64 {
-        self.ticks as f64 / self.counts.app_ops() as f64
+    /// The `scenarios` entry of a run of `scenario`, with the streaming
+    /// cycles per application op (the II = 1 sanity number).
+    pub(crate) fn row(&self, scenario: &WorkloadScenario) -> Row {
+        let arrival = match scenario.workload.arrival {
+            Arrival::BackToBack => "back_to_back".to_string(),
+            Arrival::Uniform { gap } => format!("uniform_gap_{gap}"),
+            Arrival::Bursty {
+                mean_burst,
+                idle_ticks,
+            } => format!("bursty_{mean_burst}on_{idle_ticks}off"),
+        };
+        let cycles_per_op = self.ticks as f64 / self.counts.app_ops() as f64;
+        Row::default()
+            .text("name", self.name)
+            .text("mix", scenario.workload.mix.label())
+            .float("zipf_s", scenario.workload.zipf_s, 2)
+            .text("arrival", arrival)
+            .int("stream_batch", scenario.workload.stream_batch as u64)
+            .field("write_buffer", Value::Bool(scenario.write_buffer))
+            .int("app_ops", self.counts.app_ops())
+            .int("evictions", self.counts.evictions)
+            .int("trace_digest", self.digest)
+            .int("streaming_ticks", self.ticks)
+            .float("cycles_per_op", cycles_per_op, 3)
+            .float("streaming_ops_per_sec", self.streaming_ops_per_sec, 1)
+            .float("direct_ops_per_sec", self.direct_ops_per_sec, 1)
+            .int("retire_p50_cycles", self.p50_retire_cycles)
+            .int("retire_p99_cycles", self.p99_retire_cycles)
+            .int("retire_max_cycles", self.max_retire_cycles)
+            .int("search_hits", self.search_hits)
     }
 }
 
@@ -277,205 +255,30 @@ pub fn run_scenario(scenario: &WorkloadScenario, ops: u64) -> ScenarioResult {
     }
 }
 
-/// Serialise scenario results (and their floors) to
-/// `BENCH_workloads.json` at the repository root. Returns the written
-/// path.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_bench_workloads_json(
-    source: &str,
-    runs: &[(WorkloadScenario, ScenarioResult)],
-    degraded: Option<&DegradedModeRow>,
-) -> io::Result<PathBuf> {
-    let path = PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_workloads.json"
-    ));
-    let mut body = String::new();
-    body.push_str("{\n");
-    body.push_str(&format!("  \"source\": \"{source}\",\n"));
-    body.push_str(
-        "  \"metric\": \"trace-driven mixed-op workloads: wall-clock ops/sec per replay arm \
-         (noisy) and end-to-end retire-latency percentiles in cycles (deterministic)\",\n",
-    );
-    body.push_str("  \"scenarios\": [\n");
-    for (i, (scenario, result)) in runs.iter().enumerate() {
-        let arrival = match scenario.workload.arrival {
-            Arrival::BackToBack => "back_to_back".to_string(),
-            Arrival::Uniform { gap } => format!("uniform_gap_{gap}"),
-            Arrival::Bursty {
-                mean_burst,
-                idle_ticks,
-            } => format!("bursty_{mean_burst}on_{idle_ticks}off"),
-        };
-        body.push_str(&format!(
-            "    {{\"name\": \"{}\", \"mix\": \"{}\", \"zipf_s\": {:.2}, \
-             \"arrival\": \"{}\", \"stream_batch\": {}, \"write_buffer\": {}, \
-             \"app_ops\": {}, \"evictions\": {}, \"trace_digest\": {}, \
-             \"streaming_ticks\": {}, \"cycles_per_op\": {:.3}, \
-             \"streaming_ops_per_sec\": {:.1}, \"direct_ops_per_sec\": {:.1}, \
-             \"retire_p50_cycles\": {}, \"retire_p99_cycles\": {}, \
-             \"retire_max_cycles\": {}, \"search_hits\": {}, \
-             \"floor_streaming_ops_per_sec\": {:.1}, \"floor_direct_ops_per_sec\": {:.1}, \
-             \"ceiling_retire_p50_cycles\": {}, \"ceiling_retire_p99_cycles\": {}}}{}\n",
-            result.name,
-            scenario.workload.mix.label(),
-            scenario.workload.zipf_s,
-            arrival,
-            scenario.workload.stream_batch,
-            scenario.write_buffer,
-            result.counts.app_ops(),
-            result.counts.evictions,
-            result.digest,
-            result.ticks,
-            result.cycles_per_op(),
-            result.streaming_ops_per_sec,
-            result.direct_ops_per_sec,
-            result.p50_retire_cycles,
-            result.p99_retire_cycles,
-            result.max_retire_cycles,
-            result.search_hits,
-            scenario.floors.streaming_min_ops_per_sec,
-            scenario.floors.direct_min_ops_per_sec,
-            scenario.floors.p50_retire_cycles_ceiling,
-            scenario.floors.p99_retire_cycles_ceiling,
-            if i + 1 == runs.len() { "" } else { "," },
-        ));
-    }
-    body.push_str("  ]");
-    if let Some(d) = degraded {
-        body.push_str(&format!(
-            ",\n  \"degraded_mode\": {{\"mix\": \"50:45:5\", \"app_ops\": {}, \
-             \"trace_digest\": {}, \"presented\": {}, \"availability\": {:.4}, \
-             \"degraded_answers\": {}, \"shed_writes\": {}, \"recovery_ticks\": {}, \
-             \"rebuilds_completed\": {}, \"ticks\": {}, \
-             \"floor_availability\": {DEGRADED_AVAILABILITY_FLOOR}, \
-             \"ceiling_recovery_ticks\": {DEGRADED_RECOVERY_TICKS_CEILING}}}",
-            d.app_ops,
-            d.trace_digest,
-            d.presented,
-            d.availability,
-            d.degraded_answers,
-            d.shed_writes,
-            d.recovery_ticks,
-            d.rebuilds_completed,
-            d.ticks,
-        ));
-    }
-    body.push_str("\n}\n");
-    std::fs::write(&path, body)?;
-    Ok(path)
-}
-
-/// Enforce one scenario's floors against its result.
-///
-/// # Panics
-///
-/// Panics when a throughput floor or a latency ceiling is violated.
-pub fn assert_scenario_floors(scenario: &WorkloadScenario, result: &ScenarioResult) {
-    let floors = &scenario.floors;
-    assert!(
-        result.streaming_ops_per_sec >= floors.streaming_min_ops_per_sec,
-        "{}: streaming replay must sustain >= {:.0} ops/s, got {:.0}",
-        scenario.name,
-        floors.streaming_min_ops_per_sec,
-        result.streaming_ops_per_sec
-    );
-    assert!(
-        result.direct_ops_per_sec >= floors.direct_min_ops_per_sec,
-        "{}: direct replay must sustain >= {:.0} ops/s, got {:.0}",
-        scenario.name,
-        floors.direct_min_ops_per_sec,
-        result.direct_ops_per_sec
-    );
-    assert!(
-        result.p50_retire_cycles <= floors.p50_retire_cycles_ceiling,
-        "{}: p50 retire latency must be <= {} cycles, got {} (deterministic: the replay \
-         schedule changed)",
-        scenario.name,
-        floors.p50_retire_cycles_ceiling,
-        result.p50_retire_cycles
-    );
-    assert!(
-        result.p99_retire_cycles <= floors.p99_retire_cycles_ceiling,
-        "{}: p99 retire latency must be <= {} cycles, got {} (deterministic: the replay \
-         schedule changed)",
-        scenario.name,
-        floors.p99_retire_cycles_ceiling,
-        result.p99_retire_cycles
-    );
-}
-
 /// Run every canonical scenario at the full [`SCENARIO_OPS`] count plus
-/// the `degraded_mode` cluster scenario at [`DEGRADED_MODE_OPS`], print
-/// a summary, write `BENCH_workloads.json`, and enforce all floors —
-/// the release-mode entry point behind the `workload_smoke` CI stage.
+/// the `degraded_mode` cluster scenario at [`DEGRADED_MODE_OPS`], write
+/// `BENCH_workloads.json`, and check every floor of the crate's floor
+/// table on it — the release-mode entry point behind the
+/// `workload_smoke` CI stage.
 ///
 /// # Panics
 ///
-/// Panics when any scenario's replay arms diverge, any floor regresses,
-/// or the `degraded_mode` scenario breaks its availability floor or
-/// recovery-tick ceiling.
+/// Panics when any scenario's replay arms diverge, when a measured row
+/// breaks its floor, or when a floor of a written section selects none
+/// of its rows.
 pub fn emit_bench_workloads_json(source: &str) {
-    let runs: Vec<(WorkloadScenario, ScenarioResult)> = canonical_scenarios()
-        .into_iter()
-        .map(|scenario| {
-            let result = run_scenario(&scenario, SCENARIO_OPS);
-            (scenario, result)
-        })
+    let scenarios: Vec<Row> = canonical_scenarios()
+        .iter()
+        .map(|scenario| run_scenario(scenario, SCENARIO_OPS).row(scenario))
         .collect();
     let degraded = measure_degraded_mode(DEGRADED_MODE_OPS);
-    println!();
-    println!("Trace-driven workloads ({SCENARIO_ENTRIES} entries, Turbo, 4 groups):");
-    for (scenario, result) in &runs {
-        println!(
-            "  {:>14}: {:>9} app ops in {:>9} cycles ({:.3} cyc/op), \
-             streaming {:>9.0} ops/s, direct {:>9.0} ops/s, \
-             retire p50/p99/max {}/{}/{} cycles, {} hits",
-            scenario.name,
-            result.counts.app_ops(),
-            result.ticks,
-            result.cycles_per_op(),
-            result.streaming_ops_per_sec,
-            result.direct_ops_per_sec,
-            result.p50_retire_cycles,
-            result.p99_retire_cycles,
-            result.max_retire_cycles,
-            result.search_hits,
-        );
-    }
-    println!(
-        "  {:>14}: {:>9} app ops, availability {:.4}, {} degraded answers, \
-         {} shed, recovery {} ticks, {} cycles (4-shard cluster, one crash)",
-        "degraded_mode",
-        degraded.app_ops,
-        degraded.availability,
-        degraded.degraded_answers,
-        degraded.shed_writes,
-        degraded.recovery_ticks,
-        degraded.ticks,
-    );
-    match write_bench_workloads_json(source, &runs, Some(&degraded)) {
-        Ok(path) => println!("(json: {})", path.display()),
-        Err(err) => println!("(failed to write BENCH_workloads.json: {err})"),
-    }
-    for (scenario, result) in &runs {
-        assert_scenario_floors(scenario, result);
-    }
-    assert!(
-        degraded.availability >= DEGRADED_AVAILABILITY_FLOOR,
-        "degraded_mode: availability must be >= {DEGRADED_AVAILABILITY_FLOOR} across the \
-         shard crash + rebuild, got {:.4}",
-        degraded.availability
-    );
-    assert!(
-        degraded.recovery_ticks > 0 && degraded.recovery_ticks <= DEGRADED_RECOVERY_TICKS_CEILING,
-        "degraded_mode: recovery must complete within {DEGRADED_RECOVERY_TICKS_CEILING} ticks \
-         (deterministic: the restore model changed), got {}",
-        degraded.recovery_ticks
-    );
+    let metric = "trace-driven mixed-op workloads: wall-clock ops/sec per replay arm (noisy) \
+                  and end-to-end retire-latency percentiles in cycles (deterministic)";
+    let sections = vec![
+        ("scenarios", Rows(scenarios)),
+        ("degraded_mode", Object(degraded.row())),
+    ];
+    artefact::emit("BENCH_workloads.json", source, metric, sections);
 }
 
 #[cfg(test)]
@@ -497,8 +300,6 @@ mod tests {
         assert!(matches!(bursty.workload.arrival, Arrival::Bursty { .. }));
         for scenario in &scenarios {
             assert_eq!(scenario.workload.ops, SCENARIO_OPS);
-            assert!(scenario.floors.streaming_min_ops_per_sec > 0.0);
-            assert!(scenario.floors.p99_retire_cycles_ceiling > 0);
         }
     }
 
@@ -506,9 +307,10 @@ mod tests {
     fn scenarios_replay_consistently_at_reduced_op_count() {
         // Debug-mode sanity: every canonical scenario passes its
         // cross-arm agreement gate (asserted inside run_scenario) on a
-        // 15k-op prefix, with the deterministic latency ceilings
-        // already holding (regeneration determinism is proptested in
-        // dsp-cam-workload).
+        // 15k-op prefix, with the deterministic p99 ceiling already
+        // holding: the row carries only that metric, because the
+        // throughput floors are release-only (regeneration determinism
+        // is proptested in dsp-cam-workload).
         for scenario in canonical_scenarios() {
             let a = run_scenario(&scenario, 15_000);
             assert_eq!(a.counts.app_ops(), 15_000);
@@ -517,13 +319,10 @@ mod tests {
                 "{}: popular keys must hit",
                 scenario.name
             );
-            assert!(
-                a.p99_retire_cycles <= scenario.floors.p99_retire_cycles_ceiling,
-                "{}: p99 {} cycles over its {}-cycle ceiling (deterministic)",
-                scenario.name,
-                a.p99_retire_cycles,
-                scenario.floors.p99_retire_cycles_ceiling
-            );
+            let p99 = Row::default()
+                .text("name", scenario.name)
+                .int("retire_p99_cycles", a.p99_retire_cycles);
+            artefact::check("scenarios", vec![p99]);
         }
     }
 

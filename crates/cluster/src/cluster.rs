@@ -236,13 +236,12 @@ impl CamCluster {
     ///
     /// # Errors
     ///
-    /// Propagates the unit-level [`ConfigError`]s.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` or `slots` is zero.
+    /// [`ConfigError::ClusterShape`] when `shards` or `slots` is zero;
+    /// otherwise propagates the unit-level [`ConfigError`]s.
     pub fn new(config: UnitConfig, shards: usize, slots: usize) -> Result<Self, ConfigError> {
-        assert!(shards > 0, "a cluster needs at least one shard");
+        if shards == 0 || slots == 0 {
+            return Err(ConfigError::ClusterShape { shards, slots });
+        }
         let shards = (0..shards)
             .map(|_| CamUnit::new(config).map(StreamingCam::from_unit))
             .collect::<Result<Vec<_>, _>>()?;
@@ -285,7 +284,6 @@ impl CamCluster {
         for (shard, cam) in self.shards.iter_mut().enumerate() {
             cam.enable_write_journal(replication.journal_capacity);
             fo.replicas[shard].push_back(ReplicaEpoch {
-                cycle: self.cycle,
                 unit: cam.unit().rehydrate(),
             });
         }
@@ -464,7 +462,6 @@ impl CamCluster {
                 && (fo.due_refresh[shard] || over)
             {
                 fo.replicas[shard].push_back(ReplicaEpoch {
-                    cycle: now,
                     unit: self.shards[shard].unit().rehydrate(),
                 });
                 while fo.replicas[shard].len() > fo.replication.replicas {

@@ -169,8 +169,8 @@ impl ClusterFaultPlan {
     }
 }
 
-/// Failure and recovery tallies (a snapshot is copied into
-/// [`crate::ClusterReplayOutcome`] at the end of a replay).
+/// Failure and recovery tallies over the cluster's lifetime (a replay
+/// reports its change in them in [`crate::ClusterReplayOutcome`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FailoverStats {
     /// Shard failures detected (injected or signalled by the dispatch
@@ -213,9 +213,6 @@ pub(crate) enum ShardHealth {
 /// One read-only replica snapshot of a shard.
 #[derive(Debug)]
 pub(crate) struct ReplicaEpoch {
-    /// Cycle the snapshot was taken.
-    #[allow(dead_code)]
-    pub cycle: u64,
     /// The rehydrated unit (mutable because searching a unit is `&mut`).
     pub unit: CamUnit,
 }

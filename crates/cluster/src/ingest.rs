@@ -90,7 +90,8 @@ pub struct ClusterReplayOutcome {
     /// [`ClusterCounters::frozen_reads`](crate::ClusterCounters::frozen_reads)).
     pub frozen_answers: u64,
     /// Search keys answered from a replica epoch while their home
-    /// shard was down (degraded reads).
+    /// shard was down (the replay's change in
+    /// [`FailoverStats::degraded_reads`](crate::FailoverStats::degraded_reads)).
     pub degraded_answers: u64,
     /// Issued minus completed at quiescence — the zero-dropped-query
     /// invariant demands this is 0.
@@ -118,7 +119,9 @@ pub struct ClusterReplayOutcome {
     /// `perfbench` harness reads it; it goes with that harness's next
     /// change.
     pub infra_failures: u64,
-    /// Shard failures detected during the replay.
+    /// Shard failures detected during the replay. This and the next
+    /// three fields are the replay's change in the same-named
+    /// [`FailoverStats`](crate::FailoverStats) fields.
     pub failures_detected: u64,
     /// Shard rebuilds driven to completion.
     pub rebuilds_completed: u64,
@@ -267,9 +270,12 @@ pub fn replay_cluster(
         per_shard_latencies: vec![Vec::new(); shards],
         ..ClusterReplayOutcome::default()
     };
-    // Hits, rejections and frozen answers are tallied once, by the
-    // cluster; the outcome reports their change over the replay.
+    // Hits, rejections, frozen and degraded answers, failover tallies
+    // and migration stalls are tallied once, by the cluster; the outcome
+    // reports their change over the replay.
     let before = *cluster.counters();
+    let failover_before = cluster.failover_stats().cloned().unwrap_or_default();
+    let stalls_before = cluster.migration_stalls().len();
 
     let start = cluster.cycle();
     let arrivals = trace.arrivals(start);
@@ -360,7 +366,6 @@ pub fn replay_cluster(
             outcome
                 .frozen_latencies
                 .extend(std::iter::repeat_n(latency, plan.frozen.len()));
-            outcome.degraded_answers += plan.degraded.len() as u64;
             outcome
                 .degraded_latencies
                 .extend(std::iter::repeat_n(latency, plan.degraded.len()));
@@ -439,7 +444,6 @@ pub fn replay_cluster(
                 let results = cluster
                     .degraded_answer(target, &sub.op)
                     .expect("non-write sub");
-                outcome.degraded_answers += results.len() as u64;
                 let latency = (now - sub.arrival) + search_latency;
                 outcome
                     .degraded_latencies
@@ -476,12 +480,14 @@ pub fn replay_cluster(
     outcome.frozen_answers = after.frozen_reads - before.frozen_reads;
     outcome.ticks = cluster.cycle() - start;
     outcome.dropped = outcome.issued - outcome.completions;
-    outcome.migration_stalls = cluster.migration_stalls().to_vec();
+    outcome.migration_stalls = cluster.migration_stalls()[stalls_before..].to_vec();
     if let Some(stats) = cluster.failover_stats() {
-        outcome.failures_detected = stats.failures_detected;
-        outcome.rebuilds_completed = stats.rebuilds_completed;
-        outcome.recovery_ticks = stats.recovery_ticks.clone();
-        outcome.migration_aborts = stats.migration_aborts;
+        outcome.failures_detected = stats.failures_detected - failover_before.failures_detected;
+        outcome.rebuilds_completed = stats.rebuilds_completed - failover_before.rebuilds_completed;
+        outcome.degraded_answers = stats.degraded_reads - failover_before.degraded_reads;
+        outcome.recovery_ticks =
+            stats.recovery_ticks[failover_before.recovery_ticks.len()..].to_vec();
+        outcome.migration_aborts = stats.migration_aborts - failover_before.migration_aborts;
     }
     Ok(outcome)
 }

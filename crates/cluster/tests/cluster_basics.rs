@@ -1,7 +1,7 @@
 //! Deterministic cluster behaviour: routing, live migration (frozen
 //! reads, read-your-writes, cutover, content preservation), snapshot
-//! fan-out, the ingest replay loop's zero-dropped-query invariant, and
-//! the migration admission errors.
+//! fan-out, the ingest replay loop's zero-dropped-query invariant, the
+//! migration admission errors, and the empty-shape construction error.
 
 use dsp_cam_cluster::{replay_cluster, CamCluster, ClusterError, IngestConfig, MigrationPlan};
 use dsp_cam_core::prelude::*;
@@ -298,4 +298,22 @@ fn migration_admission_errors_leave_the_cluster_untouched() {
     );
     cluster.quiesce();
     assert_eq!(cluster.counters().migrations_completed, 1);
+}
+
+#[test]
+fn an_empty_cluster_shape_is_a_config_error() {
+    assert_eq!(
+        CamCluster::new(config(), 0, 16).unwrap_err(),
+        ConfigError::ClusterShape {
+            shards: 0,
+            slots: 16
+        }
+    );
+    assert_eq!(
+        CamCluster::new(config(), 4, 0).unwrap_err(),
+        ConfigError::ClusterShape {
+            shards: 4,
+            slots: 0
+        }
+    );
 }

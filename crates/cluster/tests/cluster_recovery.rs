@@ -10,8 +10,9 @@
 //! The deterministic half pins each recovery mechanism on its own:
 //! `epoch + journal` crash rebuilds, stall expiry, overload shedding,
 //! migration abort/rollback (graceful and destination-crash), the
-//! source-crash-keeps-the-window-open path, and the failure-aware
-//! `begin_migration` edges.
+//! source-crash-keeps-the-window-open path, the failure-aware
+//! `begin_migration` edges, and a replay reporting only its own
+//! failover work.
 
 use dsp_cam_cluster::{
     replay_cluster, CamCluster, ClusterError, ClusterFaultPlan, IngestConfig, MigrationPlan,
@@ -596,4 +597,54 @@ fn reads_on_a_crashed_shard_are_answered_from_the_replica_epoch() {
         twin.content_digest(),
         "the crash must not change the quiescent contents"
     );
+}
+
+#[test]
+fn a_replay_reports_only_its_own_failover_work() {
+    let mut cluster = CamCluster::new(shard_config(FidelityMode::Turbo), 2, 16).unwrap();
+    cluster.enable_failover(replication());
+    cluster.set_shed_policy(patient_policy());
+    let trace = chaos_trace(0x005E_C00D);
+    let slot = cluster.ring().slot_of(trace.prefill_words()[0]);
+    let dest = 1 - cluster.ring().assignment(slot);
+    let first = replay_cluster(
+        &trace,
+        &mut cluster,
+        &IngestConfig {
+            queue_capacity: 32,
+            migrate: Some(MigrationPlan {
+                after_records: trace.records.len() / 2,
+                slot,
+                dest,
+            }),
+            faults: Some(ClusterFaultPlan::from_faults(vec![PlannedFault {
+                at_tick: 40,
+                shard: 0,
+                fault: ShardFault::Crash,
+            }])),
+        },
+    )
+    .unwrap();
+    assert_eq!(first.failures_detected, 1);
+    assert_eq!(first.rebuilds_completed, 1);
+    assert_eq!(first.recovery_ticks.len(), 1);
+    assert_eq!(first.migration_stalls.len(), 1);
+    assert!(first.degraded_answers > 0);
+    assert_eq!(
+        first.degraded_answers,
+        cluster.failover_stats().unwrap().degraded_reads,
+        "each degraded answer is counted once"
+    );
+
+    // A second, fault-free replay without a migration on the same
+    // cluster reports none of the first one's failover work.
+    let second =
+        replay_cluster(&chaos_trace(0xF2E5), &mut cluster, &IngestConfig::default()).unwrap();
+    assert_eq!(second.failures_detected, 0);
+    assert_eq!(second.rebuilds_completed, 0);
+    assert!(second.recovery_ticks.is_empty());
+    assert_eq!(second.migration_aborts, 0);
+    assert!(second.migration_stalls.is_empty());
+    assert_eq!(second.degraded_answers, 0);
+    assert_eq!(second.dropped, 0);
 }

@@ -65,6 +65,13 @@ pub enum ConfigError {
         /// The requested drain budget per idle tick.
         drain_per_tick: usize,
     },
+    /// A cluster needs at least one shard and one ring slot.
+    ClusterShape {
+        /// The requested shard count.
+        shards: usize,
+        /// The requested ring slot count.
+        slots: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -111,6 +118,11 @@ impl fmt::Display for ConfigError {
                 f,
                 "write buffer needs capacity >= 1 and drain budget >= 1 \
                  (got {capacity} slots, {drain_per_tick} per tick)"
+            ),
+            ConfigError::ClusterShape { shards, slots } => write!(
+                f,
+                "a cluster needs at least one shard and one ring slot \
+                 (got {shards} shards, {slots} slots)"
             ),
         }
     }
@@ -261,6 +273,13 @@ mod tests {
                     drain_per_tick: 4,
                 },
                 "capacity",
+            ),
+            (
+                ConfigError::ClusterShape {
+                    shards: 0,
+                    slots: 16,
+                },
+                "0 shards",
             ),
         ];
         for (err, needle) in cases {

@@ -9,9 +9,8 @@
 //! issue/completion counts, the migration stall cycles, and the
 //! per-shard retire-latency percentiles reproduce bit-for-bit on any
 //! machine and feature set. The full-scale version of this loop backs
-//! the `cluster_rows` / `cluster_migration` sections of
-//! `BENCH_search.json` via `cargo test --release -p dsp-cam-bench
-//! -- --ignored cluster_smoke`.
+//! the `cluster_migration` section of `BENCH_search.json` via
+//! `cargo test --release -p dsp-cam-bench -- --ignored cluster_smoke`.
 //!
 //! Run with: `cargo run --example cluster_reshard` (optionally `--features obs`)
 

@@ -112,9 +112,11 @@ cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 # Release-mode perf floors on a fixed-seed key stream: the key-parallel
 # batch kernel must beat its one-key degenerate >= 2x at 8192 entries,
-# and 64k-entry Turbo stream throughput must hold its per-entry floor
-# (BENCH_search.json regression guards). Run under both feature sets —
-# the obs build must not tax the kernel either.
+# 64k-entry Turbo stream throughput must hold its per-entry floor, and
+# the Turbo tier must stay >= 50x the bit-accurate tier at 8192 entries
+# (BENCH_search.json regression guards, from the FLOORS table in
+# crates/bench/src/artefact.rs). Run under both feature sets — the obs
+# build must not tax the kernel either.
 echo "==> release large-capacity perf smoke (default)"
 run_filtered -q --offline --release -p dsp-cam-bench --lib -- --ignored large_capacity_smoke
 echo "==> release large-capacity perf smoke (obs)"
@@ -138,9 +140,10 @@ run_filtered -q --offline --release -p dsp-cam-bench --lib -- --ignored workload
 echo "==> release workload scenario smoke (obs)"
 run_filtered -q --offline --release -p dsp-cam-bench --lib --features obs -- --ignored workload_smoke
 
-# Sharding-cluster floors (BENCH_search.json cluster_rows regression
-# guards): the 4-shard race must hold >= 2.5x single-unit throughput on
-# the 1M-op write-heavy trace, and the live-migration ingest replay
+# Sharding-cluster floors (BENCH_search.json capacity_scaling and
+# cluster_migration regression guards): the 4-shard capacity race must
+# hold >= 2.5x single-unit throughput on the 1M-op write-heavy trace
+# (summed per-shard CPU time), and the live-migration ingest replay
 # must complete every query it issues (zero-dropped-query invariant)
 # while the frozen replica serves reads through the window.
 echo "==> release cluster perf + migration smoke (default)"
