@@ -182,8 +182,8 @@ pub fn measure_turbo_trace_overhead_pct(entries: usize) -> f64 {
 /// running the default [`ScrubPolicy`] (background walker + sampled
 /// oracle cross-check) versus an identical unit with scrubbing disabled.
 ///
-/// More, shorter rounds than [`measure_turbo_trace_overhead_pct`]: the
-/// scrub tax is small (single-digit percent), so twelve interleaved
+/// More, shorter rounds than `measure_turbo_trace_overhead_pct` (an
+/// `obs`-feature measurement): the scrub tax is small (single-digit percent), so twelve interleaved
 /// 60ms pairs give the median enough rounds to outvote scheduler
 /// contention spikes that can depress one side for 100ms at a time.
 #[must_use]

@@ -41,8 +41,7 @@ use dsp_cam_sim::Clocked;
 use dsp_cam_workload::TraceOp;
 
 use crate::failover::{
-    FailoverState, FailoverStats, ReplicaEpoch, ReplicationConfig, ShardFault, ShardHealth,
-    ShedPolicy,
+    FailoverState, FailoverStats, ReplicationConfig, ShardFault, ShardHealth, ShedPolicy,
 };
 use crate::ring::HashRing;
 
@@ -225,7 +224,9 @@ pub struct CamCluster {
     stall_log: Vec<u64>,
     key_mask: u64,
     cycle: u64,
-    /// Replica epochs, shard health and shed policy — `None` until
+    /// How long writes wait for a failed shard before they are shed.
+    shed_policy: ShedPolicy,
+    /// Replica epochs and shard health — `None` until
     /// [`CamCluster::enable_failover`].
     failover: Option<FailoverState>,
 }
@@ -256,54 +257,47 @@ impl CamCluster {
             counters: ClusterCounters::default(),
             stall_log: Vec::new(),
             cycle: 0,
+            shed_policy: ShedPolicy::default(),
             failover: None,
         })
     }
 
     /// Turn on fault tolerance: every shard gets an acknowledged-write
-    /// journal and a seed replica epoch, searches transparently fail
-    /// over to the newest epoch while a shard is down, and crashed
-    /// shards rebuild as `epoch + journal` with zero lost acknowledged
-    /// writes. Call at quiescence (typically right after construction
-    /// or prefill), before driving load.
+    /// journal and a replica epoch, searches transparently fail over to
+    /// the epoch while a shard is down, and crashed shards rebuild as
+    /// `epoch + journal` with zero lost acknowledged writes. Call at
+    /// quiescence (typically right after construction or prefill),
+    /// before driving load.
     ///
     /// # Panics
     ///
-    /// Panics when `replication.replicas` or
-    /// `replication.journal_capacity` is zero.
+    /// Panics when `replication.journal_capacity` is zero.
     pub fn enable_failover(&mut self, replication: ReplicationConfig) {
-        assert!(
-            replication.replicas >= 1,
-            "failover needs at least one replica epoch per shard"
-        );
         assert!(
             replication.journal_capacity >= 1,
             "failover needs a non-zero journal watermark"
         );
-        let mut fo = FailoverState::new(replication, self.shards.len());
-        for (shard, cam) in self.shards.iter_mut().enumerate() {
-            cam.enable_write_journal(replication.journal_capacity);
-            fo.replicas[shard].push_back(ReplicaEpoch {
-                unit: cam.unit().rehydrate(),
-            });
-        }
-        self.failover = Some(fo);
+        let epochs = self
+            .shards
+            .iter_mut()
+            .map(|cam| {
+                cam.enable_write_journal(replication.journal_capacity);
+                cam.unit().rehydrate()
+            })
+            .collect();
+        self.failover = Some(FailoverState::new(replication, epochs));
     }
 
-    /// Replace the overload admission-control policy (no-op until
-    /// [`CamCluster::enable_failover`]).
+    /// Replace the overload admission-control policy: how long writes
+    /// wait for a failed shard before they are shed.
     pub fn set_shed_policy(&mut self, policy: ShedPolicy) {
-        if let Some(fo) = &mut self.failover {
-            fo.shed = policy;
-        }
+        self.shed_policy = policy;
     }
 
-    /// The active shed policy (the default one when failover is off).
+    /// The active shed policy.
     #[must_use]
     pub fn shed_policy(&self) -> ShedPolicy {
-        self.failover
-            .as_ref()
-            .map_or_else(ShedPolicy::default, |fo| fo.shed)
+        self.shed_policy
     }
 
     /// Whether [`CamCluster::enable_failover`] has been called.
@@ -435,12 +429,12 @@ impl CamCluster {
                     fo.stats.recovery_ticks.push(now - since);
                 }
                 ShardHealth::Rebuilding { since, ready_at } if now >= ready_at => {
-                    let job = fo.rebuilds[shard]
+                    let rebuilt = fo.rebuilds[shard]
                         .take()
-                        .expect("rebuilding shard has a job");
+                        .expect("rebuilding shard has a rebuilt unit");
                     // Nothing is in flight: the crash purged the pipes
                     // and the closed issue port kept them empty.
-                    let _dead = self.shards[shard].replace_unit(job.unit);
+                    let _dead = self.shards[shard].replace_unit(rebuilt);
                     fo.health[shard] = ShardHealth::Healthy;
                     fo.stats.rebuilds_completed += 1;
                     fo.stats.recovery_ticks.push(now - since);
@@ -461,12 +455,7 @@ impl CamCluster {
                 && clean
                 && (fo.due_refresh[shard] || over)
             {
-                fo.replicas[shard].push_back(ReplicaEpoch {
-                    unit: self.shards[shard].unit().rehydrate(),
-                });
-                while fo.replicas[shard].len() > fo.replication.replicas {
-                    fo.replicas[shard].pop_front();
-                }
+                fo.epochs[shard] = self.shards[shard].unit().rehydrate();
                 self.shards[shard]
                     .write_journal_mut()
                     .expect("journal enabled with failover")
@@ -623,26 +612,22 @@ impl CamCluster {
         result
     }
 
-    /// Answer a search from the failed home shard's newest replica
-    /// epoch — stale but never silent. Charges the hit tallies like any
-    /// other answered search.
+    /// Answer a search from the failed home shard's replica epoch —
+    /// stale but never silent. Charges the hit tallies like any other
+    /// answered search.
     fn degraded_search(&mut self, shard: usize, key: u64) -> SearchResult {
         let fo = self
             .failover
             .as_mut()
             .expect("an unhealthy shard implies failover is enabled");
         fo.stats.degraded_reads += 1;
-        let result = fo.replicas[shard]
-            .back_mut()
-            .expect("replica epochs are seeded at enablement")
-            .unit
-            .search(key);
+        let result = fo.epochs[shard].search(key);
         self.counters.search_hits += u64::from(result.is_match());
         result
     }
 
     /// Answer a queued read sub-operation from its failed shard's
-    /// newest replica epoch — the issue-time degraded path for reads
+    /// replica epoch — the issue-time degraded path for reads
     /// stranded in the ingest queue when their shard failed after
     /// planning. `None` when `op` is a write (the caller defers those
     /// instead).
@@ -728,36 +713,29 @@ impl CamCluster {
         Some(self.home_of(key & self.key_mask))
     }
 
-    /// Tick until `shard` serves again, bounded by the shed policy's
-    /// total backoff window.
+    /// Tick until `shard` serves again, for at most the shed policy's
+    /// backoff window — the wait after which the ingest loop would shed
+    /// a write deferred now.
     ///
     /// # Errors
     ///
     /// [`ClusterError::Overloaded`] when the shard is still down after
     /// the full backoff window.
     fn await_healthy(&mut self, shard: usize) -> Result<(), ClusterError> {
-        if self.shard_healthy(shard) {
-            return Ok(());
-        }
-        let shed = self.shed_policy();
-        // Total wait = sum of the exponential backoffs the ingest path
-        // would have spent: base * (2^(max_retries+1) - 1), saturated.
-        let max_wait = shed
-            .base_backoff_ticks
-            .saturating_mul((1u64 << shed.max_retries.min(32)).saturating_mul(2) - 1);
-        for _ in 0..max_wait {
-            self.tick();
-            if self.shard_healthy(shard) {
-                return Ok(());
+        let deadline = self.cycle.saturating_add(self.shed_policy.window());
+        while !self.shard_healthy(shard) {
+            if self.cycle >= deadline {
+                return Err(ClusterError::Overloaded { shard });
             }
+            self.tick();
         }
-        Err(ClusterError::Overloaded { shard })
+        Ok(())
     }
 
     /// Point search for `key`, routed (and migration- and
     /// failure-aware) — transactional: retires before returning.
-    /// Searches on a failed shard are answered from its newest replica
-    /// epoch (degraded, possibly stale, never silent).
+    /// Searches on a failed shard are answered from its replica epoch
+    /// (degraded, possibly stale, never silent).
     pub fn search(&mut self, key: u64) -> SearchResult {
         let plan = self.plan(&TraceOp::Search(key));
         if let Some((_, result)) = plan.frozen.into_iter().next() {
@@ -1035,7 +1013,7 @@ impl CamCluster {
             .as_mut()
             .and_then(|fo| fo.rebuilds[i].as_mut());
         let unit = match rebuild {
-            Some(job) => &mut job.unit,
+            Some(rebuilt) => rebuilt,
             None => self.shards[i].unit_mut(),
         };
         // Admission cannot refuse here in practice: the slot's words
@@ -1091,7 +1069,7 @@ impl CamCluster {
     /// Lose shard `shard`: purge its pipes (unacknowledged writes are
     /// the client's to retry), roll back an open migration window
     /// targeting it, reset the dead unit, and start restoring
-    /// `newest epoch + acknowledged journal` at one word per tick.
+    /// `epoch + acknowledged journal` at one word per tick.
     fn crash_shard(&mut self, shard: usize) {
         let now = self.cycle;
         self.shards[shard].purge_in_flight();
@@ -1107,14 +1085,12 @@ impl CamCluster {
             // A dying *source* keeps the window open: the frozen
             // replica keeps answering and cutover waits on the rebuild.
         }
-        let mut rebuilt = {
-            let fo = self.failover.as_ref().expect("crash implies failover");
-            fo.replicas[shard]
-                .back()
-                .expect("replica epochs are seeded at enablement")
-                .unit
-                .rehydrate()
-        };
+        let mut rebuilt = self
+            .failover
+            .as_ref()
+            .expect("crash implies failover")
+            .epochs[shard]
+            .rehydrate();
         let epoch_words = rebuilt.stored_words().len();
         let replayed = self.shards[shard]
             .write_journal()
@@ -1133,7 +1109,7 @@ impl CamCluster {
         // one per journal entry replayed.
         let ready_at = now + 1 + epoch_words as u64 + replayed as u64;
         let fo = self.failover.as_mut().expect("crash implies failover");
-        fo.rebuilds[shard] = Some(crate::failover::RebuildJob { unit: rebuilt });
+        fo.rebuilds[shard] = Some(rebuilt);
         fo.health[shard] = ShardHealth::Rebuilding {
             since: now,
             ready_at,

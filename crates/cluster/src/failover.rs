@@ -14,19 +14,17 @@
 //!
 //! # Recovery contract
 //!
-//! Every shard keeps K read-only **replica epochs** (rehydrated
-//! snapshots, refreshed on a cycle cadence) plus a bounded
+//! Every shard keeps one read-only **replica epoch** (a rehydrated
+//! snapshot, replaced on a cycle cadence) plus a bounded
 //! **acknowledged-write journal**
 //! ([`dsp_cam_core::journal::OpJournal`]). A crashed shard is rebuilt
-//! as `newest epoch + journal replay`, which reproduces exactly the
+//! as `epoch + journal replay`, which reproduces exactly the
 //! logical multiset of words whose writes were acknowledged — the
 //! zero-lost-acknowledged-writes guarantee
 //! (`tests/cluster_recovery.rs` proves it against a fault-free twin).
 //! While the rebuild is in flight, the slot's searches are answered
-//! from the newest replica (stale but never silent) and writes wait in
+//! from the epoch (stale but never silent) and writes wait in
 //! bounded-retry queues governed by a [`ShedPolicy`].
-
-use std::collections::VecDeque;
 
 use dsp_cam_core::faults::XorShift64;
 use dsp_cam_core::unit::CamUnit;
@@ -34,25 +32,21 @@ use dsp_cam_core::unit::CamUnit;
 /// Replica-epoch keeping for transparent search failover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicationConfig {
-    /// Read-only replica epochs kept per shard (newest answers degraded
-    /// reads; must be at least 1).
-    pub replicas: usize,
-    /// Cycle cadence at which healthy shards refresh their newest epoch
+    /// Cycle cadence at which healthy shards refresh their epoch
     /// (the refresh waits for the first tick with no unacknowledged
     /// writes so the epoch is a clean journal mark). `0` disables the
     /// cadence; epochs still refresh after every rebuild and whenever
     /// the journal outgrows its watermark.
     pub refresh_interval: u64,
     /// Acknowledged-write journal watermark per shard — how many writes
-    /// may separate the newest epoch from the live contents before a
-    /// forced refresh.
+    /// may separate the epoch from the live contents before a forced
+    /// refresh.
     pub journal_capacity: usize,
 }
 
 impl Default for ReplicationConfig {
     fn default() -> Self {
         ReplicationConfig {
-            replicas: 2,
             refresh_interval: 128,
             journal_capacity: 4096,
         }
@@ -63,8 +57,9 @@ impl Default for ReplicationConfig {
 /// before the cluster sheds them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShedPolicy {
-    /// First retry delay in ticks; attempt `n` waits
-    /// `base_backoff_ticks << n` (shift saturated).
+    /// Backoff unit in ticks: a write deferred on a failed shard is
+    /// first retried one tick later, and retry `n` waits
+    /// `base_backoff_ticks << n` for the next (shift capped at 16).
     pub base_backoff_ticks: u64,
     /// Retries per deferred write before it is shed.
     pub max_retries: u32,
@@ -80,6 +75,31 @@ impl Default for ShedPolicy {
             max_retries: 8,
             retry_budget: 4096,
         }
+    }
+}
+
+/// Largest backoff shift: retries past it all wait the same.
+const MAX_BACKOFF_SHIFT: u32 = 16;
+
+impl ShedPolicy {
+    /// Ticks a deferred write waits after retry `attempt` found its
+    /// shard still down.
+    pub(crate) fn backoff(&self, attempt: u32) -> u64 {
+        self.base_backoff_ticks
+            .saturating_mul(1 << attempt.min(MAX_BACKOFF_SHIFT))
+    }
+
+    /// Ticks from a write's deferral to the check that sheds it: one
+    /// tick to the first retry, then [`ShedPolicy::backoff`]`(n)` after
+    /// each retry `n` up to `max_retries`. A write whose shard is still
+    /// down when the window ends is shed.
+    pub(crate) fn window(&self) -> u64 {
+        let ramp = self.max_retries.min(MAX_BACKOFF_SHIFT);
+        let flat = u64::from(self.max_retries - ramp);
+        (1..=ramp)
+            .map(|attempt| self.backoff(attempt))
+            .fold(1, u64::saturating_add)
+            .saturating_add(flat.saturating_mul(self.backoff(MAX_BACKOFF_SHIFT)))
     }
 }
 
@@ -210,44 +230,31 @@ pub(crate) enum ShardHealth {
     },
 }
 
-/// One read-only replica snapshot of a shard.
-#[derive(Debug)]
-pub(crate) struct ReplicaEpoch {
-    /// The rehydrated unit (mutable because searching a unit is `&mut`).
-    pub unit: CamUnit,
-}
-
-/// An in-flight shard rebuild (detection and completion cycles live on
-/// the shard's [`ShardHealth::Rebuilding`] entry).
-#[derive(Debug)]
-pub(crate) struct RebuildJob {
-    /// The rebuilt unit (`epoch + journal`), reinstalled at `ready_at`.
-    pub unit: CamUnit,
-}
-
 /// Everything the cluster tracks once failover is enabled.
 #[derive(Debug)]
 pub(crate) struct FailoverState {
     pub replication: ReplicationConfig,
-    pub shed: ShedPolicy,
     /// Per-shard serving state.
     pub health: Vec<ShardHealth>,
-    /// Per-shard replica epochs, oldest first (back = newest).
-    pub replicas: Vec<VecDeque<ReplicaEpoch>>,
-    /// Per-shard in-flight rebuild.
-    pub rebuilds: Vec<Option<RebuildJob>>,
-    /// Per-shard flag: refresh the newest epoch at the next clean tick.
+    /// Per-shard read-only replica epoch: a rehydrated snapshot at the
+    /// last clean journal mark (mutable because searching a unit is
+    /// `&mut`).
+    pub epochs: Vec<CamUnit>,
+    /// Per-shard in-flight rebuild: the `epoch + journal` unit,
+    /// reinstalled at its [`ShardHealth::Rebuilding`] `ready_at`.
+    pub rebuilds: Vec<Option<CamUnit>>,
+    /// Per-shard flag: refresh the epoch at the next clean tick.
     pub due_refresh: Vec<bool>,
     pub stats: FailoverStats,
 }
 
 impl FailoverState {
-    pub(crate) fn new(replication: ReplicationConfig, shards: usize) -> Self {
+    pub(crate) fn new(replication: ReplicationConfig, epochs: Vec<CamUnit>) -> Self {
+        let shards = epochs.len();
         FailoverState {
             replication,
-            shed: ShedPolicy::default(),
             health: vec![ShardHealth::Healthy; shards],
-            replicas: (0..shards).map(|_| VecDeque::new()).collect(),
+            epochs,
             rebuilds: (0..shards).map(|_| None).collect(),
             due_refresh: vec![false; shards],
             stats: FailoverStats::default(),
@@ -281,6 +288,19 @@ mod tests {
         let late = a.due(2000);
         assert_eq!(early.len() + late.len(), 16, "every fault fires once");
         assert!(a.due(5000).is_empty());
+    }
+
+    #[test]
+    fn the_shed_window_is_one_tick_plus_every_backoff() {
+        for (base_backoff_ticks, max_retries) in [(1, 2), (4, 2), (8, 8), (1, 17), (3, 40)] {
+            let policy = ShedPolicy {
+                base_backoff_ticks,
+                max_retries,
+                retry_budget: 1,
+            };
+            let summed: u64 = (1..=max_retries).map(|n| policy.backoff(n)).sum();
+            assert_eq!(policy.window(), 1 + summed, "{policy:?}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! flowing:
 //!
 //! * **reads** aimed at a failed shard are answered immediately from
-//!   its newest replica epoch (degraded — stale but never silent);
+//!   its replica epoch (degraded — stale but never silent);
 //! * **writes** aimed at a failed shard wait in a FIFO retry queue
 //!   with exponential backoff, bounded per-write by the shed policy's
 //!   `max_retries` and per shard by its `retry_budget`; past either
@@ -40,7 +40,7 @@ use dsp_cam_core::pipelined::{Op, RetireRecord};
 use dsp_cam_workload::{percentile, Trace};
 
 use crate::cluster::{CamCluster, ClusterError};
-use crate::failover::{ClusterFaultPlan, ShardFault, ShedPolicy};
+use crate::failover::{ClusterFaultPlan, ShardFault};
 
 /// Open a migration window after `after_records` trace records have
 /// been dispatched.
@@ -412,7 +412,7 @@ pub fn replay_cluster(
                     outcome.shed_writes += 1;
                     continue;
                 }
-                item.due = now + backoff(&policy, item.attempts);
+                item.due = now + policy.backoff(item.attempts);
                 deferred.push_front(item);
                 break;
             } else {
@@ -490,13 +490,6 @@ pub fn replay_cluster(
         outcome.migration_aborts = stats.migration_aborts - failover_before.migration_aborts;
     }
     Ok(outcome)
-}
-
-/// Attempt `n`'s wait before re-checking a failed shard.
-fn backoff(policy: &ShedPolicy, attempts: u32) -> u64 {
-    policy
-        .base_backoff_ticks
-        .saturating_mul(1u64 << attempts.min(16))
 }
 
 /// Issue one sub-op on its (already re-resolved, healthy, unclaimed)

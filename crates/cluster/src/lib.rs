@@ -25,10 +25,11 @@
 //! and migration-stall histograms.
 //!
 //! **Fault tolerance** ([`CamCluster::enable_failover`]) keeps the
-//! cluster serving through shard failures: each shard maintains
-//! [`ReplicationConfig::replicas`] read-only replica epochs (clean
-//! journal marks taken via the `rehydrate` path) plus a bounded journal
-//! of acknowledged writes since the newest epoch. A crashed shard —
+//! cluster serving through shard failures: each shard maintains one
+//! read-only replica epoch (a clean journal mark taken via the
+//! `rehydrate` path and replaced at each [`ReplicationConfig`]
+//! refresh) plus a bounded journal of acknowledged writes since that
+//! epoch. A crashed shard —
 //! injected by a seeded [`ClusterFaultPlan`] — has its slots degraded
 //! to replica-served reads while a rebuild restores
 //! `epoch + journal` at one word per tick, guaranteeing zero lost

@@ -19,7 +19,7 @@ use dsp_cam_cluster::{
     PlannedFault, ReplicationConfig, ShardFault, ShedPolicy,
 };
 use dsp_cam_core::prelude::*;
-use dsp_cam_workload::{generate, Arrival, OpMix, Trace, WorkloadConfig};
+use dsp_cam_workload::{generate, Arrival, OpMix, Trace, TraceOp, TraceRecord, WorkloadConfig};
 use proptest::prelude::*;
 
 /// Roomy shards (192 words per shard): the chaos suite must keep clear
@@ -43,7 +43,6 @@ fn shard_config(fidelity: FidelityMode) -> UnitConfig {
 
 fn replication() -> ReplicationConfig {
     ReplicationConfig {
-        replicas: 2,
         refresh_interval: 64,
         journal_capacity: 512,
     }
@@ -273,7 +272,8 @@ fn overload_sheds_the_transactional_write_past_the_backoff_window() {
     let key = (0..4096u64)
         .find(|&k| cluster.ring().assignment(cluster.ring().slot_of(k)) == 0)
         .unwrap();
-    // Backoff window = 1 * (2^3 - 1) = 7 ticks, far short of the stall.
+    // Backoff window = 1 tick to the first retry, then 1 << 1 and
+    // 1 << 2 after retries 1 and 2: 7 ticks, far short of the stall.
     assert_eq!(
         cluster.update(key),
         Err(ClusterError::Overloaded { shard: 0 })
@@ -286,6 +286,117 @@ fn overload_sheds_the_transactional_write_past_the_backoff_window() {
     cluster.update(key).unwrap();
     cluster.quiesce();
     assert!(cluster.search(key).is_match());
+}
+
+/// A fresh two-shard failover cluster, plus a key homed on shard 0.
+fn failover_pair(replication: ReplicationConfig) -> (CamCluster, u64) {
+    let mut cluster = CamCluster::new(shard_config(FidelityMode::Turbo), 2, 16).unwrap();
+    cluster.enable_failover(replication);
+    let key = (0..4096u64)
+        .find(|&k| cluster.ring().assignment(cluster.ring().slot_of(k)) == 0)
+        .unwrap();
+    (cluster, key)
+}
+
+#[test]
+fn both_write_paths_shed_a_stalled_write_at_the_same_stall() {
+    // Stalls from two below to two above the shortest one the ingest
+    // loop sheds on: one past the backoff window of 1 + 4 * (2 + 4) =
+    // 25 ticks for (4, 2), and of 1 + 8 * (2 + 4 + ... + 256) = 4081
+    // for the default policy.
+    let tight = ShedPolicy {
+        base_backoff_ticks: 4,
+        max_retries: 2,
+        ..ShedPolicy::default()
+    };
+    for (policy, first_shed) in [(tight, 26u64), (ShedPolicy::default(), 4082)] {
+        let mut verdicts = Vec::new();
+        for stall in first_shed - 2..=first_shed + 2 {
+            let (mut transactional, key) = failover_pair(replication());
+            transactional.set_shed_policy(policy);
+            transactional
+                .inject_shard_fault(0, ShardFault::Stall { ticks: stall })
+                .unwrap();
+            let overloaded =
+                transactional.update(key) == Err(ClusterError::Overloaded { shard: 0 });
+
+            let (mut ingest, _) = failover_pair(replication());
+            ingest.set_shed_policy(policy);
+            let trace = Trace {
+                seed: 0,
+                prefill: Vec::new(),
+                records: vec![TraceRecord {
+                    gap: 0,
+                    op: TraceOp::Update(key),
+                }],
+            };
+            let outcome = replay_cluster(
+                &trace,
+                &mut ingest,
+                &IngestConfig {
+                    faults: Some(ClusterFaultPlan::from_faults(vec![PlannedFault {
+                        at_tick: 0,
+                        shard: 0,
+                        fault: ShardFault::Stall { ticks: stall },
+                    }])),
+                    ..IngestConfig::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                overloaded,
+                outcome.shed_writes == 1,
+                "{policy:?}, stall {stall}: update overloaded {overloaded}, ingest shed {}",
+                outcome.shed_writes
+            );
+            verdicts.push(overloaded);
+        }
+        assert_eq!(
+            verdicts,
+            [false, false, true, true, true],
+            "{policy:?}: shedding starts at a stall of {first_shed} ticks"
+        );
+    }
+}
+
+#[test]
+fn a_shed_policy_set_before_enable_failover_is_kept() {
+    let policy = ShedPolicy {
+        base_backoff_ticks: 3,
+        max_retries: 5,
+        retry_budget: 17,
+    };
+    let mut cluster = CamCluster::new(shard_config(FidelityMode::Turbo), 2, 16).unwrap();
+    cluster.set_shed_policy(policy);
+    cluster.enable_failover(replication());
+    assert_eq!(cluster.shed_policy(), policy);
+}
+
+#[test]
+fn degraded_reads_come_from_the_newest_epoch() {
+    let (mut cluster, key) = failover_pair(ReplicationConfig {
+        refresh_interval: 8,
+        ..replication()
+    });
+    cluster.update(key).unwrap();
+    cluster.quiesce();
+    // A refresh epochs the contents and truncates the journal, so once
+    // the journal is empty only the refreshed epoch holds `key`.
+    for _ in 0..64 {
+        if cluster.shard(0).write_journal().unwrap().acked_len() == 0 {
+            break;
+        }
+        cluster.tick();
+    }
+    assert_eq!(cluster.shard(0).write_journal().unwrap().acked_len(), 0);
+
+    cluster.inject_shard_fault(0, ShardFault::Crash).unwrap();
+    let before = cluster.failover_stats().unwrap().degraded_reads;
+    assert!(
+        cluster.search(key).is_match(),
+        "the degraded read must see the write the refreshed epoch covers"
+    );
+    assert_eq!(cluster.failover_stats().unwrap().degraded_reads, before + 1);
 }
 
 /// Prefilled two-shard cluster plus the densest migrating slot — in-

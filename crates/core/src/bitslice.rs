@@ -40,7 +40,7 @@
 //! where planes `0..width` are `match_if_0[b]` and `width..2 × width`
 //! are `match_if_1[b]`. Every piece of index arithmetic — refresh,
 //! audit, fault-injection corruption and both search kernels — goes
-//! through [`BitSliceIndex::plane_slot`], and the cell → tile mapping is
+//! through `BitSliceIndex::plane_slot`, and the cell → tile mapping is
 //! the single function [`tile_of`] (the fault layer's
 //! [`ShadowFault::tile`](crate::faults::ShadowFault::tile) reuses it).
 //!

@@ -571,9 +571,9 @@ impl CamBlock {
         self.cycles += 1;
     }
 
-    /// Reset every `#[serde(skip)]` field to its deserialization
-    /// default — the block half of [`CamUnit::rehydrate`]
-    /// (crate::unit::CamUnit::rehydrate)'s wire-round-trip model.
+    /// Clear the search scratch vector and, with `obs`, the match and
+    /// miss counters — the block half of
+    /// [`CamUnit::rehydrate`](crate::unit::CamUnit::rehydrate).
     pub(crate) fn reset_transients(&mut self) {
         self.vector_scratch = MatchVector::default();
         #[cfg(feature = "obs")]

@@ -104,8 +104,8 @@ pub struct WriteBufferConfig {
     /// word, a delete tombstone one slot). Staging beyond this flushes
     /// the buffer synchronously first (overflow → inline fallback).
     pub capacity: usize,
-    /// Staged operations drained per idle tick of
-    /// [`StreamingCam::tick`](crate::pipelined::StreamingCam::tick).
+    /// Staged operations drained per idle tick of a
+    /// [`StreamingCam`](crate::pipelined::StreamingCam).
     pub drain_per_tick: usize,
     /// Route every operation through the inline path (differential
     /// testing control; the buffer stays empty).

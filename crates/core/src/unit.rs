@@ -1588,14 +1588,13 @@ impl CamUnit {
             .unwrap_or_default()
     }
 
-    /// Reset the derived, never-serialized runtime state — the search
-    /// scratch buffers, the per-block transients and (with `obs`) the
-    /// observer attachment — returning a unit equivalent to one that
-    /// just came back from a snapshot/restore round trip. Architectural state (contents, shadow planes, fill
-    /// pointers, counters, scrub progress) is untouched, so a restored
-    /// unit answers bit-identically to the original; the serde
-    /// round-trip test leans on this to guard the `#[serde(skip)]`
-    /// field set.
+    /// An independent replica of this unit: a clone with the search
+    /// scratch buffers and per-block transients cleared, the write
+    /// buffer's key index rebuilt from its FIFO (lazily, on first use)
+    /// and, with `obs`, the observer detached. Architectural state
+    /// (contents, shadow planes, fill pointers, counters, scrub
+    /// progress) is copied unchanged, so the replica answers
+    /// bit-identically to the original.
     #[must_use]
     pub fn rehydrate(&self) -> CamUnit {
         let mut unit = self.clone();

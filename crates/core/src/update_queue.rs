@@ -111,8 +111,9 @@ pub struct WriteBufferReport {
 
 /// The bounded content-addressable staging structure fronting a
 /// [`CamUnit`](crate::unit::CamUnit). Always present on the unit;
-/// inert (and empty) unless [`UnitConfig::write_buffer`]
-/// (crate::config::UnitConfig::write_buffer) enables buffering.
+/// inert (and empty) unless
+/// [`UnitConfig::write_buffer`](crate::config::UnitConfig::write_buffer)
+/// enables buffering.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct WriteBuffer {
     /// Staged ops in absorption order — the golden buffer state.
@@ -341,9 +342,9 @@ impl WriteBuffer {
         divergent
     }
 
-    /// Drop the derived index so it is lazily rebuilt — the
-    /// [`rehydrate`](crate::unit::CamUnit::rehydrate) wire-round-trip
-    /// model for the buffer's `#[serde(skip)]` state.
+    /// Drop the derived key index so it is rebuilt from the FIFO on
+    /// first use — the buffer half of
+    /// [`CamUnit::rehydrate`](crate::unit::CamUnit::rehydrate).
     pub(crate) fn reset_transients(&mut self) {
         self.index = HashMap::new();
         self.index_built = false;

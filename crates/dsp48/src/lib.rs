@@ -42,7 +42,6 @@
 pub mod alu;
 pub mod attributes;
 pub mod cam_profile;
-pub mod cascade;
 pub mod multiplier;
 pub mod opmode;
 pub mod pattern;

@@ -131,34 +131,6 @@ pub fn road_grid(rows: u32, cols: u32, chord_prob: f64, seed: u64) -> Vec<(u32, 
     edges
 }
 
-/// Watts–Strogatz small world: a ring lattice where each vertex connects
-/// to its `k` nearest neighbours, with every edge rewired to a random
-/// endpoint with probability `beta`. High clustering at low `beta`
-/// (triangle-rich), approaching Erdős–Rényi as `beta → 1`.
-#[must_use]
-pub fn watts_strogatz(n: u32, k: u32, beta: f64, seed: u64) -> Vec<(u32, u32)> {
-    assert!(k >= 2 && k.is_multiple_of(2), "k must be even and >= 2");
-    assert!(n > k, "need more vertices than neighbours");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges = Vec::with_capacity(n as usize * k as usize / 2);
-    for v in 0..n {
-        for j in 1..=(k / 2) {
-            let mut target = (v + j) % n;
-            if rng.gen::<f64>() < beta {
-                // Rewire to a uniform random non-self endpoint.
-                loop {
-                    target = rng.gen_range(0..n);
-                    if target != v {
-                        break;
-                    }
-                }
-            }
-            edges.push((v, target));
-        }
-    }
-    edges
-}
-
 /// AS-style topology: `hubs` core vertices form a clique; every other
 /// vertex attaches to 1–2 hubs. Degree distribution is extremely skewed
 /// (the as20000102 stand-in).
@@ -248,27 +220,6 @@ mod tests {
         // Seed clique C(k+1, 2) + k per later vertex.
         let expect = (k * (k + 1)) / 2 + (n as usize - k - 1) * k;
         assert_eq!(canon.len(), expect);
-    }
-
-    #[test]
-    fn watts_strogatz_clustering_falls_with_beta() {
-        let ordered = GraphBuilder::from_edges(watts_strogatz(400, 6, 0.0, 1));
-        let rewired = GraphBuilder::from_edges(watts_strogatz(400, 6, 0.9, 1));
-        let t_ordered = crate::triangle::count_edges(&ordered.canonical_edges());
-        let t_rewired = crate::triangle::count_edges(&rewired.canonical_edges());
-        assert!(
-            t_ordered > 3 * t_rewired,
-            "ring lattice {t_ordered} vs rewired {t_rewired}"
-        );
-        // A pure ring lattice closes 3·n·(k/2)·(k/2−1)/... for k = 6 the
-        // exact count is 3 triangles per vertex.
-        assert_eq!(t_ordered, 400 * 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "k must be even")]
-    fn watts_strogatz_odd_k_panics() {
-        let _ = watts_strogatz(10, 3, 0.0, 0);
     }
 
     #[test]

@@ -19,7 +19,6 @@ pub mod datasets;
 pub mod generate;
 pub mod intersect;
 pub mod io;
-pub mod metrics;
 pub mod triangle;
 
 pub use builder::GraphBuilder;

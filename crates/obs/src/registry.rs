@@ -6,7 +6,7 @@
 //! Everything is integral and deterministic: scopes and metric names are
 //! `BTreeMap`-ordered, so two registries holding the same values render
 //! byte-identical JSON. [`MetricsSnapshot`] round-trips through
-//! [`Json`](crate::json::Json) exactly (`parse(render(s)) == s`).
+//! [`Json`] exactly (`parse(render(s)) == s`).
 
 use std::collections::BTreeMap;
 

@@ -1,4 +1,4 @@
-//! The clock abstraction: the [`Clocked`] trait and the [`Sim`] driver.
+//! The clock abstraction: the [`Clocked`] trait.
 
 /// A component driven by a single clock.
 ///
@@ -12,73 +12,6 @@ pub trait Clocked {
 impl<T: Clocked + ?Sized> Clocked for Box<T> {
     fn tick(&mut self) {
         (**self).tick();
-    }
-}
-
-/// A minimal simulation driver: owns a cycle counter and steps a set of
-/// [`Clocked`] components in registration order.
-#[derive(Default)]
-pub struct Sim {
-    cycle: u64,
-    components: Vec<Box<dyn Clocked>>,
-}
-
-impl Sim {
-    /// Create an empty simulation.
-    #[must_use]
-    pub fn new() -> Self {
-        Sim::default()
-    }
-
-    /// Register a component; components are ticked in registration order.
-    pub fn add(&mut self, component: Box<dyn Clocked>) {
-        self.components.push(component);
-    }
-
-    /// The current cycle count.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Advance one cycle.
-    pub fn step(&mut self) {
-        for c in &mut self.components {
-            c.tick();
-        }
-        self.cycle += 1;
-    }
-
-    /// Advance `n` cycles.
-    pub fn run(&mut self, n: u64) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
-
-    /// Step until `done` returns true or `max_cycles` elapse; returns the
-    /// number of cycles stepped, or `None` on timeout.
-    pub fn run_until(&mut self, max_cycles: u64, mut done: impl FnMut() -> bool) -> Option<u64> {
-        for n in 0..max_cycles {
-            if done() {
-                return Some(n);
-            }
-            self.step();
-        }
-        if done() {
-            Some(max_cycles)
-        } else {
-            None
-        }
-    }
-}
-
-impl std::fmt::Debug for Sim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sim")
-            .field("cycle", &self.cycle)
-            .field("components", &self.components.len())
-            .finish()
     }
 }
 
@@ -96,45 +29,10 @@ mod tests {
     }
 
     #[test]
-    fn sim_steps_components() {
-        let count = Rc::new(Cell::new(0));
-        let mut sim = Sim::new();
-        sim.add(Box::new(Counter(Rc::clone(&count))));
-        sim.add(Box::new(Counter(Rc::clone(&count))));
-        sim.run(5);
-        assert_eq!(sim.cycle(), 5);
-        assert_eq!(count.get(), 10);
-    }
-
-    #[test]
-    fn run_until_stops_at_condition() {
-        let count = Rc::new(Cell::new(0));
-        let mut sim = Sim::new();
-        sim.add(Box::new(Counter(Rc::clone(&count))));
-        let c2 = Rc::clone(&count);
-        let steps = sim.run_until(100, move || c2.get() >= 3);
-        assert_eq!(steps, Some(3));
-        assert_eq!(sim.cycle(), 3);
-    }
-
-    #[test]
-    fn run_until_times_out() {
-        let mut sim = Sim::new();
-        assert_eq!(sim.run_until(10, || false), None);
-        assert_eq!(sim.cycle(), 10);
-    }
-
-    #[test]
     fn boxed_clocked_delegates() {
         let count = Rc::new(Cell::new(0));
         let mut boxed: Box<dyn Clocked> = Box::new(Counter(Rc::clone(&count)));
         boxed.tick();
         assert_eq!(count.get(), 1);
-    }
-
-    #[test]
-    fn sim_debug_nonempty() {
-        let sim = Sim::new();
-        assert!(format!("{sim:?}").contains("Sim"));
     }
 }

@@ -3,16 +3,12 @@
 //! Small, dependency-light building blocks for cycle-level hardware
 //! modelling, shared by every crate in the workspace:
 //!
-//! * [`clock`] — the [`clock::Clocked`] trait and a simple
-//!   simulation driver with cycle accounting;
+//! * [`clock`] — the [`clock::Clocked`] trait;
 //! * [`pipeline`] — fixed-depth pipeline registers ([`pipeline::Pipe`]),
 //!   the tool with which every datapath latency in the CAM model is built;
-//! * [`fifo`] — bounded FIFOs with backpressure (the interface FIFOs that
-//!   cost the paper's design its 4 BRAMs);
 //! * [`memory`] — a DDR4 channel model (512-bit data path) used by the
 //!   triangle-counting case study;
-//! * [`stats`] — latency and throughput recorders;
-//! * [`rng`] — a tiny deterministic generator for reproducible stimulus.
+//! * [`stats`] — throughput counters.
 //!
 //! ## Example
 //!
@@ -32,18 +28,14 @@
 
 pub mod arbiter;
 pub mod clock;
-pub mod fifo;
 pub mod memory;
 pub mod pipeline;
-pub mod rng;
 pub mod stats;
 pub mod vcd;
 
 pub use arbiter::RoundRobin;
-pub use clock::{Clocked, Sim};
-pub use fifo::Fifo;
+pub use clock::Clocked;
 pub use memory::{DdrChannel, DdrConfig};
 pub use pipeline::Pipe;
-pub use rng::XorShift;
-pub use stats::{LatencyStats, Throughput};
+pub use stats::Throughput;
 pub use vcd::Vcd;

@@ -1,66 +1,6 @@
-//! Latency and throughput recorders.
+//! Throughput counters.
 
 use serde::{Deserialize, Serialize};
-
-/// Accumulates per-operation latencies (in cycles).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct LatencyStats {
-    samples: Vec<u64>,
-}
-
-impl LatencyStats {
-    /// Create an empty recorder.
-    #[must_use]
-    pub fn new() -> Self {
-        LatencyStats::default()
-    }
-
-    /// Record one latency sample.
-    pub fn record(&mut self, cycles: u64) {
-        self.samples.push(cycles);
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Minimum latency, if any samples were recorded.
-    #[must_use]
-    pub fn min(&self) -> Option<u64> {
-        self.samples.iter().copied().min()
-    }
-
-    /// Maximum latency, if any samples were recorded.
-    #[must_use]
-    pub fn max(&self) -> Option<u64> {
-        self.samples.iter().copied().max()
-    }
-
-    /// Arithmetic mean latency, if any samples were recorded.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64)
-        }
-    }
-
-    /// Whether every recorded sample equals `cycles` (used by tests that
-    /// assert a *stable* latency, e.g. Table VI/VIII rows).
-    #[must_use]
-    pub fn all_equal_to(&self, cycles: u64) -> bool {
-        !self.samples.is_empty() && self.samples.iter().all(|&s| s == cycles)
-    }
-
-    /// The raw samples.
-    #[must_use]
-    pub fn samples(&self) -> &[u64] {
-        &self.samples
-    }
-}
 
 /// Operations-per-second throughput derived from cycle counts and a clock
 /// frequency.
@@ -103,39 +43,6 @@ impl Throughput {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_stats_have_no_aggregates() {
-        let s = LatencyStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-        assert_eq!(s.mean(), None);
-        assert!(!s.all_equal_to(0));
-    }
-
-    #[test]
-    fn aggregates() {
-        let mut s = LatencyStats::new();
-        for v in [3, 5, 4] {
-            s.record(v);
-        }
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.min(), Some(3));
-        assert_eq!(s.max(), Some(5));
-        assert_eq!(s.mean(), Some(4.0));
-        assert_eq!(s.samples(), &[3, 5, 4]);
-    }
-
-    #[test]
-    fn all_equal_detects_stability() {
-        let mut s = LatencyStats::new();
-        s.record(7);
-        s.record(7);
-        assert!(s.all_equal_to(7));
-        s.record(8);
-        assert!(!s.all_equal_to(7));
-    }
 
     #[test]
     fn throughput_math_matches_paper_units() {

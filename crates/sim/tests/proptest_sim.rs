@@ -1,8 +1,8 @@
-//! Property tests for the simulation kernel: pipeline delay exactness,
-//! FIFO order/backpressure, and DDR cost monotonicity.
+//! Property tests for the simulation kernel: pipeline delay exactness
+//! and DDR cost monotonicity.
 
 use dsp_cam_sim::memory::MemRequest;
-use dsp_cam_sim::{DdrChannel, Fifo, Pipe, XorShift};
+use dsp_cam_sim::{DdrChannel, Pipe};
 use proptest::prelude::*;
 
 proptest! {
@@ -45,32 +45,6 @@ proptest! {
     }
 
     #[test]
-    fn fifo_preserves_order_under_backpressure(
-        capacity in 1usize..16,
-        script in proptest::collection::vec(proptest::option::of(0u32..100), 1..120),
-    ) {
-        // Some(x) = try push x, None = pop.
-        let mut fifo = Fifo::new(capacity);
-        let mut model: std::collections::VecDeque<u32> = Default::default();
-        for op in script {
-            match op {
-                Some(x) => {
-                    let pushed = fifo.push(x).is_ok();
-                    prop_assert_eq!(pushed, model.len() < capacity);
-                    if pushed {
-                        model.push_back(x);
-                    }
-                }
-                None => {
-                    prop_assert_eq!(fifo.pop(), model.pop_front());
-                }
-            }
-            prop_assert_eq!(fifo.len(), model.len());
-            prop_assert_eq!(fifo.is_full(), model.len() >= capacity);
-        }
-    }
-
-    #[test]
     fn ddr_access_cost_monotone_in_bytes(addr in 0u64..1_000_000, bytes in 1u64..10_000) {
         let ch = DdrChannel::default();
         let small = ch.access_cycles(MemRequest { addr, bytes });
@@ -97,16 +71,5 @@ proptest! {
         }
         let expect: Vec<u64> = (0..sizes.len() as u64).collect();
         prop_assert_eq!(done, expect);
-    }
-
-    #[test]
-    fn xorshift_bits_within_bound(seed: u64, bits in 0u32..=64) {
-        let mut rng = XorShift::new(seed);
-        for _ in 0..32 {
-            let v = rng.next_bits(bits);
-            if bits < 64 {
-                prop_assert!(v < (1u64 << bits.max(1)) || (bits == 0 && v == 0));
-            }
-        }
     }
 }

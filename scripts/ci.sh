@@ -30,6 +30,13 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Rustdoc with warnings denied, so a deleted or renamed item cannot
+# leave a dangling intra-doc link behind. Both feature sets: an
+# obs-gated item resolves only when obs is on.
+echo "==> cargo doc (deny warnings, default + obs)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --features obs
+
 echo "==> cargo test (default features: obs compiled out)"
 cargo test -q --offline --workspace
 

@@ -12,7 +12,7 @@
 //! | re-export | crate | contents |
 //! |---|---|---|
 //! | [`dsp48`] | `dsp48` | DSP48E2 slice behavioural model (UG579) |
-//! | [`sim`] | `dsp-cam-sim` | clocked simulation kernel, FIFOs, DDR model |
+//! | [`sim`] | `dsp-cam-sim` | clocked simulation kernel, pipelines, DDR model |
 //! | [`fpga`] | `fpga-model` | devices, resources, timing, floorplan, survey |
 //! | [`cam`] | `dsp-cam-core` | **the contribution**: cell/block/unit hierarchy |
 //! | [`baselines`] | `dsp-cam-baselines` | LUT/LUTRAM/BRAM/hybrid/DSP-cascade CAMs |
