@@ -179,22 +179,22 @@ pub(crate) static FLOORS: &[Floor] = &[
         reason: "the Turbo tier's reason to exist: at least 50x the bit-accurate DSP simulation" },
     Floor { section: "turbo_trace_overhead_pct", select: &[], metric: "turbo_trace_overhead_pct",
         bound: Below, value: Float(3.0, 1), field: None,
-        reason: "tracing every event costs under 3% of Turbo search_stream throughput" },
+        reason: "tracing every event costs under 3% of Turbo search_stream throughput on a ternary(32, 0) plane walk" },
     Floor { section: "scrub_overhead_pct", select: &[], metric: "scrub_overhead_pct",
         bound: AtMost, value: Float(5.0, 1), field: None,
-        reason: "the default ScrubPolicy costs at most 5% of Turbo search_stream throughput" },
+        reason: "the default ScrubPolicy costs at most 5% of Turbo search_stream throughput on a ternary(32, 0) plane walk" },
     Floor { section: "batch_kernel_vs_scalar", select: &[("entries", Int(8192)), ("batch_width", Int(32))],
         metric: "batched_over_scalar", bound: AtLeast, value: Float(2.0, 1), field: None,
-        reason: "the key-parallel kernel's reason to exist: at least 2x its one-key degenerate" },
+        reason: "the key-parallel kernel's reason to exist: at least 2x its one-key degenerate on a ternary(32, 0) plane walk" },
     Floor { section: "large_rows", select: &[("entries", Int(65_536))], metric: "searches_per_sec_per_entry",
         bound: AtLeast, value: Float(0.5, 1), field: None,
-        reason: "per-entry throughput is a plane walk's scale invariant; ~3x under 1.56 measured" },
+        reason: "binary streams walk only the blocks the exact-match index names (~17 measured); kept at the plane walk's value until >= 10 paired runs raise it" },
     Floor { section: "large_rows", select: &[("entries", Int(262_144))], metric: "searches_per_sec_per_entry",
         bound: AtLeast, value: Float(0.02, 2), field: None,
-        reason: "planes spill to DRAM past ~64k entries; ~3x under 0.074 measured" },
+        reason: "each key still clears and scans a group-wide match vector (~1.2 measured); kept at the plane walk's value" },
     Floor { section: "large_rows", select: &[("entries", Int(1_048_576))], metric: "searches_per_sec_per_entry",
         bound: AtLeast, value: Float(0.0015, 4), field: None,
-        reason: "planes spill to DRAM past ~64k entries; ~3x under 0.0058 measured" },
+        reason: "each key still clears and scans a 1M-cell match vector (~0.06 measured); kept at the plane walk's value" },
     Floor { section: "update_queue_rows", select: &[("entries", Int(8192)), ("mix", text("50:45:5"))],
         metric: "update_p99_buffered_over_inline", bound: AtMost, value: Float(0.5, 1), field: None,
         reason: "absorbing an insert costs at most half of applying it inline, even at the tail" },
@@ -203,7 +203,7 @@ pub(crate) static FLOORS: &[Floor] = &[
         reason: "with updates absorbed off the search path, search throughput at least doubles" },
     Floor { section: "capacity_scaling", select: &[("shards", Int(4))], metric: "speedup_over_single",
         bound: AtLeast, value: Float(2.5, 1), field: Some("floor_speedup_over_single"),
-        reason: "quarter-capacity shards search ~4x faster (3.0-3.5x summed CPU time measured)" },
+        reason: "quarter-capacity ternary(32, 0) shards' plane walk searches ~4x faster (3.0-3.5x summed CPU time measured)" },
     Floor { section: "cluster_migration", select: &[], metric: "dropped",
         bound: Equals, value: Int(0), field: None,
         reason: "live migration's zero-dropped-query invariant" },

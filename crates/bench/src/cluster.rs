@@ -30,6 +30,7 @@ use dsp_cam_workload::{
 };
 
 use crate::artefact::{self, Row};
+use crate::search_rates::plane_walk_cell;
 
 /// Sequential-sum throughput of one shard count in the cluster race.
 #[derive(Debug, Clone, Copy)]
@@ -204,10 +205,16 @@ fn race_replay(trace: &Trace, unit: &mut CamUnit) -> u64 {
 }
 
 /// A Turbo-tier shard unit of `entries` capacity in the canonical bench
-/// geometry (256-entry blocks, 512-bit bus, single group).
+/// geometry (256-entry blocks, 512-bit bus, single group), of
+/// [`plane_walk_cell`]s: the race measures how a plane walk speeds up
+/// as shard capacity shrinks, which a binary unit's exact-match index
+/// would hide.
 fn shard_unit(entries: usize) -> CamUnit {
+    let cell = plane_walk_cell();
     let config = UnitConfig::builder()
-        .data_width(32)
+        .kind(cell.kind)
+        .data_width(cell.data_width)
+        .ternary_mask(cell.ternary_mask)
         .block_size(256)
         .num_blocks(entries / 256)
         .bus_width(512)

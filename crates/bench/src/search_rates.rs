@@ -48,20 +48,52 @@ pub const BENCH_SIZES: [usize; 3] = [512, 2048, 8192];
 /// as `large_rows`.
 pub const LARGE_BENCH_SIZES: [usize; 3] = [65_536, 262_144, 1_048_576];
 
-fn unit_of(entries: usize, fidelity: FidelityMode) -> CamUnit {
+/// The cell of every two-arm plane-walk measurement (the batch kernel
+/// race, the scrub and tracer overheads, and `capacity_scaling`):
+/// `ternary(32, 0)` cares about every bit exactly like `binary(32)`, so
+/// it walks the identical planes, but carries no exact-match index,
+/// which lets a binary Turbo unit skip every block not holding a key.
+pub(crate) fn plane_walk_cell() -> CellConfig {
+    CellConfig::ternary(32, 0)
+}
+
+/// A unit of `entries` `cell`s on the canonical bench geometry (256-cell
+/// blocks, 128 below 256 entries; 512-bit bus), filled with the `i * 3`
+/// fixture.
+fn filled_unit(
+    cell: CellConfig,
+    entries: usize,
+    fidelity: FidelityMode,
+    scrub: Option<ScrubPolicy>,
+) -> CamUnit {
     let block_size = if entries >= 256 { 256 } else { 128 };
-    let config = UnitConfig::builder()
-        .data_width(32)
+    let mut builder = UnitConfig::builder()
+        .kind(cell.kind)
+        .data_width(cell.data_width)
+        .ternary_mask(cell.ternary_mask)
         .block_size(block_size)
         .num_blocks(entries / block_size)
         .bus_width(512)
-        .fidelity(fidelity)
-        .build()
-        .expect("bench geometry is valid");
-    let mut unit = CamUnit::new(config).expect("constructible");
+        .fidelity(fidelity);
+    if let Some(policy) = scrub {
+        builder = builder.scrub(policy);
+    }
+    let mut unit =
+        CamUnit::new(builder.build().expect("bench geometry is valid")).expect("constructible");
     let words: Vec<u64> = (0..entries as u64).map(|i| i * 3).collect();
     unit.update(&words).expect("fits");
     unit
+}
+
+/// A binary unit of `entries` cells at `fidelity` (see [`filled_unit`]).
+fn unit_of(entries: usize, fidelity: FidelityMode) -> CamUnit {
+    filled_unit(CellConfig::binary(32), entries, fidelity, None)
+}
+
+/// A Turbo [`plane_walk_cell`] unit of `entries` cells (see
+/// [`filled_unit`]).
+fn plane_walk_unit(entries: usize, scrub: Option<ScrubPolicy>) -> CamUnit {
+    filled_unit(plane_walk_cell(), entries, FidelityMode::Turbo, scrub)
 }
 
 /// Time broadcast searches on `unit` until the sample is stable enough
@@ -160,50 +192,38 @@ fn median_paired_loss_pct(
 }
 
 /// Measure the tracer's overhead on Turbo `search_stream` batches at
-/// `entries`: the signed median percentage throughput loss of an
-/// observed unit (tracing every event into a bounded ring) versus an
-/// unobserved one, over five interleaved 100ms rounds (see
-/// `median_paired_loss_pct`).
+/// `entries`, on a `ternary(32, 0)` plane walk (`plane_walk_cell`):
+/// the signed median percentage throughput loss of an observed unit
+/// (tracing every event into a bounded ring) versus an unobserved one,
+/// over twelve interleaved 60ms rounds (see `median_paired_loss_pct`)
+/// — the rounds [`measure_scrub_overhead_pct`] takes, for the same
+/// reason.
 #[cfg(feature = "obs")]
 #[must_use]
 pub fn measure_turbo_trace_overhead_pct(entries: usize) -> f64 {
     use std::sync::Arc;
 
-    let keys: Vec<u64> = (0..1024u64).map(|i| i * 7 % (entries as u64 * 3)).collect();
-    let mut plain = unit_of(entries, FidelityMode::Turbo);
+    let mut plain = plane_walk_unit(entries, None);
     let sink = Arc::new(dsp_cam_obs::ObsSink::with_trace_capacity(16_384));
-    let mut observed = unit_of(entries, FidelityMode::Turbo);
+    let mut observed = plane_walk_unit(entries, None);
     observed.attach_observer(&sink);
-    median_paired_loss_pct(&mut plain, &mut observed, &keys, 5, 100)
+    median_paired_loss_pct(&mut plain, &mut observed, &stream_keys(entries), 12, 60)
 }
 
 /// Measure the scrubber's overhead on Turbo `search_stream` batches at
-/// `entries`: the signed median percentage throughput loss of a unit
-/// running the default [`ScrubPolicy`] (background walker + sampled
-/// oracle cross-check) versus an identical unit with scrubbing disabled.
+/// `entries`, on a `ternary(32, 0)` plane walk (`plane_walk_cell`):
+/// the signed median percentage throughput loss of a unit running the
+/// default [`ScrubPolicy`] (background walker + sampled oracle
+/// cross-check) versus an identical unit with scrubbing disabled.
 ///
-/// More, shorter rounds than `measure_turbo_trace_overhead_pct` (an
-/// `obs`-feature measurement): the scrub tax is small (single-digit percent), so twelve interleaved
-/// 60ms pairs give the median enough rounds to outvote scheduler
-/// contention spikes that can depress one side for 100ms at a time.
+/// The tax is small (single-digit percent), so twelve interleaved 60ms
+/// pairs give the median enough rounds to outvote scheduler contention
+/// spikes that can depress one side for 100ms at a time.
 #[must_use]
 pub fn measure_scrub_overhead_pct(entries: usize) -> f64 {
-    let keys: Vec<u64> = (0..1024u64).map(|i| i * 7 % (entries as u64 * 3)).collect();
-    let mut plain = unit_of(entries, FidelityMode::Turbo);
-    let block_size = if entries >= 256 { 256 } else { 128 };
-    let config = UnitConfig::builder()
-        .data_width(32)
-        .block_size(block_size)
-        .num_blocks(entries / block_size)
-        .bus_width(512)
-        .fidelity(FidelityMode::Turbo)
-        .scrub(ScrubPolicy::default())
-        .build()
-        .expect("bench geometry is valid");
-    let mut scrubbed = CamUnit::new(config).expect("constructible");
-    let words: Vec<u64> = (0..entries as u64).map(|i| i * 3).collect();
-    scrubbed.update(&words).expect("fits");
-    median_paired_loss_pct(&mut plain, &mut scrubbed, &keys, 12, 60)
+    let mut plain = plane_walk_unit(entries, None);
+    let mut scrubbed = plane_walk_unit(entries, Some(ScrubPolicy::default()));
+    median_paired_loss_pct(&mut plain, &mut scrubbed, &stream_keys(entries), 12, 60)
 }
 
 /// Turbo `search_stream` throughput at one large capacity.
@@ -251,11 +271,13 @@ impl BatchVsScalarRow {
     }
 }
 
-/// A single-group Turbo unit of `entries` cells at `batch_width` keys
+/// A single-group Turbo unit of `entries` `cell`s at `batch_width` keys
 /// per kernel pass, filled with the canonical `i * 3` fixture.
-fn turbo_stream_unit(entries: usize, batch_width: usize) -> CamUnit {
+fn turbo_stream_unit(cell: CellConfig, entries: usize, batch_width: usize) -> CamUnit {
     let config = UnitConfig::builder()
-        .data_width(32)
+        .kind(cell.kind)
+        .data_width(cell.data_width)
+        .ternary_mask(cell.ternary_mask)
         .block_size(256)
         .num_blocks(entries / 256)
         .bus_width(512)
@@ -269,21 +291,22 @@ fn turbo_stream_unit(entries: usize, batch_width: usize) -> CamUnit {
     unit
 }
 
-/// The deterministic mixed hit/miss key stream used by the large-scale
-/// and batch-vs-scalar measurements (hits wherever `i * 7` lands on a
-/// stored multiple of three).
+/// The deterministic mixed hit/miss key stream used by every
+/// `search_stream` measurement (hits wherever `i * 7` lands on a stored
+/// multiple of three).
 fn stream_keys(entries: usize) -> Vec<u64> {
     (0..1024u64).map(|i| i * 7 % (entries as u64 * 3)).collect()
 }
 
-/// Turbo `search_stream` throughput at each of `sizes` entries, sampled
-/// for `min_millis` with the best of `rounds` kept per size.
+/// Turbo `search_stream` throughput of binary units (answered through
+/// the exact-match index) at each of `sizes` entries, sampled for
+/// `min_millis` with the best of `rounds` kept per size.
 #[must_use]
 pub fn measure_large_scale(sizes: &[usize], min_millis: u128, rounds: usize) -> Vec<LargeScaleRow> {
     sizes
         .iter()
         .map(|&entries| {
-            let mut unit = turbo_stream_unit(entries, 32);
+            let mut unit = turbo_stream_unit(CellConfig::binary(32), entries, 32);
             let keys = stream_keys(entries);
             let stream_kps = (0..rounds.max(1))
                 .map(|_| stream_keys_per_sec(&mut unit, &keys, min_millis))
@@ -298,8 +321,9 @@ pub fn measure_large_scale(sizes: &[usize], min_millis: u128, rounds: usize) -> 
 
 /// Race the key-parallel kernel (`batch_width` keys per plane pass)
 /// against the same unit degenerated to one key per pass, on Turbo
-/// `search_stream` at `entries`. Rounds are interleaved so clock drift
-/// and cache noise hit both sides equally.
+/// `search_stream` at `entries` over the `ternary(32, 0)` plane
+/// walk. Rounds are interleaved so clock drift and cache noise hit both
+/// sides equally.
 #[must_use]
 pub fn measure_batch_vs_scalar(
     entries: usize,
@@ -308,8 +332,8 @@ pub fn measure_batch_vs_scalar(
     rounds: usize,
 ) -> BatchVsScalarRow {
     let keys = stream_keys(entries);
-    let mut batched = turbo_stream_unit(entries, batch_width);
-    let mut scalar = turbo_stream_unit(entries, 1);
+    let mut batched = turbo_stream_unit(plane_walk_cell(), entries, batch_width);
+    let mut scalar = turbo_stream_unit(plane_walk_cell(), entries, 1);
     let mut batched_kps = 0.0f64;
     let mut scalar_kps = 0.0f64;
     for _ in 0..rounds.max(1) {
@@ -442,13 +466,15 @@ mod tests {
         // The perf race is release-only; in any build the two kernel
         // widths must return identical stream results.
         let keys = stream_keys(512);
-        let mut batched = turbo_stream_unit(512, 32);
-        let mut scalar = turbo_stream_unit(512, 1);
-        assert_eq!(
-            batched.search_stream(&keys[..128]),
-            scalar.search_stream(&keys[..128]),
-            "batch width must not change stream results"
-        );
+        for cell in [CellConfig::binary(32), plane_walk_cell()] {
+            let mut batched = turbo_stream_unit(cell, 512, 32);
+            let mut scalar = turbo_stream_unit(cell, 512, 1);
+            assert_eq!(
+                batched.search_stream(&keys[..128]),
+                scalar.search_stream(&keys[..128]),
+                "batch width must not change stream results ({cell:?})"
+            );
+        }
     }
 
     /// Release-mode floor regression for the key-parallel kernel, the

@@ -69,6 +69,12 @@ pub struct CamBlock {
     cycles: u64,
     update_beats: u64,
     searches: u64,
+    /// Whether a shadow fault was injected since the planes were last
+    /// fully repaired: such a block's planes may answer a key it holds
+    /// no copy of, so an exact-match candidate walk must visit it (see
+    /// [`crate::exact`]).
+    #[serde(default)]
+    suspect: bool,
     /// Reusable match vector behind [`CamBlock::search`] — host-side
     /// scratch, not architectural state.
     #[serde(skip)]
@@ -111,6 +117,7 @@ impl CamBlock {
             cycles: 0,
             update_beats: 0,
             searches: 0,
+            suspect: false,
             vector_scratch: MatchVector::default(),
             #[cfg(feature = "obs")]
             obs: BlockObs::default(),
@@ -217,6 +224,15 @@ impl CamBlock {
         self.cells.iter().map(|c| (c.is_valid(), c.pd_fires()))
     }
 
+    /// Whether a shadow fault was injected since the block's planes were
+    /// last fully repaired (by [`CamBlock::reset`] or
+    /// [`CamBlock::scrub_all`]) — until then its planes may answer a key
+    /// it holds no copy of.
+    #[must_use]
+    pub(crate) fn is_suspect(&self) -> bool {
+        self.suspect
+    }
+
     /// Bit-accurate audit pass over the bit-sliced shadow: re-derive the
     /// expected shadow state of every cell from the DSP oracle and
     /// return the number of divergent cells (a healthy block always
@@ -242,14 +258,15 @@ impl CamBlock {
     }
 
     /// Apply one targeted [`ShadowFault`] to this block's shadow
-    /// structures (the DSP oracle is untouched). Subsumes
-    /// [`CamBlock::inject_shadow_fault`]; the general entry point of the
-    /// fault injector.
+    /// structures (the DSP oracle is untouched) and mark the block
+    /// suspect. Subsumes [`CamBlock::inject_shadow_fault`]; the general
+    /// entry point of the fault injector.
     ///
     /// # Panics
     ///
     /// Panics if the fault addresses a cell out of range.
     pub fn inject_fault_at(&mut self, fault: ShadowFault) {
+        self.suspect = true;
         match fault {
             ShadowFault::Plane {
                 cell,
@@ -284,9 +301,10 @@ impl CamBlock {
     }
 
     /// Scrub every cell of the block (the governor's bulk-repair path
-    /// after a cross-check divergence). Returns total divergent shadow
-    /// entries repaired.
+    /// after a cross-check divergence), which clears the suspect mark.
+    /// Returns total divergent shadow entries repaired.
     pub fn scrub_all(&mut self) -> usize {
+        self.suspect = false;
         (0..self.cells.len())
             .map(|cell| self.scrub_cell(cell))
             .sum()
@@ -421,7 +439,7 @@ impl CamBlock {
 
     /// Charge `n` broadcasts, `matched` of which hit: one search latency
     /// and one search tick each, plus the match/miss monitoring tallies.
-    fn tally(&mut self, n: u64, matched: u64) {
+    pub(crate) fn tally(&mut self, n: u64, matched: u64) {
         self.cycles += n * self.config.search_latency();
         self.searches += n;
         #[cfg(feature = "obs")]
@@ -506,20 +524,25 @@ impl CamBlock {
     /// same single cycle as the global reset). The freed cell joins a
     /// free-list and is reused by subsequent updates, lowest address
     /// first, before the fill pointer advances — so deletion genuinely
-    /// returns capacity.
+    /// returns capacity. Returns the word the cell's DSP slice stored
+    /// when the cell held a valid entry.
     ///
     /// # Panics
     ///
     /// Panics if `cell >= capacity`.
-    pub fn invalidate(&mut self, cell: usize) {
+    pub fn invalidate(&mut self, cell: usize) -> Option<u64> {
         assert!(cell < self.cells.len(), "cell {cell} out of range");
-        if cell < self.write_ptr && self.cells[cell].is_valid() {
+        let held = self.cells[cell]
+            .is_valid()
+            .then(|| self.cells[cell].stored());
+        if cell < self.write_ptr && held.is_some() {
             let at = self.holes.partition_point(|&h| h > cell);
             self.holes.insert(at, cell);
         }
         self.cells[cell].clear();
         self.reshadow(cell);
         self.cycles += 1;
+        held
     }
 
     /// Lowest cell address whose *valid* contents match `key`, without
@@ -561,6 +584,8 @@ impl CamBlock {
     }
 
     /// Assert the reset signal: clear every cell and the fill pointer.
+    /// The planes are re-derived from the cleared cells, so the suspect
+    /// mark clears too.
     pub fn reset(&mut self) {
         for cell in &mut self.cells {
             cell.clear();
@@ -568,6 +593,7 @@ impl CamBlock {
         self.bitslice.refresh_all(&self.cells);
         self.write_ptr = 0;
         self.holes.clear();
+        self.suspect = false;
         self.cycles += 1;
     }
 

@@ -188,6 +188,19 @@ pub enum FaultSite {
         /// Staged-op slot whose key is toggled in the index.
         slot: usize,
     },
+    /// Toggle one entry of a binary unit's exact-match candidate index
+    /// (see [`crate::exact`]): dropped if present, so Turbo walks skip a
+    /// block that holds the key, or conjured if absent. Only the derived
+    /// index is touched; the cells, and therefore the sweep's rebuild,
+    /// survive. A no-op on ternary and range units, which keep no index.
+    /// [`FaultPlan`] never draws this site, so seeded campaigns are
+    /// unchanged by it.
+    ExactIndex {
+        /// Physical block whose entry for `key` is toggled.
+        block: usize,
+        /// The key (masked to the data width when applied).
+        key: u64,
+    },
 }
 
 /// A deterministic, seeded fault campaign.
@@ -351,6 +364,7 @@ mod tests {
                 }
                 FaultSite::Routing { block } => assert!(block < 4),
                 FaultSite::UpdateQueue { slot } => assert!(slot < 64),
+                FaultSite::ExactIndex { .. } => panic!("plans never draw {site:?}"),
             }
         }
     }

@@ -54,6 +54,7 @@ pub mod config;
 pub mod dense;
 pub mod encoder;
 pub mod error;
+pub mod exact;
 pub mod faults;
 pub mod func;
 pub mod journal;

@@ -36,6 +36,7 @@ use crate::cell::Entry;
 use crate::config::{FidelityMode, ScrubPolicy, UnitConfig};
 use crate::encoder::{MatchVector, SearchOutput};
 use crate::error::{CamError, ConfigError};
+use crate::exact::{self, ExactIndex};
 use crate::faults::{FaultPlan, FaultSite};
 use crate::mask::RangeSpec;
 use crate::scrub::{ScrubReport, ScrubState};
@@ -124,18 +125,56 @@ struct GroupFill {
     current: usize,
 }
 
-/// Reusable per-search working buffers: the combined group vector plus
-/// one per-block vector for the scalar path, and W-wide staging for the
-/// key-parallel batch kernel — so a stream of searches allocates nothing
-/// per key (or per batch) once the buffers reach steady-state size.
+/// Reusable per-search working buffers, so a stream of searches
+/// allocates nothing per key (or per batch) once the buffers reach
+/// steady-state size.
 #[derive(Debug, Clone, Default)]
 struct GroupScratch {
-    combined: MatchVector,
-    block: MatchVector,
     /// The unique keys one group answers, walked in batches.
     batch_keys: Vec<u64>,
-    /// Per-key group-combined match vectors.
-    batch_combined: Vec<MatchVector>,
+    walk: WalkScratch,
+}
+
+/// The buffers of one group walk (see [`CamUnit::walk_group`]) and of
+/// the deletion probes' candidate walks.
+#[derive(Debug, Clone, Default)]
+struct WalkScratch {
+    /// One group-wide match vector per key.
+    combined: Vec<MatchVector>,
+    /// One block's match vector, for walks that answer block by block.
+    block: MatchVector,
+    /// Slots of the walked group holding a suspect block, ascending.
+    suspects: Vec<usize>,
+    /// Slots one key's walk visits, ascending.
+    candidates: Vec<usize>,
+    /// Keys of the batch that visited each slot.
+    visits: Vec<usize>,
+}
+
+/// What a group walk asks of each block it visits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Probe {
+    /// The configured tier's broadcast, one key at a time (the scalar
+    /// search paths), charged to the block's counters.
+    Scalar,
+    /// The configured tier's broadcast through the key-parallel batch
+    /// kernel (`search_stream`), charged to the block's counters.
+    Batch,
+    /// The DSP oracle, counter-neutral: the cross-check's reference.
+    Oracle,
+}
+
+/// Each block's `(group, slot)`: its group and its position in that
+/// group's fill order, read from the fill state (never from the
+/// faultable Routing Table).
+fn placement_of(fill: &[GroupFill], blocks: usize) -> Vec<(usize, usize)> {
+    let mut placement = vec![(0, 0); blocks];
+    for (g, f) in fill.iter().enumerate() {
+        for (slot, &b) in f.blocks.iter().enumerate() {
+            placement[b] = (g, slot);
+        }
+    }
+    placement
 }
 
 /// An attached observability sink plus the interned scope path the unit
@@ -173,6 +212,14 @@ pub struct CamUnit {
     /// enables buffering.
     #[serde(default)]
     wbuf: WriteBuffer,
+    /// Exact-match candidate index of a binary unit (see
+    /// [`crate::exact`]); `None` on ternary and range units, whose
+    /// entries can match keys other than their stored word, and on
+    /// geometries the index cannot address.
+    exact: Option<ExactIndex>,
+    /// Each block's `(group, slot)`, where a candidate walk lays it out
+    /// (see [`placement_of`]).
+    placement: Vec<(usize, usize)>,
     #[serde(skip)]
     scratch: GroupScratch,
     /// Attached observability sink; host-side monitoring, never
@@ -194,21 +241,24 @@ impl CamUnit {
         let blocks = (0..config.num_blocks)
             .map(|_| CamBlock::new(config.block))
             .collect::<Result<Vec<_>, _>>()?;
+        let fill = vec![GroupFill {
+            blocks: (0..config.num_blocks).collect(),
+            current: 0,
+        }];
         Ok(CamUnit {
             config,
             blocks,
             routing: vec![0; config.num_blocks],
             groups: 1,
-            fill: vec![GroupFill {
-                blocks: (0..config.num_blocks).collect(),
-                current: 0,
-            }],
+            placement: placement_of(&fill, config.num_blocks),
+            fill,
             entries_per_group: 0,
             issue_cycles: 0,
             update_words: 0,
             search_count: 0,
             scrub: ScrubState::default(),
             wbuf: WriteBuffer::default(),
+            exact: exact::indexable(&config).then(|| ExactIndex::with_room(config.total_cells())),
             scratch: GroupScratch::default(),
             #[cfg(feature = "obs")]
             observer: None,
@@ -491,6 +541,17 @@ impl CamUnit {
         self.blocks.iter().map(CamBlock::audit_shadows).collect()
     }
 
+    /// Entries of the exact-match candidate index (see [`crate::exact`])
+    /// that diverge from what the cells imply: 0 for a healthy index and
+    /// for units that keep none. Counter-neutral and side-effect free;
+    /// the scrubber's sweep is what repairs the index.
+    #[must_use]
+    pub fn audit_exact_index(&self) -> usize {
+        self.exact
+            .as_ref()
+            .map_or(0, |exact| exact.divergence(&self.blocks))
+    }
+
     /// Corrupt one cell's shadow entries in block `block` — the unit-level
     /// fault-injection hook behind [`CamBlock::inject_shadow_fault`].
     ///
@@ -516,6 +577,13 @@ impl CamUnit {
                 self.routing[block] = (self.routing[block] + 1) % self.groups;
             }
             FaultSite::UpdateQueue { slot } => self.wbuf.inject_index_fault(slot),
+            FaultSite::ExactIndex { block, key } => {
+                assert!(block < self.blocks.len(), "block {block} out of range");
+                let key = key & mask_width(self.config.block.cell.data_width);
+                if let Some(exact) = &mut self.exact {
+                    exact.inject_fault(key, block);
+                }
+            }
         }
     }
 
@@ -615,6 +683,12 @@ impl CamUnit {
         // other: re-derive it from the golden FIFO and score divergence.
         let wbuf_divergent = self.wbuf.audit_index();
         self.scrub.record_repairs(wbuf_divergent);
+        // So is the exact-match index: re-derive it from the cells.
+        let exact_divergent = self
+            .exact
+            .as_mut()
+            .map_or(0, |exact| exact.audit(&self.blocks));
+        self.scrub.record_repairs(exact_divergent);
         for (g, f) in self.fill.iter().enumerate() {
             for &b in &f.blocks {
                 if self.routing[b] != g {
@@ -663,22 +737,24 @@ impl CamUnit {
             }
             self.scrub.crosschecks += 1;
             let group = result.group;
-            let expected = self
-                .group_result(group, key, |block, k, out| block.oracle_vector_into(k, out))
-                .output;
+            let expected = self.group_result(group, key, Probe::Oracle).output;
             if expected == result.output {
                 continue;
             }
             // The serving shadow lied. Repair the whole answering group
-            // from the oracle, serve the oracle's answer, and fall back to
-            // the oracle tier.
+            // and the exact-match index from the oracle, serve the
+            // oracle's answer, and fall back to the oracle tier.
             self.scrub.divergences += 1;
             let repaired: usize = self.fill[group]
                 .blocks
                 .iter()
                 .map(|&b| self.blocks[b].scrub_all())
                 .sum();
-            self.scrub.record_repairs(repaired as u64);
+            let rebuilt = self
+                .exact
+                .as_mut()
+                .map_or(0, |exact| exact.audit(&self.blocks));
+            self.scrub.record_repairs(repaired as u64 + rebuilt);
             self.scrub.clean_sweeps = 0;
             result.output = expected;
             self.degrade_tier();
@@ -750,12 +826,16 @@ impl CamUnit {
         for block in &mut self.blocks {
             block.reset();
         }
+        if let Some(exact) = &mut self.exact {
+            exact.clear();
+        }
         self.fill = (0..groups)
             .map(|g| GroupFill {
                 blocks: (0..routing.len()).filter(|&b| routing[b] == g).collect(),
                 current: 0,
             })
             .collect();
+        self.placement = placement_of(&self.fill, routing.len());
         self.groups = groups;
         self.routing = routing;
         self.entries_per_group = 0;
@@ -897,17 +977,25 @@ impl CamUnit {
     /// the write-buffer drainer. Admission must already be checked; no
     /// unit-level counters move here — block-level counters accrue as
     /// the cells are written. A (custom-routed) group with no blocks
-    /// stores nothing.
+    /// stores nothing. A binary unit's exact-match index gains one live
+    /// copy per word, under the block whose cell now stores it (a binary
+    /// cell stores exactly the admitted word).
     fn apply_entries_physical<E: Entry>(&mut self, entries: &[E]) {
         for fill in &mut self.fill {
             let mut remaining = entries;
             while !fill.blocks.is_empty() && !remaining.is_empty() {
-                let block = &mut self.blocks[fill.blocks[fill.current]];
+                let b = fill.blocks[fill.current];
+                let block = &mut self.blocks[b];
                 let (head, tail) = remaining.split_at(remaining.len().min(block.free_slots()));
                 if !head.is_empty() {
                     block
                         .write_entries(head)
                         .expect("admission was checked before writing");
+                    if let (Some(exact), Some(words)) = (&mut self.exact, E::as_words(head)) {
+                        for &word in words {
+                            exact.add(word, b);
+                        }
+                    }
                 }
                 remaining = tail;
                 if !remaining.is_empty() {
@@ -973,26 +1061,30 @@ impl CamUnit {
     /// Whether a delete of (masked) `key` would hit once every staged
     /// op lands: net staged inserts of the key, plus the physical
     /// matches still present, must leave at least one copy. Reads the
-    /// golden FIFO (never the derived index) and the counter-neutral
-    /// [`CamBlock::probe_count`], so the decision survives injected
-    /// index faults unchanged.
-    fn staged_delete_would_hit(&self, key: u64) -> bool {
+    /// golden FIFO (never the buffer's derived index) and the
+    /// counter-neutral [`CamBlock::probe_count`] of the candidate blocks
+    /// (see [`CamUnit::candidate_slots`]), so the decision survives
+    /// injected buffer-index faults unchanged.
+    fn staged_delete_would_hit(&mut self, key: u64) -> bool {
         let net = self.wbuf.net_of(key);
         if net > 0 {
             return true;
         }
         // Contents are replicated, so any non-empty group decides.
+        let Some(group) = self.fill.iter().position(|f| !f.blocks.is_empty()) else {
+            return false;
+        };
         let needed = 1usize.saturating_add(net.unsigned_abs() as usize);
+        let mut walk = std::mem::take(&mut self.scratch.walk);
+        self.suspect_slots(group, &mut walk.suspects);
+        self.candidate_slots(group, key, &walk.suspects, &mut walk.candidates);
         let mut found = 0usize;
-        if let Some(fill) = self.fill.iter().find(|f| !f.blocks.is_empty()) {
-            for &b in &fill.blocks {
-                found += self.blocks[b].probe_count(key, needed - found);
-                if found >= needed {
-                    return true;
-                }
-            }
-        }
-        false
+        let hit = walk.candidates.iter().any(|&slot| {
+            found += self.blocks[self.fill[group].blocks[slot]].probe_count(key, needed - found);
+            found >= needed
+        });
+        self.scratch.walk = walk;
+        hit
     }
 
     /// Read-your-writes gate of every search path: when any presented
@@ -1116,7 +1208,7 @@ impl CamUnit {
         self.sync_for_keys(&[key]);
         self.issue_cycles += 1;
         self.search_count += 1;
-        let mut result = self.group_result(group, key, CamBlock::search_vector_into);
+        let mut result = self.group_result(group, key, Probe::Scalar);
         let diverged = self.crosscheck_results(&[key], std::slice::from_mut(&mut result));
         self.scrub_step();
         #[cfg(feature = "obs")]
@@ -1168,7 +1260,7 @@ impl CamUnit {
         let mut results: Vec<SearchResult> = keys
             .iter()
             .enumerate()
-            .map(|(group, &key)| self.group_result(group, key, CamBlock::search_vector_into))
+            .map(|(group, &key)| self.group_result(group, key, Probe::Scalar))
             .collect();
         let diverged = self.crosscheck_results(keys, &mut results);
         self.scrub_step();
@@ -1263,10 +1355,9 @@ impl CamUnit {
 
     /// Answer one group's share of a deduplicated key stream — unique
     /// keys `j ≡ group (mod M)` — in key-parallel batches of up to
-    /// [`UnitConfig::batch_width`] keys: each batch walks the group's
-    /// blocks once, each block OR-ing its answers straight into one
-    /// group-wide vector per key at its slot offset — the W-wide sibling
-    /// of [`CamUnit::group_result`]. Pushes `(j, result)` pairs onto `out`;
+    /// [`UnitConfig::batch_width`] keys, each batch one
+    /// [`CamUnit::walk_group`] — the W-wide sibling of
+    /// [`CamUnit::group_result`]. Pushes `(j, result)` pairs onto `out`;
     /// the reused scratch keeps steady-state streams allocation-free.
     fn stream_group(
         &mut self,
@@ -1279,29 +1370,13 @@ impl CamUnit {
             .config
             .batch_width
             .clamp(1, crate::bitslice::MAX_BATCH_WIDTH);
-        let block_size = self.config.block.block_size;
-        let blocks = &self.fill[group].blocks;
         scratch.batch_keys.clear();
         scratch
             .batch_keys
             .extend(unique.iter().skip(group).step_by(self.groups));
         for (c, keys) in scratch.batch_keys.chunks(batch).enumerate() {
-            if scratch.batch_combined.len() < keys.len() {
-                scratch
-                    .batch_combined
-                    .resize_with(keys.len(), MatchVector::default);
-            }
-            for combined in &mut scratch.batch_combined[..keys.len()] {
-                combined.reset(blocks.len() * block_size);
-            }
-            for (slot, &b) in blocks.iter().enumerate() {
-                self.blocks[b].search_batch_or(
-                    keys,
-                    &mut scratch.batch_combined[..keys.len()],
-                    slot * block_size,
-                );
-            }
-            for (k, combined) in scratch.batch_combined[..keys.len()].iter().enumerate() {
+            self.walk_group(group, keys, Probe::Batch, &mut scratch.walk);
+            for (k, combined) in scratch.walk.combined[..keys.len()].iter().enumerate() {
                 let output = self.config.block.encoding.encode(combined);
                 out.push((
                     group + (c * batch + k) * self.groups,
@@ -1332,30 +1407,114 @@ impl CamUnit {
         Ok(result)
     }
 
-    /// Answer `key` from `group`: `probe` fills each block's match
-    /// vector — the configured tier's broadcast for a search, the DSP
-    /// oracle for the cross-check's reference answer — and the vectors
-    /// are ORed at their group-local offsets and encoded.
-    fn group_result(
-        &mut self,
-        group: usize,
-        key: u64,
-        mut probe: impl FnMut(&mut CamBlock, u64, &mut MatchVector),
-    ) -> SearchResult {
-        let block_size = self.config.block.block_size;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch
-            .combined
-            .reset(self.fill[group].blocks.len() * block_size);
-        for (slot, &b) in self.fill[group].blocks.iter().enumerate() {
-            probe(&mut self.blocks[b], key, &mut scratch.block);
-            scratch
-                .combined
-                .or_offset(&scratch.block, slot * block_size);
-        }
-        let output = self.config.block.encoding.encode(&scratch.combined);
-        self.scratch = scratch;
+    /// Answer `key` from `group` with one [`CamUnit::walk_group`] and
+    /// encode the combined vector.
+    fn group_result(&mut self, group: usize, key: u64, probe: Probe) -> SearchResult {
+        let mut walk = std::mem::take(&mut self.scratch.walk);
+        self.walk_group(group, std::slice::from_ref(&key), probe, &mut walk);
+        let output = self.config.block.encoding.encode(&walk.combined[0]);
+        self.scratch.walk = walk;
         SearchResult { group, output }
+    }
+
+    /// Answer `keys` from `group` into `walk.combined[..keys.len()]`, one
+    /// group-wide vector per key, each visited block OR-ing its answers
+    /// in at its slot offset. A Turbo search walk on a binary unit visits
+    /// only each key's candidate slots (see [`CamUnit::candidate_slots`])
+    /// and charges every block a key skips the all-miss tally a full
+    /// walk would have charged, so answers and counters are those of a
+    /// full walk. BitAccurate searches, the oracle's reference walk and
+    /// units without an exact-match index visit every block.
+    fn walk_group(&mut self, group: usize, keys: &[u64], probe: Probe, walk: &mut WalkScratch) {
+        let block_size = self.config.block.block_size;
+        let slots = self.fill[group].blocks.len();
+        if walk.combined.len() < keys.len() {
+            walk.combined.resize_with(keys.len(), MatchVector::default);
+        }
+        let combined = &mut walk.combined[..keys.len()];
+        for vector in combined.iter_mut() {
+            vector.reset(slots * block_size);
+        }
+        let narrowed = probe != Probe::Oracle
+            && self.exact.is_some()
+            && self.config.block.fidelity == FidelityMode::Turbo;
+        if !narrowed {
+            for slot in 0..slots {
+                let offset = slot * block_size;
+                let block = &mut self.blocks[self.fill[group].blocks[slot]];
+                if probe == Probe::Batch {
+                    block.search_batch_or(keys, combined, offset);
+                    continue;
+                }
+                for (&key, vector) in keys.iter().zip(combined.iter_mut()) {
+                    if probe == Probe::Oracle {
+                        block.oracle_vector_into(key, &mut walk.block);
+                    } else {
+                        block.search_vector_into(key, &mut walk.block);
+                    }
+                    vector.or_offset(&walk.block, offset);
+                }
+            }
+            return;
+        }
+        let limit = mask_width(self.config.block.cell.data_width);
+        self.suspect_slots(group, &mut walk.suspects);
+        walk.visits.clear();
+        walk.visits.resize(slots, 0);
+        for (&key, vector) in keys.iter().zip(combined.iter_mut()) {
+            self.candidate_slots(group, key & limit, &walk.suspects, &mut walk.candidates);
+            for &slot in &walk.candidates {
+                self.blocks[self.fill[group].blocks[slot]].search_batch_or(
+                    std::slice::from_ref(&key),
+                    std::slice::from_mut(vector),
+                    slot * block_size,
+                );
+                walk.visits[slot] += 1;
+            }
+        }
+        // A block a key skipped answers it all-miss: charge that miss
+        // exactly as the full walk would have.
+        for (slot, &visits) in walk.visits.iter().enumerate() {
+            let skipped = (keys.len() - visits) as u64;
+            self.blocks[self.fill[group].blocks[slot]].tally(skipped, 0);
+        }
+    }
+
+    /// The slots of `group` (positions in its fill order) holding a
+    /// suspect block — one whose planes may answer a key it holds no
+    /// copy of (see [`CamBlock::is_suspect`]) — ascending, into `out`.
+    fn suspect_slots(&self, group: usize, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(
+            self.fill[group]
+                .blocks
+                .iter()
+                .enumerate()
+                .filter(|&(_, &b)| self.blocks[b].is_suspect())
+                .map(|(slot, _)| slot),
+        );
+    }
+
+    /// The slots of `group` a walk for (masked) `key` must visit,
+    /// ascending, into `out`: on a binary unit, the blocks the
+    /// exact-match index names for the key plus the group's `suspects`
+    /// (from [`CamUnit::suspect_slots`]); every slot on a unit without an
+    /// index. Every other block holds no valid copy of the key, so its
+    /// planes answer all-miss.
+    fn candidate_slots(&self, group: usize, key: u64, suspects: &[usize], out: &mut Vec<usize>) {
+        out.clear();
+        let Some(exact) = &self.exact else {
+            out.extend(0..self.fill[group].blocks.len());
+            return;
+        };
+        exact.for_each_block(key, |b| {
+            let (g, slot) = self.placement[b];
+            if g == group && suspects.binary_search(&slot).is_err() {
+                out.push(slot);
+            }
+        });
+        out.extend_from_slice(suspects);
+        out.sort_unstable();
     }
 
     /// Delete the first entry matching `key` (extension beyond the paper:
@@ -1393,19 +1552,32 @@ impl CamUnit {
 
     /// Invalidate the first match of `key` in every group — the
     /// physical deletion walk shared by the inline path and the
-    /// write-buffer drainer. No unit-level counters move here.
+    /// write-buffer drainer. Each group probes its candidate blocks (see
+    /// [`CamUnit::candidate_slots`]) in fill order; a binary unit's
+    /// exact-match index loses the word the invalidated cell stored.
+    /// No unit-level counters move here.
     fn apply_delete_physical(&mut self, key: u64) -> bool {
+        let key = key & mask_width(self.config.block.cell.data_width);
+        let mut walk = std::mem::take(&mut self.scratch.walk);
         let mut deleted_any = false;
-        for fill in &mut self.fill {
-            for (pos, &b) in fill.blocks.iter().enumerate() {
+        for group in 0..self.fill.len() {
+            self.suspect_slots(group, &mut walk.suspects);
+            self.candidate_slots(group, key, &walk.suspects, &mut walk.candidates);
+            for &slot in &walk.candidates {
+                let b = self.fill[group].blocks[slot];
                 if let Some(cell) = self.blocks[b].probe_first(key) {
-                    self.blocks[b].invalidate(cell);
-                    fill.current = fill.current.min(pos);
+                    let held = self.blocks[b].invalidate(cell);
+                    if let (Some(exact), Some(word)) = (&mut self.exact, held) {
+                        exact.remove(word, b);
+                    }
+                    let fill = &mut self.fill[group];
+                    fill.current = fill.current.min(slot);
                     deleted_any = true;
                     break;
                 }
             }
         }
+        self.scratch.walk = walk;
         deleted_any
     }
 
@@ -1427,6 +1599,9 @@ impl CamUnit {
         self.flush_write_buffer();
         for block in &mut self.blocks {
             block.reset();
+        }
+        if let Some(exact) = &mut self.exact {
+            exact.clear();
         }
         for fill in &mut self.fill {
             fill.current = 0;
@@ -1529,8 +1704,9 @@ impl CamUnit {
             // Dedup savings: keys answered from the first occurrence's
             // result instead of a fresh plane walk.
             o.add(stream_scope, "dup_hits", (presented - unique.len()) as u64);
-            // One histogram sample per dispatched batch — the widths the
-            // key-parallel kernel actually ran at (tails included).
+            // One histogram sample per dispatched batch — the widths each
+            // group walk ran at (tails included); a candidate walk then
+            // feeds the kernel one key per named block.
             for g in 0..groups {
                 let mut remaining = (unique.len() + groups - 1).saturating_sub(g) / groups;
                 while remaining > 0 {

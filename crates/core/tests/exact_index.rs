@@ -1,0 +1,303 @@
+//! The exact-match candidate index of binary units (`dsp_cam_core::exact`).
+//!
+//! A Turbo walk on a binary unit visits only the blocks the index names
+//! for a key plus the suspect ones, so it must answer and charge exactly
+//! as a walk over every block: against a `ternary(w, 0)` twin (the same
+//! plane walk with no index), under shadow faults, and under faults of
+//! the index itself.
+//!
+//! A shadow fault can make a block answer a key it holds no copy of: a
+//! valid-bit upset on an unwritten cell (which stores 0 with every bit
+//! cared) makes the planes match key 0. Every Turbo plane walk and the
+//! deletion probe must serve that faulted answer, exactly as a walk
+//! over every block would, so the sampled cross-check sees the
+//! divergence and degrades the tier.
+
+use dsp_cam_core::faults::XorShift64;
+use dsp_cam_core::prelude::*;
+
+const BLOCK_SIZE: usize = 8;
+
+/// Two 8-cell blocks of 16-bit words in one group, with three entries
+/// in block 0 and none in block 1.
+fn turbo_unit(scrub: Option<ScrubPolicy>) -> CamUnit {
+    let mut builder = UnitConfig::builder()
+        .data_width(16)
+        .block_size(BLOCK_SIZE)
+        .num_blocks(2)
+        .bus_width(64)
+        .fidelity(FidelityMode::Turbo);
+    if let Some(policy) = scrub {
+        builder = builder.scrub(policy);
+    }
+    let mut cam = CamUnit::new(builder.build().unwrap()).unwrap();
+    cam.update(&[5, 9, 12]).unwrap();
+    cam
+}
+
+/// A valid-bit upset on unwritten cell 3 of block 1: the planes now
+/// hold a phantom copy of key 0 at group-local address 8 + 3.
+const PHANTOM: FaultSite = FaultSite::Shadow {
+    block: 1,
+    fault: ShadowFault::PlaneValid { cell: 3 },
+};
+const PHANTOM_ADDRESS: usize = BLOCK_SIZE + 3;
+
+/// Every sampled key is cross-checked; the walker stays idle so only
+/// the cross-check can see the fault.
+fn crosscheck_every_key(strict: bool) -> ScrubPolicy {
+    ScrubPolicy {
+        cells_per_op: 0,
+        crosscheck_interval: 1,
+        restore_after: 4,
+        strict,
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Walk {
+    Search,
+    Multi,
+    Stream,
+}
+
+fn first_address(cam: &mut CamUnit, walk: Walk) -> Option<usize> {
+    match walk {
+        Walk::Search => cam.search(0).first_address(),
+        Walk::Multi => cam.search_multi(&[0])[0].first_address(),
+        Walk::Stream => cam.search_stream(&[0])[0].first_address(),
+    }
+}
+
+#[test]
+fn turbo_walks_serve_a_phantom_match_in_a_block_without_the_key() {
+    for walk in [Walk::Search, Walk::Multi, Walk::Stream] {
+        let mut cam = turbo_unit(None);
+        assert_eq!(first_address(&mut cam, walk), None, "{walk:?}: clean");
+        cam.inject_fault(PHANTOM);
+        assert_eq!(
+            first_address(&mut cam, walk),
+            Some(PHANTOM_ADDRESS),
+            "{walk:?}: the faulted plane walk's answer"
+        );
+    }
+}
+
+#[test]
+fn the_crosscheck_catches_a_phantom_match_and_degrades_the_tier() {
+    for walk in [Walk::Search, Walk::Multi, Walk::Stream] {
+        let mut cam = turbo_unit(Some(crosscheck_every_key(false)));
+        cam.inject_fault(PHANTOM);
+        assert_eq!(
+            first_address(&mut cam, walk),
+            None,
+            "{walk:?}: the corrected answer is served"
+        );
+        let report = cam.scrub_report();
+        assert_eq!(report.divergences, 1, "{walk:?}: divergence counted");
+        assert_eq!(report.degraded_from, Some(FidelityMode::Turbo), "{walk:?}");
+        assert_eq!(report.current_tier, FidelityMode::BitAccurate, "{walk:?}");
+        assert_eq!(cam.audit_shadows(), 0, "{walk:?}: repaired");
+    }
+    let mut strict = turbo_unit(Some(crosscheck_every_key(true)));
+    strict.inject_fault(PHANTOM);
+    assert_eq!(
+        strict.try_search_stream(&[0]),
+        Err(CamError::ShadowDivergence { group: 0, key: 0 })
+    );
+}
+
+#[test]
+fn delete_first_deletes_a_phantom_match_in_a_block_without_the_key() {
+    for scrub in [None, Some(crosscheck_every_key(false))] {
+        let mut cam = turbo_unit(scrub);
+        cam.inject_fault(PHANTOM);
+        assert!(cam.delete_first(0), "{scrub:?}: the faulted probe hits");
+        assert_eq!(cam.len(), 2, "{scrub:?}: the phantom delete counts");
+        assert_eq!(cam.audit_shadows(), 0, "{scrub:?}: invalidation re-shadows");
+        assert_eq!(cam.stored_words(), vec![5, 9, 12], "{scrub:?}");
+    }
+}
+
+/// A binary Turbo unit and its `ternary(16, 0)` twin: the identical
+/// plane walk over every block, with no exact-match index.
+fn binary_and_ternary_twin(blocks: usize, groups: usize) -> (CamUnit, CamUnit) {
+    let build = |cell: CellConfig| {
+        let config = UnitConfig::builder()
+            .kind(cell.kind)
+            .data_width(cell.data_width)
+            .ternary_mask(cell.ternary_mask)
+            .block_size(BLOCK_SIZE)
+            .num_blocks(blocks)
+            .bus_width(64)
+            .fidelity(FidelityMode::Turbo)
+            .batch_width(4)
+            .build()
+            .unwrap();
+        let mut cam = CamUnit::new(config).unwrap();
+        cam.configure_groups(groups).unwrap();
+        cam
+    };
+    (
+        build(CellConfig::binary(16)),
+        build(CellConfig::ternary(16, 0)),
+    )
+}
+
+/// Per-block counters a full walk charges: occupancy, cycles, update
+/// beats and searches (plus the match/miss tallies under `obs`).
+fn block_counters(cam: &CamUnit) -> Vec<Vec<u64>> {
+    cam.blocks()
+        .iter()
+        .map(|b| {
+            let counters = vec![b.len() as u64, b.cycles(), b.update_beats(), b.searches()];
+            #[cfg(feature = "obs")]
+            let counters = [counters, vec![b.obs_matches(), b.obs_misses()]].concat();
+            counters
+        })
+        .collect()
+}
+
+#[test]
+fn candidate_walks_answer_and_charge_exactly_as_full_walks() {
+    // Seeded churn over a narrow key domain, so keys repeat within and
+    // across blocks, deletes free cells for reuse, and groups and the
+    // Routing Table are rewritten now and then.
+    let mut rng = XorShift64::new(0x000E_8AC7);
+    let (mut indexed, mut full) = binary_and_ternary_twin(8, 2);
+    for step in 0..3_000 {
+        let key = rng.below(40);
+        let (a, b) = match rng.below(20) {
+            0..=5 => {
+                let words: Vec<u64> = (0..=rng.below(3)).map(|_| rng.below(40)).collect();
+                (
+                    format!("{:?}", indexed.update(&words)),
+                    format!("{:?}", full.update(&words)),
+                )
+            }
+            6..=8 => (
+                indexed.delete_first(key).to_string(),
+                full.delete_first(key).to_string(),
+            ),
+            9..=11 => (
+                format!("{:?}", indexed.search(key | 1 << 20)),
+                format!("{:?}", full.search(key | 1 << 20)),
+            ),
+            12..=13 => {
+                let keys: Vec<u64> = (0..indexed.groups()).map(|_| rng.below(40)).collect();
+                (
+                    format!("{:?}", indexed.search_multi(&keys)),
+                    format!("{:?}", full.search_multi(&keys)),
+                )
+            }
+            14..=17 => {
+                let keys: Vec<u64> = (0..=rng.below(12)).map(|_| rng.below(40)).collect();
+                (
+                    format!("{:?}", indexed.search_stream(&keys)),
+                    format!("{:?}", full.search_stream(&keys)),
+                )
+            }
+            18 => {
+                let groups = [1, 2, 4][rng.below(3) as usize];
+                indexed.configure_groups(groups).unwrap();
+                full.configure_groups(groups).unwrap();
+                (String::new(), String::new())
+            }
+            _ => {
+                let (block, group) = (rng.below(8) as usize, rng.below(2) as usize);
+                (
+                    format!("{:?}", indexed.write_routing_entry(block, group)),
+                    format!("{:?}", full.write_routing_entry(block, group)),
+                )
+            }
+        };
+        assert_eq!(a, b, "step {step}");
+        assert_eq!(
+            block_counters(&indexed),
+            block_counters(&full),
+            "step {step}"
+        );
+        assert_eq!(indexed.snapshot(), full.snapshot(), "step {step}");
+        assert_eq!(indexed.audit_exact_index(), 0, "step {step}");
+    }
+}
+
+#[test]
+fn a_delete_through_a_faulted_plane_removes_the_word_the_cell_stored() {
+    // Block 0 holds 5 at cell 0 and 0 at cell 2. Two match_if_0 upsets
+    // make cell 0 answer key 0 too, so the probe picks cell 0: the index
+    // must lose 5 (what the cell stored), not 0 (what was probed).
+    let mut cam = turbo_unit(None);
+    cam.delete_first(12);
+    cam.update(&[0]).unwrap();
+    assert_eq!(cam.stored_words(), vec![5, 9, 0]);
+    for key_bit in [0, 2] {
+        cam.inject_fault(FaultSite::Shadow {
+            block: 0,
+            fault: ShadowFault::Plane {
+                cell: 0,
+                key_bit,
+                one_plane: false,
+            },
+        });
+    }
+    assert!(cam.delete_first(0));
+    assert_eq!(cam.stored_words(), vec![9, 0], "cell 0 was invalidated");
+    assert_eq!(cam.audit_shadows(), 0);
+    assert_eq!(cam.audit_exact_index(), 0, "the index follows the cells");
+    assert_eq!(cam.search(0).first_address(), Some(2));
+    assert!(!cam.search(5).is_match());
+}
+
+#[test]
+fn an_index_fault_serves_a_stale_miss_until_the_sweep_repairs_it() {
+    // One op per full sweep of the 16 cells.
+    let policy = ScrubPolicy {
+        cells_per_op: 2 * BLOCK_SIZE,
+        crosscheck_interval: 0,
+        restore_after: 4,
+        strict: false,
+    };
+    let mut cam = turbo_unit(Some(policy));
+    let swept = cam.scrub_report().sweeps_completed;
+    cam.inject_fault(FaultSite::ExactIndex { block: 0, key: 9 });
+    assert_eq!(cam.audit_exact_index(), 1);
+    assert_eq!(cam.audit_shadows(), 0, "the planes are untouched");
+    assert!(
+        !cam.search(9).is_match(),
+        "the walk skips the block the index lost"
+    );
+    let report = cam.scrub_report();
+    assert_eq!(report.sweeps_completed, swept + 1);
+    assert_eq!(report.faults_repaired, 1, "the sweep audit repaired it");
+    assert_eq!(cam.audit_exact_index(), 0);
+    assert_eq!(cam.search(9).first_address(), Some(1));
+    // A conjured entry only adds a block to walk: answers stay exact.
+    cam.inject_fault(FaultSite::ExactIndex { block: 1, key: 5 });
+    assert_eq!(cam.search(5).first_address(), Some(0));
+    assert_eq!(cam.scrub_report().faults_repaired, 2);
+}
+
+#[test]
+fn the_crosscheck_rebuilds_an_index_that_lost_a_key() {
+    let mut cam = turbo_unit(Some(crosscheck_every_key(false)));
+    cam.inject_fault(FaultSite::ExactIndex {
+        block: 0,
+        key: 9 | 1 << 40,
+    });
+    assert_eq!(cam.search(9).first_address(), Some(1), "corrected answer");
+    let report = cam.scrub_report();
+    assert_eq!(report.divergences, 1);
+    assert_eq!(report.faults_repaired, 1, "the index entry was rebuilt");
+    assert!(report.is_degraded());
+    assert_eq!(cam.audit_exact_index(), 0);
+}
+
+#[test]
+fn units_without_an_index_ignore_index_faults() {
+    let (_, mut ternary) = binary_and_ternary_twin(2, 1);
+    ternary.update(&[9]).unwrap();
+    ternary.inject_fault(FaultSite::ExactIndex { block: 0, key: 9 });
+    assert_eq!(ternary.audit_exact_index(), 0);
+    assert!(ternary.search(9).is_match());
+}

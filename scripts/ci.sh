@@ -51,6 +51,18 @@ cargo test -q --offline -p dsp-cam-core --test fault_recovery
 echo "==> chaos fault-recovery suite (obs)"
 cargo test -q --offline -p dsp-cam-core --features obs --test fault_recovery
 
+# The exact-match index suite is the contract of a binary unit's Turbo
+# candidate walk: it answers and charges exactly as a walk over every
+# block, under shadow faults and faults of the index itself. Run it and
+# the index's own unit tests explicitly under both feature sets, through
+# run_filtered so a rename cannot drop them.
+echo "==> exact-match index suite (default)"
+run_filtered -q --offline -p dsp-cam-core --test exact_index
+run_filtered -q --offline -p dsp-cam-core --lib -- exact::
+echo "==> exact-match index suite (obs)"
+run_filtered -q --offline -p dsp-cam-core --features obs --test exact_index
+run_filtered -q --offline -p dsp-cam-core --features obs --lib -- exact::
+
 echo "==> fault-drill example smoke run (fixed seed, default + obs)"
 cargo run -q --offline --example fault_drill
 cargo run -q --offline --example fault_drill --features obs
@@ -118,8 +130,9 @@ echo "==> perfbench benchmark build (release, --locked)"
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 # Release-mode perf floors on a fixed-seed key stream: the key-parallel
-# batch kernel must beat its one-key degenerate >= 2x at 8192 entries,
-# 64k-entry Turbo stream throughput must hold its per-entry floor, and
+# batch kernel must beat its one-key degenerate >= 2x at 8192 entries on
+# a ternary(32, 0) plane walk, 64k-entry binary Turbo stream throughput
+# must hold its per-entry floor, and
 # the Turbo tier must stay >= 50x the bit-accurate tier at 8192 entries
 # (BENCH_search.json regression guards, from the FLOORS table in
 # crates/bench/src/artefact.rs). Run under both feature sets — the obs
@@ -148,9 +161,10 @@ echo "==> release workload scenario smoke (obs)"
 run_filtered -q --offline --release -p dsp-cam-bench --lib --features obs -- --ignored workload_smoke
 
 # Sharding-cluster floors (BENCH_search.json capacity_scaling and
-# cluster_migration regression guards): the 4-shard capacity race must
-# hold >= 2.5x single-unit throughput on the 1M-op write-heavy trace
-# (summed per-shard CPU time), and the live-migration ingest replay
+# cluster_migration regression guards): the 4-shard capacity race of
+# ternary(32, 0) plane-walk shards must hold >= 2.5x single-unit
+# throughput on the 1M-op write-heavy trace (summed per-shard CPU
+# time), and the live-migration ingest replay
 # must complete every query it issues (zero-dropped-query invariant)
 # while the frozen replica serves reads through the window.
 echo "==> release cluster perf + migration smoke (default)"
