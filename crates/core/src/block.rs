@@ -615,27 +615,6 @@ impl CamBlock {
             .filter(|c| c.is_valid())
             .map(CamCell::stored)
     }
-
-    /// Cycles a pipelined stream of `n` searches occupies (initiation
-    /// interval 1, so `n - 1` cycles beyond one search's latency).
-    #[must_use]
-    pub fn pipelined_search_cycles(&self, n: u64) -> u64 {
-        if n == 0 {
-            0
-        } else {
-            self.config.search_latency() + (n - 1)
-        }
-    }
-
-    /// Cycles a pipelined stream of `n` update beats occupies.
-    #[must_use]
-    pub fn pipelined_update_cycles(&self, n: u64) -> u64 {
-        if n == 0 {
-            0
-        } else {
-            self.config.update_latency() + (n - 1)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -794,15 +773,6 @@ mod tests {
         b.update(&[4, 2, 9]).unwrap();
         let got: Vec<u64> = b.stored().collect();
         assert_eq!(got, vec![4, 2, 9]);
-    }
-
-    #[test]
-    fn pipelined_cycle_model() {
-        let b = block(128);
-        assert_eq!(b.pipelined_search_cycles(0), 0);
-        assert_eq!(b.pipelined_search_cycles(1), 3);
-        assert_eq!(b.pipelined_search_cycles(100), 102);
-        assert_eq!(b.pipelined_update_cycles(100), 100);
     }
 
     #[test]

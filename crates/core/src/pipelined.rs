@@ -152,22 +152,7 @@ impl StreamingCam {
     ///
     /// Propagates the configuration errors of [`CamUnit::new`].
     pub fn new(config: UnitConfig) -> Result<Self, ConfigError> {
-        Ok(StreamingCam {
-            unit: CamUnit::new(config)?,
-            pending: None,
-            // An item exits `depth` shifts after the shift that admits it,
-            // and the admitting shift is the issue cycle itself — so a
-            // depth of latency-1 retires results at the edge that ends
-            // cycle (issue + latency - 1), exactly the hardware timing.
-            update_pipe: Pipe::new(config.update_latency() as usize - 1),
-            search_pipe: Pipe::new(config.search_latency() as usize - 1),
-            cycle: 0,
-            retired: Vec::new(),
-            retire_log: None,
-            journal: None,
-            #[cfg(feature = "obs")]
-            observer: None,
-        })
+        Ok(StreamingCam::from_unit(CamUnit::new(config)?))
     }
 
     /// Wrap an existing unit — the cluster shard-construction hook: the
@@ -179,6 +164,10 @@ impl StreamingCam {
         StreamingCam {
             unit,
             pending: None,
+            // An item exits `depth` shifts after the shift that admits it,
+            // and the admitting shift is the issue cycle itself — so a
+            // depth of latency-1 retires results at the edge that ends
+            // cycle (issue + latency - 1), exactly the hardware timing.
             update_pipe: Pipe::new(config.update_latency() as usize - 1),
             search_pipe: Pipe::new(config.search_latency() as usize - 1),
             cycle: 0,

@@ -1,0 +1,595 @@
+//! The search path: every entry point, the one engine they share, and
+//! the group walks (narrowed by the exact-match index on binary units).
+
+use std::collections::HashMap;
+
+use dsp48::word::mask_width;
+#[cfg(feature = "obs")]
+use dsp_cam_obs::OpKind;
+
+use super::{CamUnit, SearchResult};
+use crate::bitslice::MAX_BATCH_WIDTH;
+use crate::block::CamBlock;
+use crate::config::FidelityMode;
+use crate::encoder::{MatchVector, SearchOutput};
+use crate::error::CamError;
+
+/// A served answer plus the first `(group, key)` divergence the sampled
+/// cross-check caught while serving it (repaired either way).
+type Served<T> = (T, Option<(usize, u64)>);
+
+/// Reusable buffers of the group walks and the deletion probes'
+/// candidate walks, so a stream of searches allocates nothing per key
+/// (or per batch) once they reach steady-state size.
+#[derive(Debug, Clone, Default)]
+pub(super) struct WalkScratch {
+    /// The keys one group answers, walked in chunks.
+    keys: Vec<u64>,
+    /// One group-wide match vector per key.
+    combined: Vec<MatchVector>,
+    /// One block's match vector, for walks that answer block by block.
+    block: MatchVector,
+    /// Slots of the walked group holding a suspect block, ascending.
+    suspects: Vec<usize>,
+    /// Slots one key's walk visits, ascending.
+    candidates: Vec<usize>,
+    /// Keys of the batch that visited each slot.
+    visits: Vec<usize>,
+}
+
+/// What a group walk asks of each block it visits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Probe {
+    /// The configured tier's broadcast, one key at a time (the point and
+    /// multi-query searches), charged to the block's counters.
+    Scalar,
+    /// The configured tier's broadcast through the key-parallel batch
+    /// kernel (`search_stream`), charged to the block's counters.
+    Batch,
+    /// The DSP oracle, counter-neutral: the cross-check's reference.
+    Oracle,
+}
+
+impl CamUnit {
+    /// The Routing Compute module's key-to-group mapping for single-query
+    /// traffic: data is replicated, so any group answers; keys are spread
+    /// for load balance.
+    #[must_use]
+    pub fn route_key(&self, key: u64) -> usize {
+        (key % self.groups() as u64) as usize
+    }
+
+    /// Single-query search: route, broadcast within the group, combine.
+    ///
+    /// Under an active [`ScrubPolicy`](crate::config::ScrubPolicy) a
+    /// sampled divergence self-heals silently (the corrected answer is
+    /// returned) — this path is infallible even in strict mode; use
+    /// [`CamUnit::search_group`] to surface [`CamError::ShadowDivergence`].
+    pub fn search(&mut self, key: u64) -> SearchResult {
+        self.serve_point(self.route_key(key), key).0
+    }
+
+    /// Search a specific group (the case-study accelerator addresses
+    /// groups explicitly).
+    ///
+    /// # Errors
+    ///
+    /// [`CamError::NoSuchGroup`] if the group does not exist;
+    /// [`CamError::ShadowDivergence`] if a sampled cross-check catches a
+    /// divergent answer under a strict [`ScrubPolicy`](crate::config::ScrubPolicy)
+    /// (the divergence is repaired either way).
+    pub fn search_group(&mut self, group: usize, key: u64) -> Result<SearchResult, CamError> {
+        if group >= self.groups() {
+            return Err(CamError::NoSuchGroup {
+                group,
+                groups: self.groups(),
+            });
+        }
+        let served = self.serve_point(group, key);
+        self.strict_check(served)
+    }
+
+    /// One key served by `group` in one issue cycle through the scalar
+    /// kernel: [`CamUnit::search`] and [`CamUnit::search_group`].
+    fn serve_point(&mut self, group: usize, key: u64) -> Served<SearchResult> {
+        let (mut results, diverged) = self.serve(group, &[key], 1, Probe::Scalar);
+        #[cfg(feature = "obs")]
+        self.trace_issue(OpKind::Search, &[key], &results);
+        (results.remove(0), diverged)
+    }
+
+    /// Multi-query search: up to `M` keys, key *i* served by group *i*,
+    /// all in the same issue cycle (Section III-C.3).
+    ///
+    /// # Errors
+    ///
+    /// [`CamError::TooManyQueries`] if more keys than groups are
+    /// presented; [`CamError::ShadowDivergence`] if a sampled
+    /// cross-check catches a divergent answer under a strict
+    /// [`ScrubPolicy`](crate::config::ScrubPolicy) (repaired either way).
+    pub fn try_search_multi(&mut self, keys: &[u64]) -> Result<Vec<SearchResult>, CamError> {
+        let served = self.serve_multi(keys)?;
+        self.strict_check(served)
+    }
+
+    /// Multi-query search, panicking variant of
+    /// [`CamUnit::try_search_multi`]. Like [`CamUnit::search`], it
+    /// serves the repaired answer when a sampled cross-check catches a
+    /// divergence, even under a strict [`ScrubPolicy`](crate::config::ScrubPolicy).
+    ///
+    /// # Panics
+    ///
+    /// Panics if more keys than groups are presented.
+    pub fn search_multi(&mut self, keys: &[u64]) -> Vec<SearchResult> {
+        self.serve_multi(keys)
+            .expect("more concurrent queries than configured groups")
+            .0
+    }
+
+    /// Key *i* served by group *i*, all in one issue cycle through the
+    /// scalar kernel: both multi-query variants.
+    fn serve_multi(&mut self, keys: &[u64]) -> Result<Served<Vec<SearchResult>>, CamError> {
+        if keys.len() > self.groups() {
+            return Err(CamError::TooManyQueries {
+                presented: keys.len(),
+                capacity: self.groups(),
+            });
+        }
+        let served = self.serve(0, keys, 1, Probe::Scalar);
+        #[cfg(feature = "obs")]
+        self.trace_issue(OpKind::SearchMulti, keys, &served.0);
+        Ok(served)
+    }
+
+    /// Streaming multi-query search: any number of keys, batched onto the
+    /// `M` groups internally (unique key *j* is served by group `j mod M`,
+    /// `M` keys per issue cycle — the steady-state version of
+    /// [`CamUnit::search_multi`] for an accelerator draining a work list).
+    ///
+    /// Duplicate keys within the batch are deduplicated before touching
+    /// the engine: data is replicated and fill order is identical in every
+    /// group, so group-local addresses are the same wherever a key lands,
+    /// and repeats can reuse the first answer (only `group` reflects the
+    /// dedup). Counters account for the *unique* keys actually issued:
+    /// `issue_cycles += unique.div_ceil(M)`, `search_count += unique`, and
+    /// block-level cycle/search counters tick once per unique key —
+    /// identically on every fidelity tier.
+    ///
+    /// Results come back in the caller's key order, duplicates included.
+    /// Like [`CamUnit::search`], this path is infallible: a divergence
+    /// caught by a sampled cross-check is repaired and the corrected
+    /// answer served, even under a strict [`ScrubPolicy`](crate::config::ScrubPolicy);
+    /// use [`CamUnit::try_search_stream`] to surface [`CamError::ShadowDivergence`].
+    pub fn search_stream(&mut self, keys: &[u64]) -> Vec<SearchResult> {
+        self.serve_stream(keys).0
+    }
+
+    /// Streaming multi-query search, fallible variant of
+    /// [`CamUnit::search_stream`] (same batching, dedup and counter
+    /// semantics).
+    ///
+    /// # Errors
+    ///
+    /// [`CamError::ShadowDivergence`] if a sampled cross-check catches a
+    /// divergent answer under a strict
+    /// [`ScrubPolicy`](crate::config::ScrubPolicy) (repaired either way).
+    pub fn try_search_stream(&mut self, keys: &[u64]) -> Result<Vec<SearchResult>, CamError> {
+        let served = self.serve_stream(keys);
+        self.strict_check(served)
+    }
+
+    /// The unique keys served `M` per issue cycle through the batch
+    /// kernel, answers fanned back out to the caller's key order: both
+    /// streaming variants.
+    fn serve_stream(&mut self, keys: &[u64]) -> Served<Vec<SearchResult>> {
+        if keys.is_empty() {
+            return (Vec::new(), None);
+        }
+        // Dedup preserving first-occurrence order; `slots[i]` is the
+        // unique-key index answering original key `i`.
+        let mut seen: HashMap<u64, usize> = HashMap::with_capacity(keys.len());
+        let mut unique: Vec<u64> = Vec::new();
+        let mut slots: Vec<usize> = Vec::with_capacity(keys.len());
+        for &key in keys {
+            let next = unique.len();
+            let slot = *seen.entry(key).or_insert_with(|| {
+                unique.push(key);
+                next
+            });
+            slots.push(slot);
+        }
+        let issue = unique.len().div_ceil(self.groups()) as u64;
+        let (answers, diverged) = self.serve(0, &unique, issue, Probe::Batch);
+        #[cfg(feature = "obs")]
+        self.trace_stream(keys.len(), &unique, &answers, self.issue_cycles - issue);
+        let results = slots.iter().map(|&slot| answers[slot].clone()).collect();
+        (results, diverged)
+    }
+
+    /// Surface a caught divergence as [`CamError::ShadowDivergence`] under a
+    /// strict [`ScrubPolicy`](crate::config::ScrubPolicy), else pass the
+    /// answer on: the `try_` variants call this; the infallible ones do not.
+    fn strict_check<T>(&self, (served, diverged): Served<T>) -> Result<T, CamError> {
+        match diverged {
+            Some((group, key)) if self.config.scrub.is_some_and(|p| p.strict) => {
+                Err(CamError::ShadowDivergence { group, key })
+            }
+            _ => Ok(served),
+        }
+    }
+
+    /// The one search engine behind every entry point: sync the write
+    /// buffer for `keys`, charge `issue` cycles, answer key `j` from group
+    /// `(first + j) mod M` (each group walks its keys in order through
+    /// `probe`, `batch_width` at a time), cross-check the answers and
+    /// advance the scrubber. Returns the (corrected) answers in key order
+    /// plus the first divergence the cross-check caught.
+    fn serve(
+        &mut self,
+        first: usize,
+        keys: &[u64],
+        issue: u64,
+        probe: Probe,
+    ) -> Served<Vec<SearchResult>> {
+        self.sync_for_keys(keys);
+        self.issue_cycles += issue;
+        self.search_count += keys.len() as u64;
+        let groups = self.groups();
+        let width = self.config.batch_width.clamp(1, MAX_BATCH_WIDTH);
+        // Every output is written by the walks below.
+        let mut results: Vec<SearchResult> = (0..keys.len())
+            .map(|j| SearchResult {
+                group: (first + j) % groups,
+                output: SearchOutput::Priority(None),
+            })
+            .collect();
+        let mut walk = std::mem::take(&mut self.scratch);
+        let mut group_keys = std::mem::take(&mut walk.keys);
+        for r in 0..groups.min(keys.len()) {
+            group_keys.clear();
+            group_keys.extend(keys.iter().skip(r).step_by(groups));
+            for (c, chunk) in group_keys.chunks(width).enumerate() {
+                self.walk_group((first + r) % groups, chunk, probe, &mut walk);
+                for (k, combined) in walk.combined[..chunk.len()].iter().enumerate() {
+                    let j = r + (c * width + k) * groups;
+                    results[j].output = self.config.block.encoding.encode(combined);
+                }
+            }
+        }
+        walk.keys = group_keys;
+        self.scratch = walk;
+        let diverged = self.crosscheck_results(keys, &mut results);
+        self.scrub_tick();
+        (results, diverged)
+    }
+
+    /// The DSP oracle's answer to `key` from `group`, counter-neutral:
+    /// the cross-check's reference.
+    pub(super) fn oracle_output(&mut self, group: usize, key: u64) -> SearchOutput {
+        let mut walk = std::mem::take(&mut self.scratch);
+        self.walk_group(group, std::slice::from_ref(&key), Probe::Oracle, &mut walk);
+        let output = self.config.block.encoding.encode(&walk.combined[0]);
+        self.scratch = walk;
+        output
+    }
+
+    /// Answer `keys` from `group` into `walk.combined[..keys.len()]`, one
+    /// group-wide vector per key, each visited block OR-ing its answers
+    /// in at its slot offset. A Turbo search walk on a binary unit visits
+    /// only each key's candidate slots (see [`CamUnit::candidate_slots`])
+    /// and charges every block a key skips the all-miss tally a full
+    /// walk would have charged, so answers and counters are those of a
+    /// full walk. BitAccurate searches, the oracle's reference walk and
+    /// units without an exact-match index visit every block.
+    fn walk_group(&mut self, group: usize, keys: &[u64], probe: Probe, walk: &mut WalkScratch) {
+        let block_size = self.config.block.block_size;
+        let slots = self.fill[group].blocks.len();
+        if walk.combined.len() < keys.len() {
+            walk.combined.resize_with(keys.len(), MatchVector::default);
+        }
+        let combined = &mut walk.combined[..keys.len()];
+        for vector in combined.iter_mut() {
+            vector.reset(slots * block_size);
+        }
+        let narrowed = probe != Probe::Oracle
+            && self.exact.is_some()
+            && self.config.block.fidelity == FidelityMode::Turbo;
+        if !narrowed {
+            for slot in 0..slots {
+                let offset = slot * block_size;
+                let block = &mut self.blocks[self.fill[group].blocks[slot]];
+                if probe == Probe::Batch {
+                    block.search_batch_or(keys, combined, offset);
+                    continue;
+                }
+                for (&key, vector) in keys.iter().zip(combined.iter_mut()) {
+                    if probe == Probe::Oracle {
+                        block.oracle_vector_into(key, &mut walk.block);
+                    } else {
+                        block.search_vector_into(key, &mut walk.block);
+                    }
+                    vector.or_offset(&walk.block, offset);
+                }
+            }
+            return;
+        }
+        let limit = mask_width(self.config.block.cell.data_width);
+        self.suspect_slots(group, &mut walk.suspects);
+        walk.visits.clear();
+        walk.visits.resize(slots, 0);
+        for (&key, vector) in keys.iter().zip(combined.iter_mut()) {
+            self.candidate_slots(group, key & limit, &walk.suspects, &mut walk.candidates);
+            for &slot in &walk.candidates {
+                self.blocks[self.fill[group].blocks[slot]].search_batch_or(
+                    std::slice::from_ref(&key),
+                    std::slice::from_mut(vector),
+                    slot * block_size,
+                );
+                walk.visits[slot] += 1;
+            }
+        }
+        // A block a key skipped answers it all-miss: charge that miss
+        // exactly as the full walk would have.
+        for (slot, &visits) in walk.visits.iter().enumerate() {
+            let skipped = (keys.len() - visits) as u64;
+            self.blocks[self.fill[group].blocks[slot]].tally(skipped, 0);
+        }
+    }
+
+    /// Visit `group`'s [`CamUnit::candidate_slots`] for (masked) `key` in
+    /// fill order until `hit` accepts a block, returning its slot: the one
+    /// candidate walk of both deletion probes.
+    pub(super) fn find_candidate(
+        &mut self,
+        group: usize,
+        key: u64,
+        mut hit: impl FnMut(&mut CamBlock) -> bool,
+    ) -> Option<usize> {
+        let mut walk = std::mem::take(&mut self.scratch);
+        self.suspect_slots(group, &mut walk.suspects);
+        self.candidate_slots(group, key, &walk.suspects, &mut walk.candidates);
+        let found = walk
+            .candidates
+            .iter()
+            .copied()
+            .find(|&slot| hit(&mut self.blocks[self.fill[group].blocks[slot]]));
+        self.scratch = walk;
+        found
+    }
+
+    /// The slots of `group` (positions in its fill order) holding a
+    /// suspect block — one whose planes may answer a key it holds no
+    /// copy of (see [`CamBlock::is_suspect`]) — ascending, into `out`.
+    fn suspect_slots(&self, group: usize, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(
+            self.fill[group]
+                .blocks
+                .iter()
+                .enumerate()
+                .filter(|&(_, &b)| self.blocks[b].is_suspect())
+                .map(|(slot, _)| slot),
+        );
+    }
+
+    /// The slots of `group` a walk for (masked) `key` must visit,
+    /// ascending, into `out`: on a binary unit, the blocks the
+    /// exact-match index names for the key plus the group's `suspects`
+    /// (from [`CamUnit::suspect_slots`]); every slot on a unit without an
+    /// index. Every other block holds no valid copy of the key, so its
+    /// planes answer all-miss.
+    fn candidate_slots(&self, group: usize, key: u64, suspects: &[usize], out: &mut Vec<usize>) {
+        out.clear();
+        let Some(exact) = &self.exact else {
+            out.extend(0..self.fill[group].blocks.len());
+            return;
+        };
+        exact.for_each_block(key, |b| {
+            let (g, slot) = self.placement[b];
+            if g == group && suspects.binary_search(&slot).is_err() {
+                out.push(slot);
+            }
+        });
+        out.extend_from_slice(suspects);
+        out.sort_unstable();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::prelude::*;
+    use crate::unit::tests::unit;
+
+    #[test]
+    fn single_group_update_search() {
+        let mut cam = unit(4, 32);
+        cam.update(&[5, 10, 15]).unwrap();
+        assert!(cam.search(10).is_match());
+        assert!(!cam.search(11).is_match());
+        assert_eq!(cam.len(), 3);
+        assert_eq!(cam.capacity(), 128);
+    }
+
+    #[test]
+    fn multi_query_concurrency() {
+        let mut cam = unit(4, 32);
+        cam.configure_groups(4).unwrap();
+        cam.update(&[1, 2, 3]).unwrap();
+        let hits = cam.search_multi(&[1, 2, 99, 3]);
+        assert!(hits[0].is_match());
+        assert!(hits[1].is_match());
+        assert!(!hits[2].is_match());
+        assert!(hits[3].is_match());
+        assert_eq!(hits[1].group, 1);
+    }
+
+    #[test]
+    fn too_many_queries_rejected() {
+        let mut cam = unit(4, 32);
+        cam.configure_groups(2).unwrap();
+        let err = cam.try_search_multi(&[1, 2, 3]).unwrap_err();
+        assert_eq!(
+            err,
+            CamError::TooManyQueries {
+                presented: 3,
+                capacity: 2
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "more concurrent queries")]
+    fn search_multi_panics_on_overflow() {
+        let mut cam = unit(2, 32);
+        let _ = cam.search_multi(&[1, 2, 3]);
+    }
+
+    #[test]
+    fn group_local_addressing() {
+        let config = UnitConfig::builder()
+            .data_width(32)
+            .block_size(4)
+            .num_blocks(2)
+            .build()
+            .unwrap();
+        let mut cam = CamUnit::new(config).unwrap();
+        cam.update(&[10, 11, 12, 13, 14]).unwrap();
+        // 14 is the fifth entry: block 1, cell 0 -> group address 4.
+        let hit = cam.search(14);
+        assert_eq!(hit.first_address(), Some(4));
+    }
+
+    #[test]
+    fn issue_cycles_track_beats_and_queries() {
+        let mut cam = unit(4, 128);
+        let c0 = cam.issue_cycles();
+        let words: Vec<u64> = (0..32).collect(); // 2 beats of 16x32-bit
+        cam.update(&words).unwrap();
+        assert_eq!(cam.issue_cycles() - c0, 2);
+        let c1 = cam.issue_cycles();
+        cam.search(1);
+        cam.search_multi(&[2]);
+        assert_eq!(cam.issue_cycles() - c1, 2);
+        assert_eq!(cam.update_words(), 32);
+        assert_eq!(cam.search_count(), 2);
+    }
+
+    #[test]
+    fn search_stream_batches_and_dedupes() {
+        let mut cam = unit(4, 32);
+        cam.configure_groups(4).unwrap();
+        cam.update(&[1, 2, 3, 4, 5]).unwrap();
+        let c0 = cam.issue_cycles();
+        let s0 = cam.search_count();
+        // 9 keys, 7 unique (1 and 2 repeat): ceil(7/4) = 2 issue cycles.
+        let keys = [1u64, 2, 1, 99, 3, 2, 7, 4, 5];
+        let hits = cam.search_stream(&keys);
+        assert_eq!(hits.len(), keys.len(), "one result per presented key");
+        assert_eq!(cam.issue_cycles() - c0, 2);
+        assert_eq!(cam.search_count() - s0, 7, "unique keys only");
+        for (i, (&key, hit)) in keys.iter().zip(&hits).enumerate() {
+            assert_eq!(hit.is_match(), key <= 5, "key {key} at {i}");
+        }
+        // Duplicates reuse the first occurrence's answer verbatim.
+        assert_eq!(hits[2], hits[0]);
+        assert_eq!(hits[5], hits[1]);
+        // Unique key j is served by group j % M.
+        assert_eq!(hits[0].group, 0);
+        assert_eq!(hits[1].group, 1);
+        assert_eq!(hits[4].group, 3, "3 is the fourth unique key");
+        assert_eq!(hits[8].group, 2, "5 is the seventh unique key");
+    }
+
+    #[test]
+    fn search_stream_addresses_match_direct_group_search() {
+        let config = UnitConfig::builder()
+            .data_width(32)
+            .block_size(4)
+            .num_blocks(4)
+            .build()
+            .unwrap();
+        let mut cam = CamUnit::new(config).unwrap();
+        cam.configure_groups(2).unwrap();
+        let words: Vec<u64> = (0..7).map(|i| 100 + i).collect();
+        cam.update(&words).unwrap();
+        let keys: Vec<u64> = (0..10).map(|i| 100 + i).collect();
+        let streamed = cam.search_stream(&keys);
+        for (i, &key) in keys.iter().enumerate() {
+            let direct = cam.search_group(streamed[i].group, key).unwrap();
+            assert_eq!(streamed[i], direct, "key {key}");
+        }
+    }
+
+    #[test]
+    fn search_stream_empty_is_a_noop() {
+        let mut cam = unit(2, 16);
+        let c0 = cam.issue_cycles();
+        assert!(cam.search_stream(&[]).is_empty());
+        assert_eq!(cam.issue_cycles(), c0);
+        assert_eq!(cam.search_count(), 0);
+    }
+
+    #[test]
+    fn set_fidelity_switches_all_blocks() {
+        let mut cam = unit(4, 32);
+        cam.update(&[5, 6]).unwrap();
+        let before = cam.search(5);
+        cam.set_fidelity(FidelityMode::Turbo);
+        assert_eq!(cam.config().block.fidelity, FidelityMode::Turbo);
+        assert_eq!(cam.search(5), before, "same issue cycle bump either way");
+    }
+
+    /// `M` distinct keys served three ways (`search_group` per key, one
+    /// `search_multi`, one `search_stream`) answer and charge blocks,
+    /// search count and cross-checks alike, on both kinds and tiers; only
+    /// the issue cycles differ, by design (`M`, 1, 1).
+    #[test]
+    fn every_entry_point_answers_and_charges_alike() {
+        const M: usize = 4;
+        let keys = [3u64, 40, 41, 977];
+        let footprint = |cam: &CamUnit, results: Vec<SearchResult>| {
+            let counters = |b: &CamBlock| (b.searches(), b.cycles());
+            let blocks: Vec<_> = cam.blocks().iter().map(counters).collect();
+            let crosschecks = cam.scrub_report().crosschecks;
+            (results, blocks, cam.search_count(), crosschecks)
+        };
+        for kind in [CamKind::Binary, CamKind::Ternary] {
+            for fidelity in [FidelityMode::BitAccurate, FidelityMode::Turbo] {
+                let config = UnitConfig::builder()
+                    .kind(kind)
+                    .data_width(32)
+                    .block_size(8)
+                    .num_blocks(2 * M)
+                    .fidelity(fidelity)
+                    .scrub(ScrubPolicy {
+                        cells_per_op: 0,
+                        crosscheck_interval: 1,
+                        ..ScrubPolicy::default()
+                    })
+                    .build()
+                    .unwrap();
+                let twin = || {
+                    let mut cam = CamUnit::new(config).unwrap();
+                    cam.configure_groups(M).unwrap();
+                    cam.update(&[40, 5, 977, 40, 12, 3, 8, 9, 10]).unwrap();
+                    cam
+                };
+                let (mut point, mut multi, mut stream) = (twin(), twin(), twin());
+                let base = point.issue_cycles();
+                let by_point: Vec<SearchResult> = (0..M)
+                    .map(|g| point.search_group(g, keys[g]).unwrap())
+                    .collect();
+                let expected = footprint(&point, by_point);
+                let case = format!("{kind:?} {fidelity:?}");
+                let by_multi = multi.search_multi(&keys);
+                assert_eq!(footprint(&multi, by_multi), expected, "{case}");
+                let by_stream = stream.search_stream(&keys);
+                assert_eq!(footprint(&stream, by_stream), expected, "{case}");
+                assert_eq!(expected.3, M as u64, "every key cross-checked");
+                let issued = [&point, &multi, &stream].map(|cam| cam.issue_cycles() - base);
+                assert_eq!(issued, [M as u64, 1, 1], "{case}");
+            }
+        }
+    }
+}

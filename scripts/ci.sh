@@ -129,6 +129,31 @@ cargo bench --offline --workspace --no-run
 echo "==> perfbench benchmark build (release, --locked)"
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+# Behaviour pins of the repository benchmark: every BENCHMARK.json
+# workload at seeds 1 and 2 must pass its own correctness gate
+# ("correct": true, "failed": 0) and print exactly the `pin` lines of
+# scripts/perfbench_pins.txt. Pins depend on neither run length nor host
+# speed, so a one-second run checks them; a change meant to alter
+# behaviour regenerates the file and says why.
+echo "==> perfbench pins (every BENCHMARK.json workload, seeds 1 and 2)"
+pins=""
+for workload in $(sed -n '/"workloads"/,/^  \]/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json); do
+    for seed in 1 2; do
+        out=$(cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed "$seed" --seconds 1 --trace 0)
+        result=$(printf '%s\n' "$out" | tail -n 1)
+        if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
+            echo "error: perfbench $workload seed $seed failed its correctness gate: $result" >&2
+            exit 1
+        fi
+        pins+=$(printf '%s\n' "$out" | sed -n "s/^pin /$workload $seed pin /p")$'\n'
+    done
+done
+if ! diff <(grep -v '^#' scripts/perfbench_pins.txt) <(printf '%s' "$pins"); then
+    echo "error: perfbench pin lines differ from scripts/perfbench_pins.txt" >&2
+    exit 1
+fi
+
 # Release-mode perf floors on a fixed-seed key stream: the key-parallel
 # batch kernel must beat its one-key degenerate >= 2x at 8192 entries on
 # a ternary(32, 0) plane walk, 64k-entry binary Turbo stream throughput
