@@ -43,6 +43,7 @@ use dsp_cam_workload::TraceOp;
 use crate::failover::{
     FailoverState, FailoverStats, ReplicationConfig, ShardFault, ShardHealth, ShedPolicy,
 };
+use crate::ingest::transact;
 use crate::ring::HashRing;
 
 /// Cluster-level operation errors.
@@ -185,35 +186,34 @@ struct Migration {
 /// the original key positions of streamed searches) plus any
 /// frozen-replica answers, position-stamped.
 #[derive(Debug)]
-pub struct RecordPlan {
+pub(crate) struct RecordPlan {
     /// `(shard, op, original key positions)` — positions are empty for
     /// write-path ops (they carry one implicit position).
-    pub subs: Vec<(usize, Op, Vec<usize>)>,
+    pub(crate) subs: Vec<(usize, Op, Vec<usize>)>,
     /// `(original position, result)` answered synchronously from the
     /// frozen replica.
-    pub frozen: Vec<(usize, SearchResult)>,
+    pub(crate) frozen: Vec<(usize, SearchResult)>,
     /// `(original position, result)` answered synchronously from a
     /// replica epoch because the home shard is failed — stale but never
     /// silent (degraded reads).
-    pub degraded: Vec<(usize, SearchResult)>,
+    pub(crate) degraded: Vec<(usize, SearchResult)>,
 }
 
 /// N CAM shards behind a consistent-hash ring, with live migration.
 ///
-/// Two driving modes share one routing brain ([`CamCluster::plan`]):
+/// One issue engine, the crate's dispatcher (see the `ingest` module),
+/// drives the shards: it routes each record, gives every shard at most
+/// one issue per cycle, defers writes aimed at a failed shard under the
+/// [`ShedPolicy`], and harvests completions in retire order. Two front
+/// ends feed it, and may take turns on one cluster:
 ///
 /// * the **transactional** API ([`CamCluster::search`] /
 ///   [`CamCluster::update`] / [`CamCluster::delete`] /
-///   [`CamCluster::search_stream`]) issues through the owning shard's
-///   streaming pipeline and ticks the whole cluster in lockstep until
-///   the completion retires — what the equivalence suite drives;
-/// * the **ingest** loop ([`crate::ingest::replay_cluster`]) plans each
-///   record, issues sub-ops cycle-accurately against per-shard issue
-///   slots, and harvests completions in retire order.
-///
-/// The two modes must not be interleaved on one cluster instance: the
-/// transactional methods assume every prior completion has been
-/// harvested.
+///   [`CamCluster::search_stream`]) dispatches one record and ticks the
+///   whole cluster in lockstep until it has retired (or, for a write,
+///   been shed) — what the equivalence suite drives;
+/// * the **ingest** loop ([`crate::ingest::replay_cluster`]) feeds it
+///   records from a bounded arrival queue, cycle by cycle.
 #[derive(Debug)]
 pub struct CamCluster {
     shards: Vec<StreamingCam>,
@@ -380,8 +380,9 @@ impl CamCluster {
         self.migration.is_some()
     }
 
-    /// Borrow shard `i`'s streaming pipeline (the ingest loop's issue
-    /// and harvest port).
+    /// Borrow shard `i`'s streaming pipeline mutably. Operations issued
+    /// or completions drained through it bypass the cluster's issue
+    /// engine, which expects each shard's issue slot free at every cycle.
     pub fn shard_mut(&mut self, i: usize) -> &mut StreamingCam {
         &mut self.shards[i]
     }
@@ -469,15 +470,20 @@ impl CamCluster {
     /// every shard healthy again, and any open migration window has
     /// reached cutover — cluster quiescence.
     pub fn quiesce(&mut self) {
-        while self.migration.is_some()
-            || self.any_unhealthy()
-            || self
-                .shards
-                .iter()
-                .any(|cam| cam.in_flight() || cam.buffer_depth() > 0)
-        {
+        while !self.settled() {
             self.tick();
         }
+    }
+
+    /// Whether the cluster is quiescent — the condition
+    /// [`CamCluster::quiesce`] ticks for and the ingest loop drains to.
+    pub(crate) fn settled(&self) -> bool {
+        self.migration.is_none()
+            && !self.any_unhealthy()
+            && self
+                .shards
+                .iter()
+                .all(|cam| !cam.in_flight() && cam.buffer_depth() == 0)
     }
 
     /// Store `words` across the cluster through the transaction-level
@@ -531,7 +537,7 @@ impl CamCluster {
     /// the destination and their keys marked dirty (over-marking is
     /// safe: the destination's staged replica answers un-written slot
     /// keys identically to the frozen one).
-    pub fn plan(&mut self, op: &TraceOp) -> RecordPlan {
+    pub(crate) fn plan(&mut self, op: &TraceOp) -> RecordPlan {
         let mut plan = RecordPlan {
             subs: Vec::new(),
             frozen: Vec::new(),
@@ -615,7 +621,7 @@ impl CamCluster {
     /// Answer a search from the failed home shard's replica epoch —
     /// stale but never silent. Charges the hit tallies like any other
     /// answered search.
-    fn degraded_search(&mut self, shard: usize, key: u64) -> SearchResult {
+    pub(crate) fn degraded_search(&mut self, shard: usize, key: u64) -> SearchResult {
         let fo = self
             .failover
             .as_mut()
@@ -626,23 +632,6 @@ impl CamCluster {
         result
     }
 
-    /// Answer a queued read sub-operation from its failed shard's
-    /// replica epoch — the issue-time degraded path for reads
-    /// stranded in the ingest queue when their shard failed after
-    /// planning. `None` when `op` is a write (the caller defers those
-    /// instead).
-    pub fn degraded_answer(&mut self, shard: usize, op: &Op) -> Option<Vec<SearchResult>> {
-        match op {
-            Op::Search(key) => Some(vec![self.degraded_search(shard, *key)]),
-            Op::SearchStream(keys) | Op::SearchMulti(keys) => Some(
-                keys.iter()
-                    .map(|&k| self.degraded_search(shard, k))
-                    .collect(),
-            ),
-            _ => None,
-        }
-    }
-
     fn mark_dirty(&mut self, k: u64) {
         if let Some(m) = &mut self.migration {
             if self.ring.slot_of(k) == m.slot {
@@ -651,9 +640,8 @@ impl CamCluster {
         }
     }
 
-    /// Charge retire-side tallies for one harvested completion — shared
-    /// by the transactional methods and the ingest harvest.
-    pub fn tally(&mut self, done: &Completion) {
+    /// Charge retire-side tallies for one harvested completion.
+    pub(crate) fn tally(&mut self, done: &Completion) {
         match done {
             Completion::Search(result) => {
                 self.counters.search_hits += u64::from(result.is_match());
@@ -671,40 +659,12 @@ impl CamCluster {
         }
     }
 
-    /// Issue `op` on `shard` and tick the cluster in lockstep until the
-    /// completion retires — the transactional execution core. Assumes
-    /// every earlier completion has been harvested.
-    fn run_on(&mut self, shard: usize, op: Op) -> Completion {
-        let mut op = op;
-        loop {
-            match self.shards[shard].issue(op) {
-                Ok(()) => break,
-                Err(back) => {
-                    op = back;
-                    self.tick();
-                }
-            }
-        }
-        loop {
-            self.tick();
-            let mut retired = self.shards[shard].drain_retired();
-            if let Some((_, done)) = retired.pop() {
-                debug_assert!(
-                    retired.is_empty(),
-                    "transactional shard retires one at a time"
-                );
-                return done;
-            }
-        }
-    }
-
     /// Re-resolve the serving shard of a single-key sub-operation
     /// against the *current* topology — queued sub-issues survive a
     /// migration rollback by re-routing at issue time. `None` for
     /// multi-key ops (their plan-time split stays valid: windows only
     /// open against an empty sub-queue).
-    #[must_use]
-    pub fn resolve_shard(&self, op: &Op) -> Option<usize> {
+    pub(crate) fn resolve_shard(&self, op: &Op) -> Option<usize> {
         let key = match op {
             Op::Update(words) if words.len() == 1 => words[0],
             Op::Delete(key) | Op::Search(key) => *key,
@@ -713,92 +673,53 @@ impl CamCluster {
         Some(self.home_of(key & self.key_mask))
     }
 
-    /// Tick until `shard` serves again, for at most the shed policy's
-    /// backoff window — the wait after which the ingest loop would shed
-    /// a write deferred now.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::Overloaded`] when the shard is still down after
-    /// the full backoff window.
-    fn await_healthy(&mut self, shard: usize) -> Result<(), ClusterError> {
-        let deadline = self.cycle.saturating_add(self.shed_policy.window());
-        while !self.shard_healthy(shard) {
-            if self.cycle >= deadline {
-                return Err(ClusterError::Overloaded { shard });
-            }
-            self.tick();
-        }
-        Ok(())
-    }
-
     /// Point search for `key`, routed (and migration- and
     /// failure-aware) — transactional: retires before returning.
     /// Searches on a failed shard are answered from its replica epoch
     /// (degraded, possibly stale, never silent).
     pub fn search(&mut self, key: u64) -> SearchResult {
-        let plan = self.plan(&TraceOp::Search(key));
-        if let Some((_, result)) = plan.frozen.into_iter().next() {
-            return result;
-        }
-        if let Some((_, result)) = plan.degraded.into_iter().next() {
-            return result;
-        }
-        let (shard, op, _) = plan.subs.into_iter().next().expect("routed");
-        let done = self.run_on(shard, op);
-        self.tally(&done);
-        match done {
-            Completion::Search(result) => result,
-            other => unreachable!("search retired {other:?}"),
+        let mut answers = self.read(&TraceOp::Search(key));
+        debug_assert_eq!(answers.len(), 1, "a point search has one answer");
+        match answers.pop() {
+            Some(result) => result,
+            // `read` answers every presented key; should it ever not,
+            // serve the key from its home unit rather than panic.
+            None => {
+                let home = self.home_of(key & self.key_mask);
+                self.shards[home].unit_mut().search(key)
+            }
         }
     }
 
     /// Streamed search fan-out: keys split per serving shard (plus the
-    /// frozen replica), sub-batches issued per shard, results
-    /// reassembled in presented-key order — transactional.
+    /// frozen replica), every shard's sub-batch issued in the same
+    /// cycle, results reassembled in presented-key order —
+    /// transactional.
     pub fn search_stream(&mut self, keys: &[u64]) -> Vec<SearchResult> {
-        let plan = self.plan(&TraceOp::SearchStream(keys.to_vec()));
-        let mut results: Vec<Option<SearchResult>> = vec![None; keys.len()];
-        for (pos, result) in plan.frozen {
-            results[pos] = Some(result);
-        }
-        for (pos, result) in plan.degraded {
-            results[pos] = Some(result);
-        }
-        for (shard, op, positions) in plan.subs {
-            let done = self.run_on(shard, op);
-            self.tally(&done);
-            match done {
-                Completion::SearchStream(sub) => {
-                    debug_assert_eq!(sub.len(), positions.len());
-                    for (pos, result) in positions.into_iter().zip(sub) {
-                        results[pos] = Some(result);
-                    }
-                }
-                other => unreachable!("stream retired {other:?}"),
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every key answered"))
-            .collect()
+        self.read(&TraceOp::SearchStream(keys.to_vec()))
+    }
+
+    /// Run one read record to retirement and return its answers in
+    /// presented-key order.
+    fn read(&mut self, op: &TraceOp) -> Vec<SearchResult> {
+        let (mut answers, _) = transact(self, op);
+        answers.sort_unstable_by_key(|&(pos, _)| pos);
+        answers.into_iter().map(|(_, result)| result).collect()
     }
 
     /// Store one word on its home shard — transactional. A write aimed
-    /// at a failed shard waits (ticking the cluster) through the shed
-    /// policy's backoff window for the shard to recover.
+    /// at a failed shard waits (ticking the cluster) for it to recover,
+    /// retried under the shed policy's backoff and bounds exactly as in
+    /// the ingest loop.
     ///
     /// # Errors
     ///
     /// [`ClusterError::Admission`] wrapping the shard's admission
     /// verdict ([`CamError::Full`], [`CamError::ValueTooWide`]), or
-    /// [`ClusterError::Overloaded`] when the home shard stayed down
-    /// past the backoff window.
+    /// [`ClusterError::Overloaded`] when the shed policy's bounds ran
+    /// out before the home shard recovered.
     pub fn update(&mut self, word: u64) -> Result<(), ClusterError> {
-        match self.run_write(&TraceOp::Update(word))? {
-            Completion::Update(result) => result.map_err(ClusterError::Admission),
-            other => unreachable!("update retired {other:?}"),
-        }
+        self.write(word, &TraceOp::Update(word)).map(drop)
     }
 
     /// Delete the first stored match of `key` on its serving shard —
@@ -807,35 +728,32 @@ impl CamCluster {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::Overloaded`] when the home shard stayed down
-    /// past the shed policy's backoff window.
+    /// [`ClusterError::Overloaded`] when the shed policy's bounds ran
+    /// out before the home shard recovered.
     pub fn delete(&mut self, key: u64) -> Result<bool, ClusterError> {
-        let op = TraceOp::Delete {
+        self.write(
             key,
-            eviction: false,
-        };
-        match self.run_write(&op)? {
-            Completion::Delete(hit) => Ok(hit),
-            other => unreachable!("delete retired {other:?}"),
-        }
+            &TraceOp::Delete {
+                key,
+                eviction: false,
+            },
+        )
     }
 
-    /// Run one write on its serving shard and return its tallied
-    /// completion, waiting out a failed home shard first.
-    fn run_write(&mut self, op: &TraceOp) -> Result<Completion, ClusterError> {
-        let plan = self.plan(op);
-        let (mut shard, op, _) = plan.subs.into_iter().next().expect("routed");
-        loop {
-            self.await_healthy(shard)?;
-            // A rollback while we waited may have re-homed the key.
-            let routed = self.resolve_shard(&op).unwrap_or(shard);
-            if routed != shard {
-                shard = routed;
-                continue;
+    /// Run one write record on `key`'s home shard to retirement: whether
+    /// it changed the stored contents (an admitted update, a delete that
+    /// hit), or why it could not.
+    fn write(&mut self, key: u64, op: &TraceOp) -> Result<bool, ClusterError> {
+        let (_, writes) = transact(self, op);
+        match writes.into_iter().next() {
+            Some(Completion::Update(result)) => {
+                result.map(|()| true).map_err(ClusterError::Admission)
             }
-            let done = self.run_on(shard, op);
-            self.tally(&done);
-            return Ok(done);
+            Some(Completion::Delete(hit)) => Ok(hit),
+            // A write retires nothing only when the dispatcher shed it.
+            _ => Err(ClusterError::Overloaded {
+                shard: self.home_of(key & self.key_mask),
+            }),
         }
     }
 
@@ -946,53 +864,39 @@ impl CamCluster {
     ///
     /// [`ClusterError::NoMigration`] when no window is open.
     pub fn abort_migration(&mut self) -> Result<(), ClusterError> {
-        if self.migration.is_none() {
-            return Err(ClusterError::NoMigration);
-        }
-        self.rollback_migration(true);
+        let m = self.migration.take().ok_or(ClusterError::NoMigration)?;
+        self.rollback_migration(m);
         Ok(())
     }
 
-    /// Roll the open window back to source-serving. With `dest_alive`,
-    /// the destination unit is scrubbed of the slot's words; a dead
-    /// destination skips the scrub (its rebuild filter drops the
-    /// slot's words instead). Either way the redirected in-window
-    /// writes — the destination journal's slice past the window mark,
-    /// filtered to the slot — are re-applied to the source.
-    fn rollback_migration(&mut self, dest_alive: bool) {
-        let m = self.migration.take().expect("caller checked the window");
-        let window: Vec<JournalOp> =
-            self.shards[m.dest]
-                .write_journal()
-                .map_or_else(Vec::new, |journal| {
-                    journal
-                        .acked_since(m.dest_journal_mark)
-                        .filter_map(|entry| match &entry.op {
-                            JournalOp::Update(words) => {
-                                let slot_words: Vec<u64> = words
-                                    .iter()
-                                    .copied()
-                                    .filter(|&w| self.ring.slot_of(w & self.key_mask) == m.slot)
-                                    .collect();
-                                (!slot_words.is_empty()).then_some(JournalOp::Update(slot_words))
-                            }
-                            JournalOp::Delete(key) => (self.ring.slot_of(key & self.key_mask)
-                                == m.slot)
-                                .then_some(JournalOp::Delete(*key)),
-                        })
-                        .collect()
-                });
-        if dest_alive {
-            // Every slot-keyed word on the destination belongs to the
-            // window: the slot never lived there before it opened.
-            self.shards[m.dest].unit_mut().flush_write_buffer();
-            let stored = self.shards[m.dest].unit().stored_words();
-            for w in stored {
-                if self.ring.slot_of(w & self.key_mask) == m.slot {
-                    self.shards[m.dest].unit_mut().delete_first(w);
-                    self.shards[m.dest].journal_direct(JournalOp::Delete(w));
+    /// Roll window `m` back to source-serving. The destination's
+    /// logical unit (its rebuild while it is down) is scrubbed of the
+    /// slot's words — every one belongs to the window, since the slot
+    /// never lived there before it opened — and the scrub is journalled.
+    /// Then the redirected in-window writes — the destination journal's
+    /// slice past the window mark, filtered to the slot — are re-applied
+    /// to the source.
+    fn rollback_migration(&mut self, m: Migration) {
+        let dest = self.logical_unit(m.dest);
+        dest.flush_write_buffer();
+        let stored = dest.stored_words();
+        let in_slot = |key: &u64| self.ring.slot_of(key & self.key_mask) == m.slot;
+        let scrub: Vec<u64> = stored.into_iter().filter(in_slot).collect();
+        let window: Vec<JournalOp> = self.shards[m.dest]
+            .write_journal()
+            .into_iter()
+            .flat_map(|journal| journal.acked_since(m.dest_journal_mark))
+            .filter_map(|entry| match &entry.op {
+                JournalOp::Update(words) => {
+                    let words: Vec<u64> = words.iter().copied().filter(in_slot).collect();
+                    (!words.is_empty()).then_some(JournalOp::Update(words))
                 }
-            }
+                JournalOp::Delete(key) => in_slot(key).then_some(JournalOp::Delete(*key)),
+            })
+            .collect();
+        for w in scrub {
+            self.logical_unit(m.dest).delete_first(w);
+            self.shards[m.dest].journal_direct(JournalOp::Delete(w));
         }
         for op in &window {
             self.apply_direct(m.source, op);
@@ -1004,18 +908,24 @@ impl CamCluster {
         // never flipped, so the source serves the slot again.
     }
 
-    /// Apply a journal effect to shard `i`'s current logical contents —
-    /// its live unit, or its in-flight rebuild when the shard is down —
-    /// and journal it so `epoch + journal` keeps holding.
-    fn apply_direct(&mut self, i: usize, op: &JournalOp) {
-        let rebuild = self
+    /// Shard `i`'s current logical contents: its in-flight rebuild while
+    /// it is down, its live unit otherwise.
+    fn logical_unit(&mut self, i: usize) -> &mut CamUnit {
+        match self
             .failover
             .as_mut()
-            .and_then(|fo| fo.rebuilds[i].as_mut());
-        let unit = match rebuild {
+            .and_then(|fo| fo.rebuilds[i].as_mut())
+        {
             Some(rebuilt) => rebuilt,
             None => self.shards[i].unit_mut(),
-        };
+        }
+    }
+
+    /// Apply a journal effect to shard `i`'s
+    /// [logical unit](CamCluster::logical_unit) and journal it so
+    /// `epoch + journal` keeps holding.
+    fn apply_direct(&mut self, i: usize, op: &JournalOp) {
+        let unit = self.logical_unit(i);
         // Admission cannot refuse here in practice: the slot's words
         // fit the source before the window opened, and redirected
         // in-window writes were sized for one shard's headroom.
@@ -1067,53 +977,33 @@ impl CamCluster {
     }
 
     /// Lose shard `shard`: purge its pipes (unacknowledged writes are
-    /// the client's to retry), roll back an open migration window
-    /// targeting it, reset the dead unit, and start restoring
-    /// `epoch + acknowledged journal` at one word per tick.
+    /// the client's to retry), reset the dead unit, and start restoring
+    /// `epoch + acknowledged journal` at one word per tick. A window
+    /// whose destination this is rolls back, its scrub landing on the
+    /// rebuild; a dying *source* keeps the window open — the frozen
+    /// replica keeps answering and cutover waits on the rebuild.
     fn crash_shard(&mut self, shard: usize) {
+        // `inject_shard_fault` crashes shards of failover clusters only.
+        let Some(fo) = &mut self.failover else { return };
         let now = self.cycle;
         self.shards[shard].purge_in_flight();
-        let mut purge_slot = None;
-        if let Some(m) = &self.migration {
-            if m.dest == shard {
-                // The destination died inside the window: roll back to
-                // source-serving. The dead unit is about to be reset,
-                // so the slot scrub happens in the rebuild filter.
-                purge_slot = Some(m.slot);
-                self.rollback_migration(false);
-            }
-            // A dying *source* keeps the window open: the frozen
-            // replica keeps answering and cutover waits on the rebuild.
-        }
-        let mut rebuilt = self
-            .failover
-            .as_ref()
-            .expect("crash implies failover")
-            .epochs[shard]
-            .rehydrate();
+        let mut rebuilt = fo.epochs[shard].rehydrate();
         let epoch_words = rebuilt.stored_words().len();
         let replayed = self.shards[shard]
             .write_journal()
-            .expect("journal enabled with failover")
-            .replay_onto(&mut rebuilt);
-        if let Some(slot) = purge_slot {
-            rebuilt.flush_write_buffer();
-            for w in rebuilt.stored_words() {
-                if self.ring.slot_of(w & self.key_mask) == slot {
-                    rebuilt.delete_first(w);
-                }
-            }
-        }
+            .map_or(0, |journal| journal.replay_onto(&mut rebuilt));
         self.shards[shard].unit_mut().reset();
         // Restore bandwidth model: one word per tick for the epoch plus
         // one per journal entry replayed.
         let ready_at = now + 1 + epoch_words as u64 + replayed as u64;
-        let fo = self.failover.as_mut().expect("crash implies failover");
         fo.rebuilds[shard] = Some(rebuilt);
         fo.health[shard] = ShardHealth::Rebuilding {
             since: now,
             ready_at,
         };
+        if let Some(m) = self.migration.take_if(|m| m.dest == shard) {
+            self.rollback_migration(m);
+        }
     }
 
     /// Fire cutover once the copy engine has pushed every moved word

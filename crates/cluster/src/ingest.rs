@@ -1,14 +1,25 @@
-//! Bounded async-style ingest: replay a workload trace against a
-//! [`CamCluster`] cycle by cycle through a bounded arrival queue.
+//! The cluster's one issue engine, and the bounded ingest loop that
+//! replays a workload trace through it.
 //!
-//! Records enter the queue on their trace arrival cycles (backpressure
-//! when the queue is full — nothing is ever dropped), and leave it
-//! strictly in order: a record is dispatched only once every sub-issue
-//! of the record in front of it has claimed an issue slot. Consecutive
-//! records bound for *different* shards issue in the same cycle — the
-//! cluster's throughput win — while per-key operation order is
-//! preserved by construction (one serving home per key at any instant,
-//! FIFO pipes per shard).
+//! A crate-private dispatcher turns planned records into shard
+//! sub-issues and steps the cluster one cycle at a time. Each shard
+//! takes at most one issue per cycle (its single issue port, II = 1),
+//! sub-issues leave in dispatch order, writes aimed at a failed shard
+//! wait under the cluster's [`ShedPolicy`], and completions are
+//! harvested in retire order. Two front ends feed it:
+//!
+//! * [`replay_cluster`] feeds it from a bounded arrival queue. Records
+//!   enter the queue on their trace arrival cycles (backpressure when
+//!   the queue is full — nothing is ever dropped), and leave it strictly
+//!   in order: a record is dispatched only once every sub-issue of the
+//!   record in front of it has claimed an issue slot. Consecutive
+//!   records bound for *different* shards issue in the same cycle — the
+//!   cluster's throughput win — while per-key operation order is
+//!   preserved by construction (one serving home per key at any
+//!   instant, FIFO pipes per shard).
+//! * [`CamCluster::search`], [`CamCluster::search_stream`],
+//!   [`CamCluster::update`] and [`CamCluster::delete`] each dispatch one
+//!   record and step the engine until it has retired or been shed.
 //!
 //! A [`MigrationPlan`] opens a live migration window mid-replay; the
 //! loop keeps feeding queries through the window and the outcome
@@ -26,7 +37,8 @@
 //! * **writes** aimed at a failed shard wait in a FIFO retry queue
 //!   with exponential backoff, bounded per-write by the shed policy's
 //!   `max_retries` and per shard by its `retry_budget`; past either
-//!   bound the write is **shed** (counted, never silently lost);
+//!   bound the write is **shed** (counted, never silently lost — the
+//!   transactional API returns [`ClusterError::Overloaded`]);
 //! * ops **purged** by a crash (issued but never acknowledged) are
 //!   re-queued at the dispatch head and re-issued after recovery, so
 //!   retire-order accounting stays exact.
@@ -36,11 +48,12 @@
 
 use std::collections::VecDeque;
 
-use dsp_cam_core::pipelined::{Op, RetireRecord};
-use dsp_cam_workload::{percentile, Trace};
+use dsp_cam_core::pipelined::{Completion, Op, RetireRecord};
+use dsp_cam_core::unit::SearchResult;
+use dsp_cam_workload::{percentile, Trace, TraceOp};
 
-use crate::cluster::{CamCluster, ClusterError};
-use crate::failover::{ClusterFaultPlan, ShardFault};
+use crate::cluster::{CamCluster, ClusterError, RecordPlan};
+use crate::failover::{ClusterFaultPlan, ShardFault, ShedPolicy};
 
 /// Open a migration window after `after_records` trace records have
 /// been dispatched.
@@ -127,7 +140,8 @@ pub struct ClusterReplayOutcome {
     pub rebuilds_completed: u64,
     /// Ticks from each failure detection to the shard serving again.
     pub recovery_ticks: Vec<u64>,
-    /// Migration windows rolled back because a participant failed.
+    /// Migration windows rolled back: aborted, or their destination
+    /// crashed.
     pub migration_aborts: u64,
     /// End-to-end retire latencies per shard (arrival to retire,
     /// queueing included), in retire order.
@@ -203,20 +217,10 @@ impl ClusterReplayOutcome {
     }
 }
 
-/// One sub-issue waiting for its shard's issue slot.
+/// One sub-issue of a planned record, waiting for an issue slot.
 #[derive(Debug)]
 struct PendingSub {
     shard: usize,
-    op: Op,
-    arrival: u64,
-}
-
-/// One issued sub-op whose completion has not been harvested. Per
-/// shard, retire order equals issue order, so a FIFO matches
-/// completions back to what was issued — and a crash's purged ops are
-/// exactly the queue's remainder.
-#[derive(Debug)]
-struct OutstandingOp {
     op: Op,
     arrival: u64,
 }
@@ -235,6 +239,208 @@ fn presented_of(op: &Op) -> u64 {
     match op {
         Op::SearchStream(keys) | Op::SearchMulti(keys) => keys.len() as u64,
         _ => 1,
+    }
+}
+
+/// The cluster's issue engine: dispatched sub-issues, deferred writes,
+/// and the tallies of everything it issued, answered, retried and shed.
+#[derive(Debug)]
+struct Dispatcher {
+    policy: ShedPolicy,
+    search_latency: u64,
+    /// Per shard, its health when [`Dispatcher::replenish`] last looked.
+    was_healthy: Vec<bool>,
+    /// Per shard, retry attempts left in the current outage.
+    budget: Vec<u64>,
+    /// Per shard, a copy of each issued op not yet harvested, with its
+    /// arrival, to re-issue should a crash purge it. A shard retires in
+    /// issue order, so a FIFO matches completions back to what was
+    /// issued — and a crash's purged ops are exactly the queue's
+    /// remainder.
+    outstanding: Vec<VecDeque<(Op, u64)>>,
+    /// Writes waiting out a failed shard, oldest first.
+    deferred: VecDeque<DeferredWrite>,
+    /// Sub-issues waiting for an issue slot, in dispatch order.
+    subs: VecDeque<PendingSub>,
+    outcome: ClusterReplayOutcome,
+}
+
+impl Dispatcher {
+    /// An idle engine for `cluster` that tallies into `outcome`, keeping
+    /// retire latencies for the shards `outcome` has a list for.
+    fn new(cluster: &CamCluster, outcome: ClusterReplayOutcome) -> Self {
+        let shards = cluster.num_shards();
+        let policy = cluster.shed_policy();
+        Dispatcher {
+            policy,
+            search_latency: cluster.shard(0).unit().config().search_latency(),
+            subs: VecDeque::new(),
+            deferred: VecDeque::new(),
+            outstanding: (0..shards).map(|_| VecDeque::new()).collect(),
+            budget: vec![policy.retry_budget; shards],
+            was_healthy: vec![true; shards],
+            outcome,
+        }
+    }
+
+    /// Whether some dispatched sub-issue has neither retired nor been
+    /// shed.
+    fn busy(&self) -> bool {
+        !self.subs.is_empty()
+            || !self.deferred.is_empty()
+            || self.outstanding.iter().any(|q| !q.is_empty())
+    }
+
+    /// Replenish a shard's retry budget when it comes back.
+    fn replenish(&mut self, cluster: &CamCluster) {
+        for (i, was_healthy) in self.was_healthy.iter_mut().enumerate() {
+            let healthy = cluster.shard_healthy(i);
+            if healthy && !*was_healthy {
+                self.budget[i] = self.policy.retry_budget;
+            }
+            *was_healthy = healthy;
+        }
+    }
+
+    /// Take `plan`'s shard sub-issues into the dispatch queue and record
+    /// the reads its planning answered (frozen-replica and degraded),
+    /// for a record that arrived at `arrival` and was planned at `now`.
+    fn dispatch(&mut self, plan: &mut RecordPlan, arrival: u64, now: u64) {
+        self.outcome.presented += (plan.frozen.len() + plan.degraded.len()) as u64;
+        let latency = (now - arrival) + self.search_latency;
+        self.outcome
+            .frozen_latencies
+            .extend(std::iter::repeat_n(latency, plan.frozen.len()));
+        self.outcome
+            .degraded_latencies
+            .extend(std::iter::repeat_n(latency, plan.degraded.len()));
+        for (shard, op, _) in plan.subs.drain(..) {
+            self.outcome.presented += presented_of(&op);
+            self.subs.push_back(PendingSub { shard, op, arrival });
+        }
+    }
+
+    /// One cycle: issue what the shards can take — deferred writes
+    /// first (they are the oldest work), then the dispatch queue, each
+    /// shard's slot `claimed` once — tick the cluster, and pull retired
+    /// completions and retire-log stamps off every shard, handing each
+    /// completion to `retired` with its shard.
+    fn step(&mut self, cluster: &mut CamCluster, mut retired: impl FnMut(usize, Completion)) {
+        let now = cluster.cycle();
+        let mut claimed = vec![false; self.outstanding.len()];
+        self.issue_deferred(cluster, now, &mut claimed);
+        self.issue_queued(cluster, now, &mut claimed);
+        cluster.tick();
+        for (i, issued) in self.outstanding.iter_mut().enumerate() {
+            for (_, done) in cluster.shard_mut(i).drain_retired() {
+                cluster.tally(&done);
+                self.outcome.completions += 1;
+                issued.pop_front();
+                retired(i, done);
+            }
+            let records = cluster.shard_mut(i).take_retire_log();
+            if let Some(latencies) = self.outcome.per_shard_latencies.get_mut(i) {
+                latencies.extend(records.iter().map(RetireRecord::latency));
+            }
+        }
+    }
+
+    /// Deferred writes, oldest first: the head re-resolves its shard (a
+    /// rollback may have re-homed its key) and issues if the shard is
+    /// back, retries with exponential backoff if not, and is shed once
+    /// its bounds are spent.
+    fn issue_deferred(&mut self, cluster: &mut CamCluster, now: u64, claimed: &mut [bool]) {
+        while let Some(mut head) = self.deferred.pop_front() {
+            let target = cluster
+                .resolve_shard(&head.sub.op)
+                .unwrap_or(head.sub.shard);
+            let healthy = cluster.shard_healthy(target);
+            if healthy && !claimed[target] {
+                head.sub.shard = target;
+                self.issue(cluster, head.sub, claimed);
+                continue;
+            }
+            if healthy {
+                self.outcome.head_of_line_stalls += 1;
+            } else if now >= head.due {
+                head.attempts += 1;
+                self.outcome.write_retries += 1;
+                self.budget[target] = self.budget[target].saturating_sub(1);
+                if head.attempts > self.policy.max_retries || self.budget[target] == 0 {
+                    // Bounds spent: shed. Counted, never silent.
+                    self.outcome.shed_writes += 1;
+                    continue;
+                }
+                head.due = now + self.policy.backoff(head.attempts);
+            }
+            self.deferred.push_front(head);
+            break;
+        }
+    }
+
+    /// The dispatch queue, in order. Writes bound for a failed shard (or
+    /// queued behind deferred writes — FIFO among writes keeps per-key
+    /// order) defer; reads bound for a failed shard answer degraded
+    /// immediately; everything else issues while its shard's slot is
+    /// free.
+    fn issue_queued(&mut self, cluster: &mut CamCluster, now: u64, claimed: &mut [bool]) {
+        while let Some(mut sub) = self.subs.pop_front() {
+            sub.shard = cluster.resolve_shard(&sub.op).unwrap_or(sub.shard);
+            let healthy = cluster.shard_healthy(sub.shard);
+            let keys = match &sub.op {
+                Op::Update(_) | Op::Delete(_) if !healthy || !self.deferred.is_empty() => {
+                    self.deferred.push_back(DeferredWrite {
+                        sub,
+                        attempts: 0,
+                        due: now,
+                    });
+                    continue;
+                }
+                Op::Search(key) if !healthy => std::slice::from_ref(key),
+                Op::SearchStream(keys) | Op::SearchMulti(keys) if !healthy => keys,
+                _ => {
+                    if claimed[sub.shard] {
+                        self.outcome.head_of_line_stalls += 1;
+                        self.subs.push_front(sub);
+                        break;
+                    }
+                    self.issue(cluster, sub, claimed);
+                    continue;
+                }
+            };
+            for &key in keys {
+                cluster.degraded_search(sub.shard, key);
+            }
+            let latency = (now - sub.arrival) + self.search_latency;
+            self.outcome
+                .degraded_latencies
+                .extend(std::iter::repeat_n(latency, keys.len()));
+        }
+    }
+
+    /// Issue `sub` on its (re-resolved, healthy, unclaimed) shard and
+    /// record it outstanding.
+    fn issue(&mut self, cluster: &mut CamCluster, sub: PendingSub, claimed: &mut [bool]) {
+        claimed[sub.shard] = true;
+        self.outstanding[sub.shard].push_back((sub.op.clone(), sub.arrival));
+        // `claimed` hands each shard's slot out once per cycle and every
+        // tick empties it, so the port is free.
+        let free = cluster
+            .shard_mut(sub.shard)
+            .issue_at(sub.op, sub.arrival)
+            .is_ok();
+        debug_assert!(free, "slot claimed once per cycle");
+        self.outcome.issued += 1;
+    }
+
+    /// Give a crashed shard's purged in-flight ops back to the dispatch
+    /// head in their original issue order — their completions will never
+    /// arrive, so they are un-issued and go around again.
+    fn requeue_purged(&mut self, shard: usize) {
+        while let Some((op, arrival)) = self.outstanding[shard].pop_back() {
+            self.outcome.issued -= 1;
+            self.subs.push_front(PendingSub { shard, op, arrival });
+        }
     }
 }
 
@@ -266,7 +472,7 @@ pub fn replay_cluster(
         cluster.shard_mut(i).enable_retire_log();
         cluster.shard_mut(i).drain_retired();
     }
-    let mut outcome = ClusterReplayOutcome {
+    let outcome = ClusterReplayOutcome {
         per_shard_latencies: vec![Vec::new(); shards],
         ..ClusterReplayOutcome::default()
     };
@@ -279,33 +485,18 @@ pub fn replay_cluster(
 
     let start = cluster.cycle();
     let arrivals = trace.arrivals(start);
-    let search_latency = cluster.shard(0).unit().config().search_latency();
-    let policy = cluster.shed_policy();
     let mut next_record = 0usize;
     let mut dispatched = 0usize;
     let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut subs: VecDeque<PendingSub> = VecDeque::new();
-    let mut deferred: VecDeque<DeferredWrite> = VecDeque::new();
-    let mut outstanding: Vec<VecDeque<OutstandingOp>> =
-        (0..shards).map(|_| VecDeque::new()).collect();
-    let mut budget: Vec<u64> = vec![policy.retry_budget; shards];
-    let mut was_healthy: Vec<bool> = vec![true; shards];
+    let mut engine = Dispatcher::new(cluster, outcome);
     let mut migrate = config.migrate;
     let mut faults = config.faults.clone();
 
-    loop {
-        let pending_work = next_record < trace.records.len()
-            || !queue.is_empty()
-            || !subs.is_empty()
-            || !deferred.is_empty()
-            || outstanding.iter().any(|q| !q.is_empty());
-        let draining = cluster.migration_in_progress()
-            || cluster.any_unhealthy()
-            || (0..shards)
-                .any(|i| cluster.shard(i).in_flight() || cluster.shard(i).buffer_depth() > 0);
-        if !pending_work && !draining {
-            break;
-        }
+    while next_record < trace.records.len()
+        || !queue.is_empty()
+        || engine.busy()
+        || !cluster.settled()
+    {
         let now = cluster.cycle();
 
         // Fire due shard faults. A crash purges the shard's in-flight
@@ -316,25 +507,21 @@ pub fn replay_cluster(
             for fault in plan.due(now - start) {
                 cluster.inject_shard_fault(fault.shard, fault.fault)?;
                 if fault.fault == ShardFault::Crash {
-                    requeue_purged(fault.shard, &mut outstanding, &mut subs, &mut outcome);
+                    engine.requeue_purged(fault.shard);
                 }
             }
         }
-        // Replenish a shard's retry budget when it comes back.
-        for i in 0..shards {
-            let healthy = cluster.shard_healthy(i);
-            if healthy && !was_healthy[i] {
-                budget[i] = policy.retry_budget;
-            }
-            was_healthy[i] = healthy;
-        }
+        engine.replenish(cluster);
 
         // Open the migration window at its planned dispatch position
         // (deferred writes drained first: their routing predates the
         // window). An unavailable participant defers the window, not
         // the replay.
         if let Some(plan) = migrate {
-            if dispatched >= plan.after_records && subs.is_empty() && deferred.is_empty() {
+            if dispatched >= plan.after_records
+                && engine.subs.is_empty()
+                && engine.deferred.is_empty()
+            {
                 match cluster.begin_migration(plan.slot, plan.dest) {
                     Ok(()) => migrate = None,
                     Err(ClusterError::ShardUnavailable { .. }) => {}
@@ -352,127 +539,23 @@ pub fn replay_cluster(
             queue.push_back(next_record);
             next_record += 1;
         }
-        outcome.peak_queue_depth = outcome.peak_queue_depth.max(queue.len());
+        engine.outcome.peak_queue_depth = engine.outcome.peak_queue_depth.max(queue.len());
 
         // Dispatch strictly in order: expand the head record into shard
         // sub-issues, answering frozen-replica and degraded reads on
         // the spot.
-        while subs.len() < shards {
-            let Some(&record) = queue.front() else { break };
-            let arrival = arrivals[record];
-            let plan = cluster.plan(&trace.records[record].op);
-            outcome.presented += (plan.frozen.len() + plan.degraded.len()) as u64;
-            let latency = (now - arrival) + search_latency;
-            outcome
-                .frozen_latencies
-                .extend(std::iter::repeat_n(latency, plan.frozen.len()));
-            outcome
-                .degraded_latencies
-                .extend(std::iter::repeat_n(latency, plan.degraded.len()));
-            for (shard, op, _) in plan.subs {
-                outcome.presented += presented_of(&op);
-                subs.push_back(PendingSub { shard, op, arrival });
-            }
-            queue.pop_front();
+        while engine.subs.len() < shards {
+            let Some(record) = queue.pop_front() else {
+                break;
+            };
+            let mut plan = cluster.plan(&trace.records[record].op);
+            engine.dispatch(&mut plan, arrivals[record], now);
             dispatched += 1;
         }
-
-        let mut claimed = vec![false; shards];
-        // Deferred writes first (they are the oldest work): the head
-        // re-resolves its shard (a rollback may have re-homed its key)
-        // and issues if the shard is back, retries with exponential
-        // backoff if not, and is shed once its bounds are spent.
-        while let Some(head) = deferred.front() {
-            let target = cluster
-                .resolve_shard(&head.sub.op)
-                .unwrap_or(head.sub.shard);
-            if cluster.shard_healthy(target) {
-                if claimed[target] {
-                    outcome.head_of_line_stalls += 1;
-                    break;
-                }
-                let item = deferred.pop_front().expect("front checked");
-                issue_sub(
-                    cluster,
-                    PendingSub {
-                        shard: target,
-                        ..item.sub
-                    },
-                    &mut claimed,
-                    &mut outstanding,
-                    &mut outcome,
-                );
-            } else if now >= head.due {
-                let mut item = deferred.pop_front().expect("front checked");
-                item.attempts += 1;
-                outcome.write_retries += 1;
-                budget[target] = budget[target].saturating_sub(1);
-                if item.attempts > policy.max_retries || budget[target] == 0 {
-                    // Bounds spent: shed. Counted, never silent.
-                    outcome.shed_writes += 1;
-                    continue;
-                }
-                item.due = now + policy.backoff(item.attempts);
-                deferred.push_front(item);
-                break;
-            } else {
-                break;
-            }
-        }
-        // Then the dispatch queue. Writes bound for a failed shard (or
-        // queued behind deferred writes — FIFO among writes keeps
-        // per-key order) defer; reads bound for a failed shard answer
-        // degraded immediately; everything else issues while its
-        // shard's slot is free.
-        while let Some(front) = subs.front() {
-            let target = cluster.resolve_shard(&front.op).unwrap_or(front.shard);
-            let is_write = matches!(front.op, Op::Update(_) | Op::Delete(_));
-            if is_write && (!cluster.shard_healthy(target) || !deferred.is_empty()) {
-                let sub = subs.pop_front().expect("front checked");
-                deferred.push_back(DeferredWrite {
-                    sub: PendingSub {
-                        shard: target,
-                        ..sub
-                    },
-                    attempts: 0,
-                    due: now,
-                });
-                continue;
-            }
-            if !is_write && !cluster.shard_healthy(target) {
-                let sub = subs.pop_front().expect("front checked");
-                let results = cluster
-                    .degraded_answer(target, &sub.op)
-                    .expect("non-write sub");
-                let latency = (now - sub.arrival) + search_latency;
-                outcome
-                    .degraded_latencies
-                    .extend(std::iter::repeat_n(latency, results.len()));
-                continue;
-            }
-            if claimed[target] {
-                outcome.head_of_line_stalls += 1;
-                break;
-            }
-            let sub = subs.pop_front().expect("front checked");
-            issue_sub(
-                cluster,
-                PendingSub {
-                    shard: target,
-                    ..sub
-                },
-                &mut claimed,
-                &mut outstanding,
-                &mut outcome,
-            );
-        }
-
-        cluster.tick();
-        harvest(cluster, &mut outcome, &mut outstanding);
+        engine.step(cluster, |_, _| {});
     }
-    cluster.quiesce();
-    harvest(cluster, &mut outcome, &mut outstanding);
 
+    let mut outcome = engine.outcome;
     let after = cluster.counters();
     outcome.search_hits = after.search_hits - before.search_hits;
     outcome.delete_hits = after.delete_hits - before.delete_hits;
@@ -492,60 +575,43 @@ pub fn replay_cluster(
     Ok(outcome)
 }
 
-/// Issue one sub-op on its (already re-resolved, healthy, unclaimed)
-/// shard and push its outstanding record.
-fn issue_sub(
+/// Drive one record through the dispatcher on its own — the engine of
+/// the transactional API: plan `op` at the current cycle and step the
+/// cluster until each of its sub-issues has retired or been shed.
+/// Returns the record's search answers as `(key position, result)` —
+/// frozen, degraded and retired alike — and its other completions: a
+/// write's, unless it was shed.
+pub(crate) fn transact(
     cluster: &mut CamCluster,
-    sub: PendingSub,
-    claimed: &mut [bool],
-    outstanding: &mut [VecDeque<OutstandingOp>],
-    outcome: &mut ClusterReplayOutcome,
-) {
-    claimed[sub.shard] = true;
-    outstanding[sub.shard].push_back(OutstandingOp {
-        op: sub.op.clone(),
-        arrival: sub.arrival,
-    });
-    match cluster.shard_mut(sub.shard).issue_at(sub.op, sub.arrival) {
-        Ok(()) => outcome.issued += 1,
-        Err(_) => unreachable!("slot claimed once per cycle"),
-    }
-}
-
-/// Give a crashed shard's purged in-flight ops back to the dispatch
-/// head in their original issue order — their completions will never
-/// arrive, so they are un-issued and go around again.
-fn requeue_purged(
-    shard: usize,
-    outstanding: &mut [VecDeque<OutstandingOp>],
-    subs: &mut VecDeque<PendingSub>,
-    outcome: &mut ClusterReplayOutcome,
-) {
-    while let Some(rec) = outstanding[shard].pop_back() {
-        outcome.issued -= 1;
-        subs.push_front(PendingSub {
-            shard,
-            op: rec.op,
-            arrival: rec.arrival,
+    op: &TraceOp,
+) -> (Vec<(usize, SearchResult)>, Vec<Completion>) {
+    let mut engine = Dispatcher::new(cluster, ClusterReplayOutcome::default());
+    let mut plan = cluster.plan(op);
+    // A record gives each shard at most one sub-issue, so a shard names
+    // the key positions its completion answers.
+    let positions: Vec<(usize, Vec<usize>)> = plan
+        .subs
+        .iter_mut()
+        .map(|(shard, _, keys)| (*shard, std::mem::take(keys)))
+        .collect();
+    let now = cluster.cycle();
+    engine.dispatch(&mut plan, now, now);
+    let mut answers = plan.frozen;
+    answers.append(&mut plan.degraded);
+    let mut writes = Vec::new();
+    while engine.busy() {
+        engine.replenish(cluster);
+        engine.step(cluster, |shard, done| {
+            let at = positions
+                .iter()
+                .filter(|&&(s, _)| s == shard)
+                .flat_map(|(_, keys)| keys.iter().copied());
+            match done {
+                Completion::Search(result) => answers.extend(at.zip([result])),
+                Completion::SearchStream(results) => answers.extend(at.zip(results)),
+                other => writes.push(other),
+            }
         });
     }
-}
-
-/// Pull retired completions and retire-log stamps off every shard,
-/// retiring each against its outstanding record (per-shard retire
-/// order equals issue order).
-fn harvest(
-    cluster: &mut CamCluster,
-    outcome: &mut ClusterReplayOutcome,
-    outstanding: &mut [VecDeque<OutstandingOp>],
-) {
-    for (i, issued) in outstanding.iter_mut().enumerate() {
-        for (_, done) in cluster.shard_mut(i).drain_retired() {
-            cluster.tally(&done);
-            outcome.completions += 1;
-            issued.pop_front();
-        }
-        let records = cluster.shard_mut(i).take_retire_log();
-        outcome.per_shard_latencies[i].extend(records.iter().map(RetireRecord::latency));
-    }
+    (answers, writes)
 }

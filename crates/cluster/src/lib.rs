@@ -22,7 +22,11 @@
 //! multi-shard search fan-out outside the clocked pipeline, and
 //! [`replay_cluster`] drives a whole `dsp-cam-workload` trace through a
 //! bounded async-style ingest queue, producing per-shard retire-latency
-//! and migration-stall histograms.
+//! and migration-stall histograms. The replay and the transactional
+//! [`CamCluster::search`] / [`CamCluster::search_stream`] /
+//! [`CamCluster::update`] / [`CamCluster::delete`] run on one issue
+//! engine, which gives each shard at most one issue per cycle — the
+//! unit's single issue port (II = 1).
 //!
 //! **Fault tolerance** ([`CamCluster::enable_failover`]) keeps the
 //! cluster serving through shard failures: each shard maintains one
@@ -33,8 +37,9 @@
 //! injected by a seeded [`ClusterFaultPlan`] — has its slots degraded
 //! to replica-served reads while a rebuild restores
 //! `epoch + journal` at one word per tick, guaranteeing zero lost
-//! acknowledged writes; a failed migration participant rolls the
-//! window back to source-serving ([`CamCluster::abort_migration`]); and
+//! acknowledged writes; a destination that crashes inside a migration
+//! window rolls it back to source-serving, the same rollback
+//! [`CamCluster::abort_migration`] runs; and
 //! writes aimed at a down shard wait under a bounded-backoff
 //! [`ShedPolicy`] before the cluster sheds them with
 //! [`ClusterError::Overloaded`]. See `tests/cluster_recovery.rs` for
@@ -48,7 +53,7 @@ mod failover;
 mod ingest;
 mod ring;
 
-pub use cluster::{CamCluster, ClusterCounters, ClusterError, ClusterSnapshot, RecordPlan};
+pub use cluster::{CamCluster, ClusterCounters, ClusterError, ClusterSnapshot};
 pub use failover::{
     ClusterFaultPlan, FailoverStats, PlannedFault, ReplicationConfig, ShardFault, ShedPolicy,
 };

@@ -1,7 +1,8 @@
-//! Deterministic cluster behaviour: routing, live migration (frozen
-//! reads, read-your-writes, cutover, content preservation), snapshot
-//! fan-out, the ingest replay loop's zero-dropped-query invariant, the
-//! migration admission errors, and the empty-shape construction error.
+//! Deterministic cluster behaviour: routing, the transactional API's
+//! issue timing, live migration (frozen reads, read-your-writes,
+//! cutover, content preservation), snapshot fan-out, the ingest replay
+//! loop's zero-dropped-query invariant, the migration admission errors,
+//! and the empty-shape construction error.
 
 use dsp_cam_cluster::{replay_cluster, CamCluster, ClusterError, IngestConfig, MigrationPlan};
 use dsp_cam_core::prelude::*;
@@ -60,6 +61,67 @@ fn routing_stores_and_finds_keys_across_shards() {
     assert_eq!(counters.deletes, 1);
     assert_eq!(counters.delete_hits, 1);
     assert_eq!(counters.update_rejections, 0);
+}
+
+#[test]
+fn a_transactional_stream_issues_every_shard_in_the_same_cycle() {
+    let mut cluster = cluster(4);
+    let keys: Vec<u64> = (0..4)
+        .map(|shard| {
+            (1..4096u64)
+                .find(|&k| cluster.ring().shard_of(k) == shard)
+                .expect("every shard owns some key")
+        })
+        .collect();
+    cluster.prefill(&keys).unwrap();
+    cluster.quiesce();
+
+    let before = cluster.cycle();
+    assert!(cluster.search(keys[0]).is_match());
+    let point = cluster.cycle() - before;
+    assert_eq!(point, config().search_latency(), "one point search");
+
+    let before = cluster.cycle();
+    let results = cluster.search_stream(&keys);
+    assert!(results.iter().all(SearchResult::is_match), "{results:?}");
+    assert_eq!(
+        cluster.cycle() - before,
+        point,
+        "one sub-batch per shard, all issued in the same cycle"
+    );
+}
+
+#[test]
+fn transactional_calls_after_a_replay_leave_no_retire_log_behind() {
+    let trace = generate(&WorkloadConfig {
+        seed: 0xC2,
+        ops: 200,
+        key_space: 1024,
+        zipf_s: 0.9,
+        mix: OpMix::READ_HEAVY,
+        stream_batch: 4,
+        arrival: Arrival::BackToBack,
+        churn_per_mille: 50,
+        prefill: 32,
+        max_live: Some(64),
+        eviction_min_gap: 1,
+    })
+    .unwrap();
+    let mut cluster = cluster(4);
+    let outcome = replay_cluster(&trace, &mut cluster, &IngestConfig::default()).unwrap();
+    assert_eq!(outcome.dropped, 0);
+
+    for key in 0..50 {
+        let _ = cluster.search(key);
+    }
+    for i in 0..4 {
+        let left = cluster.shard_mut(i).take_retire_log();
+        assert!(
+            left.is_empty(),
+            "shard {i} kept {} retire records",
+            left.len()
+        );
+    }
 }
 
 #[test]

@@ -303,13 +303,23 @@ fn both_write_paths_shed_a_stalled_write_at_the_same_stall() {
     // Stalls from two below to two above the shortest one the ingest
     // loop sheds on: one past the backoff window of 1 + 4 * (2 + 4) =
     // 25 ticks for (4, 2), and of 1 + 8 * (2 + 4 + ... + 256) = 4081
-    // for the default policy.
+    // for the default policy. A retry budget of 3 sheds (4, 8) at its
+    // third retry, 25 ticks in as well, long before its eighth.
     let tight = ShedPolicy {
         base_backoff_ticks: 4,
         max_retries: 2,
         ..ShedPolicy::default()
     };
-    for (policy, first_shed) in [(tight, 26u64), (ShedPolicy::default(), 4082)] {
+    let budgeted = ShedPolicy {
+        base_backoff_ticks: 4,
+        max_retries: 8,
+        retry_budget: 3,
+    };
+    for (policy, first_shed) in [
+        (tight, 26u64),
+        (ShedPolicy::default(), 4082),
+        (budgeted, 26),
+    ] {
         let mut verdicts = Vec::new();
         for stall in first_shed - 2..=first_shed + 2 {
             let (mut transactional, key) = failover_pair(replication());

@@ -24,6 +24,21 @@ run_filtered() {
     fi
 }
 
+# Run one example (`cargo run` arguments follow the file name) and fail
+# unless its stdout equals scripts/example_outputs/<file>. The drills
+# run fixed seeds, so any difference is a behaviour change; a change
+# meant to make one regenerates the file and says why.
+check_output() {
+    local expected="scripts/example_outputs/$1" out
+    shift
+    out=$(cargo run -q --offline "$@")
+    printf '%s\n' "$out"
+    if ! diff -u "$expected" <(printf '%s\n' "$out"); then
+        echo "error: 'cargo run $*' printed other output than $expected" >&2
+        return 1
+    fi
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -63,9 +78,13 @@ echo "==> exact-match index suite (obs)"
 run_filtered -q --offline -p dsp-cam-core --features obs --test exact_index
 run_filtered -q --offline -p dsp-cam-core --features obs --lib -- exact::
 
+# The fault drill runs a fixed-seed chaos campaign against a
+# scrub-enabled Turbo unit (inject -> degrade -> scrub -> restore),
+# under both feature sets, each output checked against its committed
+# copy.
 echo "==> fault-drill example smoke run (fixed seed, default + obs)"
-cargo run -q --offline --example fault_drill
-cargo run -q --offline --example fault_drill --features obs
+check_output fault_drill.txt --example fault_drill
+check_output fault_drill.obs.txt --example fault_drill --features obs
 
 # The write-heavy drill walks the CAM-fronted update queue end to end
 # (capture at II=1, read-your-writes overlap flushes, budgeted idle
@@ -87,20 +106,22 @@ cargo run -q --offline --example workload_replay --features obs
 # reshard was invisible: zero dropped queries, hits/rejections/contents
 # identical to a never-resharded run, snapshot fan-out agreeing with
 # the live cluster. Under both feature sets (obs additionally publishes
-# the per-shard retire and migration-stall histograms).
+# the per-shard retire and migration-stall histograms), each output
+# checked against its committed copy.
 echo "==> cluster-reshard example smoke run (fixed seed, default + obs)"
-cargo run -q --offline --example cluster_reshard
-cargo run -q --offline --example cluster_reshard --features obs
+check_output cluster_reshard.txt --example cluster_reshard
+check_output cluster_reshard.obs.txt --example cluster_reshard --features obs
 
 # The shard-failover drill crashes one shard and stalls another in a
 # failover-enabled cluster mid-ingest, and proves both outages were
 # absorbed: availability >= 0.99 with zero shed writes, the crashed
 # shard rebuilt from epoch + journal, quiescent contents identical to a
 # never-faulted twin. Under both feature sets (obs additionally
-# publishes the cluster/failover counters and recovery histogram).
+# publishes the cluster/failover counters and recovery histogram), each
+# output checked against its committed copy.
 echo "==> shard-failover example smoke run (fixed seed, default + obs)"
-cargo run -q --offline --example shard_failover
-cargo run -q --offline --example shard_failover --features obs
+check_output shard_failover.txt --example shard_failover
+check_output shard_failover.obs.txt --example shard_failover --features obs
 
 # The remaining examples, run once each under default features: among
 # them database_index and packet_classifier are the only examples that
