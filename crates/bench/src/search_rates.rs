@@ -478,8 +478,9 @@ mod tests {
     }
 
     /// Release-mode floor regression for the key-parallel kernel, the
-    /// large-capacity scale-up and the Turbo speedup at 8192 entries, on
-    /// the fixed-seed key stream. Run by `scripts/ci.sh` as
+    /// large-capacity scale-up at 64k and 1M entries and the Turbo
+    /// speedup at 8192 entries, on the fixed-seed key stream. Run by
+    /// `scripts/ci.sh` as
     /// `cargo test --release -p dsp-cam-bench -- --ignored`; too slow
     /// (and too noisy) for the default debug test pass, hence ignored.
     #[test]
@@ -487,8 +488,8 @@ mod tests {
     fn large_capacity_smoke() {
         let batch = measure_batch_vs_scalar(8192, 32, 60, 3);
         artefact::check("batch_kernel_vs_scalar", vec![batch.row()]);
-        let large = measure_large_scale(&[65_536], 60, 3);
-        artefact::check("large_rows", vec![large[0].row()]);
+        let large = measure_large_scale(&[65_536, 1_048_576], 60, 3);
+        artefact::check("large_rows", large.iter().map(LargeScaleRow::row).collect());
         let rates = measure_search_rates(&[8192]);
         artefact::check("rows", vec![rates[0].row()]);
     }

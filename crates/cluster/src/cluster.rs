@@ -380,17 +380,39 @@ impl CamCluster {
         self.migration.is_some()
     }
 
-    /// Borrow shard `i`'s streaming pipeline mutably. Operations issued
-    /// or completions drained through it bypass the cluster's issue
-    /// engine, which expects each shard's issue slot free at every cycle.
-    pub fn shard_mut(&mut self, i: usize) -> &mut StreamingCam {
+    /// Borrow shard `i`'s streaming pipeline mutably: the issue engine's
+    /// port. Operations issued or completions drained through it bypass
+    /// the engine, which expects each shard's issue slot free at every
+    /// cycle, so it never leaves the crate.
+    pub(crate) fn shard_mut(&mut self, i: usize) -> &mut StreamingCam {
         &mut self.shards[i]
     }
 
-    /// Borrow shard `i` immutably.
+    /// Borrow shard `i` immutably. Only the cluster's issue engine issues
+    /// to a shard, so no public call hands out its issue port:
+    ///
+    /// ```compile_fail,E0624
+    /// # use dsp_cam_cluster::CamCluster;
+    /// # use dsp_cam_core::pipelined::Op;
+    /// fn stage(cluster: &mut CamCluster) {
+    ///     let _ = cluster.shard_mut(0).issue(Op::Search(6));
+    /// }
+    /// ```
     #[must_use]
     pub fn shard(&self, i: usize) -> &StreamingCam {
         &self.shards[i]
+    }
+
+    /// Swap shard `i`'s unit for `unit` — a snapshot restore, e.g. of
+    /// `shard(i).unit().rehydrate()` — returning the old one. The shard's
+    /// clock, pipes and retire log are untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shard `i` does not exist or has operations in flight
+    /// (see [`StreamingCam::replace_unit`]).
+    pub fn replace_shard_unit(&mut self, i: usize, unit: CamUnit) -> CamUnit {
+        self.shards[i].replace_unit(unit)
     }
 
     /// Advance every shard one cycle in lockstep (idle shards drain

@@ -115,7 +115,7 @@ fn transactional_calls_after_a_replay_leave_no_retire_log_behind() {
         let _ = cluster.search(key);
     }
     for i in 0..4 {
-        let left = cluster.shard_mut(i).take_retire_log();
+        let left = cluster.shard(i).retire_log();
         assert!(
             left.is_empty(),
             "shard {i} kept {} retire records",

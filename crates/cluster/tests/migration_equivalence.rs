@@ -135,7 +135,7 @@ proptest! {
                 if let Some(age) = since_migration.as_mut() {
                     if *age == rehydrate_after && migrated.migration_in_progress() {
                         let restored = migrated.shard(dest).unit().rehydrate();
-                        migrated.shard_mut(dest).replace_unit(restored);
+                        migrated.replace_shard_unit(dest, restored);
                     }
                     *age += 1;
                 }

@@ -246,17 +246,48 @@ impl SearchOutput {
             SearchOutput::MatchCount(n) => Some(*n),
         }
     }
+
+    /// Fold one block's match vector, its cell 0 at address `offset`,
+    /// into this answer — the Post-Router combining one more block's
+    /// Encoder output. Folding blocks in ascending `offset` order from
+    /// [`Encoding::miss`] encodes what [`Encoding::encode`] would of
+    /// their side-by-side vector: Priority keeps the first hit,
+    /// MatchCount adds up the counts, AddressList appends the shifted
+    /// addresses, and only OneHot ORs the block into a full-width
+    /// vector.
+    pub(crate) fn fold_block(&mut self, block: &MatchVector, offset: usize) {
+        match self {
+            SearchOutput::Priority(first) => {
+                if first.is_none() {
+                    *first = block.first().map(|cell| offset + cell);
+                }
+            }
+            SearchOutput::OneHot(vector) => vector.or_offset(block, offset),
+            SearchOutput::AddressList(addresses) => {
+                addresses.extend(block.iter_matches().map(|cell| offset + cell));
+            }
+            SearchOutput::MatchCount(n) => *n += block.count(),
+        }
+    }
 }
 
 impl Encoding {
     /// Encode a match vector.
     #[must_use]
     pub fn encode(self, matches: &MatchVector) -> SearchOutput {
+        let mut output = self.miss(matches.len());
+        output.fold_block(matches, 0);
+        output
+    }
+
+    /// The answer of a walk over `len` cells that has folded in no block
+    /// yet (see [`SearchOutput::fold_block`]): a miss.
+    pub(crate) fn miss(self, len: usize) -> SearchOutput {
         match self {
-            Encoding::Priority => SearchOutput::Priority(matches.first()),
-            Encoding::OneHot => SearchOutput::OneHot(matches.clone()),
-            Encoding::AddressList => SearchOutput::AddressList(matches.iter_matches().collect()),
-            Encoding::MatchCount => SearchOutput::MatchCount(matches.count()),
+            Encoding::Priority => SearchOutput::Priority(None),
+            Encoding::OneHot => SearchOutput::OneHot(MatchVector::new(len)),
+            Encoding::AddressList => SearchOutput::AddressList(Vec::new()),
+            Encoding::MatchCount => SearchOutput::MatchCount(0),
         }
     }
 }
@@ -362,6 +393,36 @@ mod tests {
         assert_eq!(out, SearchOutput::MatchCount(2));
         assert!(out.is_match());
         assert_eq!(out.first_address(), None);
+    }
+
+    #[test]
+    fn folding_blocks_in_order_encodes_their_combined_vector() {
+        // Three 70-cell blocks side by side, so offsets straddle words.
+        let blocks = [
+            vector_with(70, &[]),
+            vector_with(70, &[3, 64, 69]),
+            vector_with(70, &[0, 41]),
+        ];
+        let mut combined = MatchVector::new(210);
+        for (b, block) in blocks.iter().enumerate() {
+            combined.or_offset(block, 70 * b);
+        }
+        for enc in [
+            Encoding::Priority,
+            Encoding::OneHot,
+            Encoding::AddressList,
+            Encoding::MatchCount,
+        ] {
+            let mut folded = enc.miss(210);
+            for (b, block) in blocks.iter().enumerate() {
+                folded.fold_block(block, 70 * b);
+            }
+            assert_eq!(folded, enc.encode(&combined), "{enc:?}");
+        }
+        assert_eq!(
+            Encoding::AddressList.encode(&combined),
+            SearchOutput::AddressList(vec![73, 134, 139, 140, 181])
+        );
     }
 
     #[test]

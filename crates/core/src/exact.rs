@@ -5,12 +5,14 @@
 //! may answer a key without broadcasting it — the key-addressed RAM of
 //! Nguyen et al.'s RAM-based CAM (PAPERS.md). `ExactIndex` is that
 //! lookup: a flat open-addressing table of `(masked key, block) → live
-//! copies`, one per binary unit. A Turbo plane walk on the unit visits
-//! only the blocks the table names for a key, plus every suspect block
-//! (one with a shadow fault injected since its planes were last fully
-//! repaired, so they may answer a key it holds no copy of), and charges
-//! every other block the all-miss tally a full walk would have charged. The counter-neutral deletion
-//! probes use the same candidates on both tiers.
+//! copies`, one per binary unit. A Turbo search on the unit runs a
+//! candidate walk: it visits, in fill order, only the blocks the table
+//! names for a key plus every suspect block (one with a shadow fault
+//! injected since its planes were last fully repaired, so they may
+//! answer a key it holds no copy of), folds each visited block's answer
+//! into the key's encoded answer, and charges every other block the
+//! all-miss tally a full walk would have charged. The counter-neutral
+//! deletion probes use the same candidates on both tiers.
 //!
 //! The table is derived state like the bit-sliced planes, but it is
 //! keyed by the DSP cell models, never by the planes: the unit adds the
@@ -18,8 +20,23 @@
 //! held, and clears the table with the cells. The scrubber's sweep
 //! re-derives it from the cells and scores divergence, as does a
 //! divergence the sampled cross-check catches;
-//! [`CamUnit::audit_exact_index`] counts divergence without repairing. [`FaultSite::ExactIndex`] can corrupt it;
+//! [`CamUnit::audit_exact_index`] counts divergence without repairing.
+//! [`FaultSite::ExactIndex`] can corrupt it;
 //! [`FaultPlan`](crate::faults::FaultPlan) never draws that site.
+//!
+//! # The trusted-index rule
+//!
+//! Under Priority encoding only a key's first hit is its answer, so once
+//! a candidate walk has one it charges each later candidate that is not
+//! suspect one matching search without running its kernel. That is
+//! exactly what the kernel would answer while every entry is one the
+//! cells imply: such a block holds a valid copy of the key, and a block
+//! that is not suspect has planes equal to its cells. A
+//! [`FaultSite::ExactIndex`] injection can conjure an entry for a block
+//! holding no copy, so from any injection until the table is next
+//! re-derived (by the sweep audit or a cross-check rebuild) or cleared
+//! (by `reset` or a repartition), the table is not trusted and every
+//! candidate's kernel runs.
 //!
 //! # Layout
 //!
@@ -84,6 +101,10 @@ pub(crate) struct ExactIndex {
     copies: Vec<u16>,
     /// Occupied slots.
     len: usize,
+    /// Whether [`ExactIndex::inject_fault`] ran since the table was last
+    /// derived from the cells or cleared: until then it may name a block
+    /// that holds no copy of a key.
+    faulted: bool,
 }
 
 impl ExactIndex {
@@ -166,6 +187,7 @@ impl ExactIndex {
             tags: vec![EMPTY; slots],
             copies: vec![0; slots],
             len: 0,
+            faulted: false,
         }
     }
 
@@ -200,9 +222,18 @@ impl ExactIndex {
         }
     }
 
+    /// Whether every entry is one the cells imply: no fault was injected
+    /// since the table was last derived or cleared. A block a trusted
+    /// table names holds a valid copy of the key, so planes that equal
+    /// its cells answer it a match.
+    pub(crate) fn is_trusted(&self) -> bool {
+        !self.faulted
+    }
+
     /// Forget every entry, keeping the arrays (the unit's reset and
     /// repartition clear every cell).
     pub(crate) fn clear(&mut self) {
+        self.faulted = false;
         if self.len > 0 {
             self.tags.fill(EMPTY);
             self.copies.fill(0);
@@ -272,8 +303,10 @@ impl ExactIndex {
     /// Upset the entry of (masked) `key` in `block`: drop it when
     /// present (walks then skip a block that holds the key), conjure one
     /// live copy when absent (walks then visit a block the planes
-    /// answer). The cells are untouched, so an audit repairs it.
+    /// answer). The cells are untouched, so an audit repairs it; until
+    /// then the table is not [trusted](ExactIndex::is_trusted).
     pub(crate) fn inject_fault(&mut self, key: u64, block: usize) {
+        self.faulted = true;
         match self.find(tag(key, block)) {
             (i, true) => self.vacate(i),
             _ => self.add(key, block),
@@ -353,13 +386,22 @@ mod tests {
         index.add(5, 1);
         index.add(5, 2);
         let healthy = index.clone();
+        assert!(index.is_trusted());
         index.inject_fault(5, 1);
+        assert!(!index.is_trusted(), "a fault taints the table");
         assert_eq!(blocks_of(&index, 5), vec![2], "present entry dropped");
         assert_eq!(index.divergence_from(&healthy), 1);
         index.inject_fault(6, 0);
         assert_eq!(blocks_of(&index, 6), vec![0], "absent entry conjured");
         assert_eq!(index.divergence_from(&healthy), 2);
+        let mut rebuilt = index.clone();
+        assert_eq!(rebuilt.audit(&[]), 2, "both faulted entries diverge");
+        assert!(
+            rebuilt.is_trusted(),
+            "re-deriving the table clears the taint"
+        );
         index.clear();
+        assert!(index.is_trusted(), "so does clearing it with the cells");
         assert_eq!(index.divergence_from(&ExactIndex::with_room(0)), 0);
         assert!(blocks_of(&index, 5).is_empty());
     }

@@ -357,6 +357,14 @@ impl StreamingCam {
         self.retire_log = Some(Vec::new());
     }
 
+    /// The retire log accumulated since
+    /// [`StreamingCam::enable_retire_log`], left in place (empty if
+    /// logging was never enabled).
+    #[must_use]
+    pub fn retire_log(&self) -> &[RetireRecord] {
+        self.retire_log.as_deref().unwrap_or_default()
+    }
+
     /// Take the retire log accumulated since
     /// [`StreamingCam::enable_retire_log`] (logging stays enabled).
     /// Empty if logging was never enabled.

@@ -1,5 +1,9 @@
 //! The search path: every entry point, the one engine they share, and
-//! the group walks (narrowed by the exact-match index on binary units).
+//! the group walks. A full walk ORs every block into one group-wide
+//! vector per key and encodes it; a Turbo search on a binary unit runs a
+//! candidate walk instead, which visits only the blocks the exact-match
+//! index names and folds each one's answer into the key's encoded
+//! answer, block by block.
 
 use std::collections::HashMap;
 
@@ -13,6 +17,7 @@ use crate::block::CamBlock;
 use crate::config::FidelityMode;
 use crate::encoder::{MatchVector, SearchOutput};
 use crate::error::CamError;
+use crate::exact::ExactIndex;
 
 /// A served answer plus the first `(group, key)` divergence the sampled
 /// cross-check caught while serving it (repaired either way).
@@ -23,21 +28,23 @@ type Served<T> = (T, Option<(usize, u64)>);
 /// (or per batch) once they reach steady-state size.
 #[derive(Debug, Clone, Default)]
 pub(super) struct WalkScratch {
-    /// The keys one group answers, walked in chunks.
+    /// The keys one group answers.
     keys: Vec<u64>,
-    /// One group-wide match vector per key.
+    /// One group-wide match vector per key of a full walk's chunk.
     combined: Vec<MatchVector>,
     /// One block's match vector, for walks that answer block by block.
     block: MatchVector,
     /// Slots of the walked group holding a suspect block, ascending.
     suspects: Vec<usize>,
-    /// Slots one key's walk visits, ascending.
+    /// Slots one key's candidate walk visits, ascending.
     candidates: Vec<usize>,
-    /// Keys of the batch that visited each slot.
+    /// Keys of the group whose candidate walk visited each slot.
     visits: Vec<usize>,
 }
 
-/// What a group walk asks of each block it visits.
+/// What a full walk asks of each block it visits (a candidate walk
+/// broadcasts one key at a time through the scalar kernel for both
+/// search probes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Probe {
     /// The configured tier's broadcast, one key at a time (the point and
@@ -179,8 +186,8 @@ impl CamUnit {
     }
 
     /// The unique keys served `M` per issue cycle through the batch
-    /// kernel, answers fanned back out to the caller's key order: both
-    /// streaming variants.
+    /// kernel (on a full walk), answers fanned back out to the caller's
+    /// key order: both streaming variants.
     fn serve_stream(&mut self, keys: &[u64]) -> Served<Vec<SearchResult>> {
         if keys.is_empty() {
             return (Vec::new(), None);
@@ -221,7 +228,7 @@ impl CamUnit {
     /// The one search engine behind every entry point: sync the write
     /// buffer for `keys`, charge `issue` cycles, answer key `j` from group
     /// `(first + j) mod M` (each group walks its keys in order through
-    /// `probe`, `batch_width` at a time), cross-check the answers and
+    /// `probe`, see [`CamUnit::walk_group`]), cross-check the answers and
     /// advance the scrubber. Returns the (corrected) answers in key order
     /// plus the first divergence the cross-check caught.
     fn serve(
@@ -235,7 +242,6 @@ impl CamUnit {
         self.issue_cycles += issue;
         self.search_count += keys.len() as u64;
         let groups = self.groups();
-        let width = self.config.batch_width.clamp(1, MAX_BATCH_WIDTH);
         // Every output is written by the walks below.
         let mut results: Vec<SearchResult> = (0..keys.len())
             .map(|j| SearchResult {
@@ -248,13 +254,15 @@ impl CamUnit {
         for r in 0..groups.min(keys.len()) {
             group_keys.clear();
             group_keys.extend(keys.iter().skip(r).step_by(groups));
-            for (c, chunk) in group_keys.chunks(width).enumerate() {
-                self.walk_group((first + r) % groups, chunk, probe, &mut walk);
-                for (k, combined) in walk.combined[..chunk.len()].iter().enumerate() {
-                    let j = r + (c * width + k) * groups;
-                    results[j].output = self.config.block.encoding.encode(combined);
-                }
-            }
+            self.walk_group(
+                (first + r) % groups,
+                &group_keys,
+                probe,
+                &mut walk,
+                |k, output| {
+                    results[r + k * groups].output = output;
+                },
+            );
         }
         walk.keys = group_keys;
         self.scratch = walk;
@@ -267,42 +275,76 @@ impl CamUnit {
     /// the cross-check's reference.
     pub(super) fn oracle_output(&mut self, group: usize, key: u64) -> SearchOutput {
         let mut walk = std::mem::take(&mut self.scratch);
-        self.walk_group(group, std::slice::from_ref(&key), Probe::Oracle, &mut walk);
-        let output = self.config.block.encoding.encode(&walk.combined[0]);
+        let mut answer = SearchOutput::Priority(None);
+        self.walk_group(
+            group,
+            std::slice::from_ref(&key),
+            Probe::Oracle,
+            &mut walk,
+            |_, output| {
+                answer = output;
+            },
+        );
         self.scratch = walk;
-        output
+        answer
     }
 
-    /// Answer `keys` from `group` into `walk.combined[..keys.len()]`, one
-    /// group-wide vector per key, each visited block OR-ing its answers
-    /// in at its slot offset. A Turbo search walk on a binary unit visits
-    /// only each key's candidate slots (see [`CamUnit::candidate_slots`])
-    /// and charges every block a key skips the all-miss tally a full
-    /// walk would have charged, so answers and counters are those of a
-    /// full walk. BitAccurate searches, the oracle's reference walk and
-    /// units without an exact-match index visit every block.
-    fn walk_group(&mut self, group: usize, keys: &[u64], probe: Probe, walk: &mut WalkScratch) {
-        let block_size = self.config.block.block_size;
-        let slots = self.fill[group].blocks.len();
-        if walk.combined.len() < keys.len() {
-            walk.combined.resize_with(keys.len(), MatchVector::default);
-        }
-        let combined = &mut walk.combined[..keys.len()];
-        for vector in combined.iter_mut() {
-            vector.reset(slots * block_size);
-        }
+    /// Answer `keys` from `group` through `probe`, handing
+    /// `answer(k, output)` the encoded answer to `keys[k]`, with answers
+    /// and counters those of a walk over every block. A Turbo search on
+    /// a binary unit runs [`CamUnit::candidate_walk`]; BitAccurate
+    /// searches, the oracle's reference walk and units without an
+    /// exact-match index run [`CamUnit::full_walk`].
+    fn walk_group(
+        &mut self,
+        group: usize,
+        keys: &[u64],
+        probe: Probe,
+        walk: &mut WalkScratch,
+        answer: impl FnMut(usize, SearchOutput),
+    ) {
         let narrowed = probe != Probe::Oracle
             && self.exact.is_some()
             && self.config.block.fidelity == FidelityMode::Turbo;
-        if !narrowed {
+        if narrowed {
+            self.candidate_walk(group, keys, walk, answer);
+        } else {
+            self.full_walk(group, keys, probe, walk, answer);
+        }
+    }
+
+    /// Visit every block of `group` for `keys`, `batch_width` keys at a
+    /// time: each block ORs its answers into one group-wide vector per
+    /// key at its slot offset, and each vector is encoded once complete.
+    fn full_walk(
+        &mut self,
+        group: usize,
+        keys: &[u64],
+        probe: Probe,
+        walk: &mut WalkScratch,
+        mut answer: impl FnMut(usize, SearchOutput),
+    ) {
+        let block_size = self.config.block.block_size;
+        let slots = self.fill[group].blocks.len();
+        let width = self.config.batch_width.clamp(1, MAX_BATCH_WIDTH);
+        let encoding = self.config.block.encoding;
+        if walk.combined.len() < width.min(keys.len()) {
+            walk.combined
+                .resize_with(width.min(keys.len()), MatchVector::default);
+        }
+        for (c, chunk) in keys.chunks(width).enumerate() {
+            let combined = &mut walk.combined[..chunk.len()];
+            for vector in combined.iter_mut() {
+                vector.reset(slots * block_size);
+            }
             for slot in 0..slots {
                 let offset = slot * block_size;
                 let block = &mut self.blocks[self.fill[group].blocks[slot]];
                 if probe == Probe::Batch {
-                    block.search_batch_or(keys, combined, offset);
+                    block.search_batch_or(chunk, combined, offset);
                     continue;
                 }
-                for (&key, vector) in keys.iter().zip(combined.iter_mut()) {
+                for (&key, vector) in chunk.iter().zip(combined.iter_mut()) {
                     if probe == Probe::Oracle {
                         block.oracle_vector_into(key, &mut walk.block);
                     } else {
@@ -311,22 +353,59 @@ impl CamUnit {
                     vector.or_offset(&walk.block, offset);
                 }
             }
-            return;
+            for (k, vector) in combined.iter().enumerate() {
+                answer(c * width + k, encoding.encode(vector));
+            }
         }
+    }
+
+    /// Visit only each key's [`CamUnit::candidate_slots`] of `group`, in
+    /// ascending order, folding each visited block's block-sized answer
+    /// (the scalar kernel's, whatever the probe: a block answers one key
+    /// at a time here) into the key's (see [`SearchOutput::fold_block`]),
+    /// and charge every block a key skips the all-miss tally a full walk
+    /// would have charged. Only the suspect scan and that tally, once
+    /// per call, grow with the group's capacity. Under Priority encoding
+    /// only the first hit can change the answer, so once a key has one,
+    /// each later candidate that is not suspect is charged one matching
+    /// search without running its kernel — exactly what its planes
+    /// would answer, since a
+    /// [trusted](crate::exact::ExactIndex::is_trusted) index names only
+    /// blocks whose cells hold the key, and a non-suspect block's planes
+    /// equal its cells. Until an index fault is repaired, every
+    /// candidate's kernel runs.
+    fn candidate_walk(
+        &mut self,
+        group: usize,
+        keys: &[u64],
+        walk: &mut WalkScratch,
+        mut answer: impl FnMut(usize, SearchOutput),
+    ) {
+        let block_size = self.config.block.block_size;
+        let slots = self.fill[group].blocks.len();
+        let encoding = self.config.block.encoding;
         let limit = mask_width(self.config.block.cell.data_width);
+        let trusted = self.exact.as_ref().is_some_and(ExactIndex::is_trusted);
         self.suspect_slots(group, &mut walk.suspects);
         walk.visits.clear();
         walk.visits.resize(slots, 0);
-        for (&key, vector) in keys.iter().zip(combined.iter_mut()) {
+        for (k, &key) in keys.iter().enumerate() {
             self.candidate_slots(group, key & limit, &walk.suspects, &mut walk.candidates);
+            let mut output = encoding.miss(slots * block_size);
             for &slot in &walk.candidates {
-                self.blocks[self.fill[group].blocks[slot]].search_batch_or(
-                    std::slice::from_ref(&key),
-                    std::slice::from_mut(vector),
-                    slot * block_size,
-                );
                 walk.visits[slot] += 1;
+                let block = &mut self.blocks[self.fill[group].blocks[slot]];
+                if trusted
+                    && matches!(output, SearchOutput::Priority(Some(_)))
+                    && !block.is_suspect()
+                {
+                    block.tally(1, 1);
+                    continue;
+                }
+                block.search_vector_into(key, &mut walk.block);
+                output.fold_block(&walk.block, slot * block_size);
             }
+            answer(k, output);
         }
         // A block a key skipped answers it all-miss: charge that miss
         // exactly as the full walk would have.

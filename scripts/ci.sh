@@ -177,12 +177,14 @@ fi
 
 # Release-mode perf floors on a fixed-seed key stream: the key-parallel
 # batch kernel must beat its one-key degenerate >= 2x at 8192 entries on
-# a ternary(32, 0) plane walk, 64k-entry binary Turbo stream throughput
-# must hold its per-entry floor, and
-# the Turbo tier must stay >= 50x the bit-accurate tier at 8192 entries
-# (BENCH_search.json regression guards, from the FLOORS table in
-# crates/bench/src/artefact.rs). Run under both feature sets — the obs
-# build must not tax the kernel either.
+# a ternary(32, 0) plane walk, binary Turbo stream throughput must hold
+# its per-entry floor at 64k and at 1M entries (one unit, ~230 MB peak
+# RSS; a candidate walk whose per-key work grew with group capacity
+# again would fail the 1M floor), and the Turbo tier must stay >= 50x
+# the bit-accurate tier at 8192 entries (BENCH_search.json regression
+# guards, from the FLOORS table in crates/bench/src/artefact.rs). Run
+# under both feature sets — the obs build must not tax the kernel
+# either.
 echo "==> release large-capacity perf smoke (default)"
 run_filtered -q --offline --release -p dsp-cam-bench --lib -- --ignored large_capacity_smoke
 echo "==> release large-capacity perf smoke (obs)"
