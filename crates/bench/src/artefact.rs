@@ -195,6 +195,18 @@ pub(crate) static FLOORS: &[Floor] = &[
     Floor { section: "large_rows", select: &[("entries", Int(1_048_576))], metric: "searches_per_sec_per_entry",
         bound: AtLeast, value: Float(4.5, 1), field: None,
         reason: "a stream's per-key work no longer grows with group capacity, so 1M entries stream within 2x of 64k (5.63-10.58, median 6.87, over 30 release runs)" },
+    Floor { section: "large_rows", select: &[("entries", Int(8192))], metric: "point_searches_per_sec",
+        bound: AtLeast, value: Float(3_000_000.0, 1), field: None,
+        reason: "a one-key search allocates nothing per call and reads its candidates from the index and its group's suspect list (4.76M-8.40M, median 7.52M, over 30 release runs)" },
+    Floor { section: "large_rows", select: &[("entries", Int(65_536))], metric: "point_searches_per_sec",
+        bound: AtLeast, value: Float(3_000_000.0, 1), field: None,
+        reason: "a one-key search never scans its group: suspects are listed per group and the all-miss tally is charged by group (4.74M-8.65M, median 7.71M, over 30 release runs)" },
+    Floor { section: "large_rows", select: &[("entries", Int(262_144))], metric: "point_searches_per_sec",
+        bound: AtLeast, value: Float(3_000_000.0, 1), field: None,
+        reason: "a one-key search never scans its group: suspects are listed per group and the all-miss tally is charged by group (4.30M-8.29M, median 7.56M, over 30 release runs)" },
+    Floor { section: "large_rows", select: &[("entries", Int(1_048_576))], metric: "point_searches_per_sec",
+        bound: AtLeast, value: Float(3_000_000.0, 1), field: None,
+        reason: "a one-key search costs O(its candidate blocks), so 1M entries search at the 8192-entry rate (4.78M-8.48M, median 7.54M, over 30 release runs)" },
     Floor { section: "update_queue_rows", select: &[("entries", Int(8192)), ("mix", text("50:45:5"))],
         metric: "update_p99_buffered_over_inline", bound: AtMost, value: Float(0.5, 1), field: None,
         reason: "absorbing an insert costs at most half of applying it inline, even at the tail" },
@@ -504,13 +516,16 @@ mod tests {
                 Row::default()
                     .int("entries", e)
                     .float("searches_per_sec_per_entry", 1000.0, 4)
+                    .float("point_searches_per_sec", 1.0e7, 1)
             };
             [("large_rows", Section::Rows(sizes.iter().map(row).collect()))]
         };
-        assert!(failures(&large(&[65_536, 262_144, 1_048_576]), true).is_empty());
-        let missing = failures(&large(&[65_536, 262_144]), true);
-        assert_eq!(missing.len(), 1, "{missing:?}");
-        assert!(missing[0].contains("large_rows") && missing[0].contains("1048576"));
+        assert!(failures(&large(&[8192, 65_536, 262_144, 1_048_576]), true).is_empty());
+        let missing = failures(&large(&[8192, 65_536, 262_144]), true);
+        assert_eq!(missing.len(), 2, "{missing:?}");
+        for failure in missing {
+            assert!(failure.contains("large_rows") && failure.contains("1048576"));
+        }
     }
 
     #[test]
@@ -559,6 +574,7 @@ mod tests {
             LargeScaleRow {
                 entries,
                 stream_kps,
+                point_sps: 1.0e7,
             }
             .row()
         });

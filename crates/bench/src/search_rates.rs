@@ -43,10 +43,10 @@ impl SearchRateRow {
 /// The canonical sizes recorded in `BENCH_search.json`.
 pub const BENCH_SIZES: [usize; 3] = [512, 2048, 8192];
 
-/// The large-capacity scale-up sizes (64k / 256k / 1M entries) measured
-/// on the Turbo `search_stream` path and recorded in `BENCH_search.json`
-/// as `large_rows`.
-pub const LARGE_BENCH_SIZES: [usize; 3] = [65_536, 262_144, 1_048_576];
+/// The large-capacity scale-up sizes (8k / 64k / 256k / 1M entries)
+/// measured on the Turbo `search_stream` and point `search` paths and
+/// recorded in `BENCH_search.json` as `large_rows`.
+pub const LARGE_BENCH_SIZES: [usize; 4] = [8192, 65_536, 262_144, 1_048_576];
 
 /// The cell of every two-arm plane-walk measurement (the batch kernel
 /// race, the scrub and tracer overheads, and `capacity_scaling`):
@@ -226,13 +226,16 @@ pub fn measure_scrub_overhead_pct(entries: usize) -> f64 {
     median_paired_loss_pct(&mut plain, &mut scrubbed, &stream_keys(entries), 12, 60)
 }
 
-/// Turbo `search_stream` throughput at one large capacity.
+/// Turbo `search_stream` and point `search` throughput at one large
+/// capacity.
 #[derive(Debug, Clone, Copy)]
 pub struct LargeScaleRow {
     /// Unit capacity in entries.
     pub entries: usize,
     /// Host keys/sec through Turbo `search_stream` (default batch width).
     pub stream_kps: f64,
+    /// Host one-key Turbo `search` calls/sec.
+    pub point_sps: f64,
 }
 
 impl LargeScaleRow {
@@ -243,6 +246,7 @@ impl LargeScaleRow {
             .int("entries", self.entries as u64)
             .float("turbo_stream_keys_per_sec", self.stream_kps, 1)
             .float("searches_per_sec_per_entry", per_entry, 4)
+            .float("point_searches_per_sec", self.point_sps, 1)
     }
 }
 
@@ -298,9 +302,10 @@ fn stream_keys(entries: usize) -> Vec<u64> {
     (0..1024u64).map(|i| i * 7 % (entries as u64 * 3)).collect()
 }
 
-/// Turbo `search_stream` throughput of binary units (answered through
-/// the exact-match index) at each of `sizes` entries, sampled for
-/// `min_millis` with the best of `rounds` kept per size.
+/// Turbo `search_stream` and one-key `search` throughput of binary
+/// units (answered through the exact-match index) at each of `sizes`
+/// entries, each sampled for `min_millis` with the best of `rounds`
+/// kept per size.
 #[must_use]
 pub fn measure_large_scale(sizes: &[usize], min_millis: u128, rounds: usize) -> Vec<LargeScaleRow> {
     sizes
@@ -308,12 +313,15 @@ pub fn measure_large_scale(sizes: &[usize], min_millis: u128, rounds: usize) -> 
         .map(|&entries| {
             let mut unit = turbo_stream_unit(CellConfig::binary(32), entries, 32);
             let keys = stream_keys(entries);
-            let stream_kps = (0..rounds.max(1))
-                .map(|_| stream_keys_per_sec(&mut unit, &keys, min_millis))
-                .fold(0.0f64, f64::max);
+            let mut best = |rate: &mut dyn FnMut(&mut CamUnit) -> f64| {
+                (0..rounds.max(1))
+                    .map(|_| rate(&mut unit))
+                    .fold(0.0f64, f64::max)
+            };
             LargeScaleRow {
                 entries,
-                stream_kps,
+                stream_kps: best(&mut |unit| stream_keys_per_sec(unit, &keys, min_millis)),
+                point_sps: best(&mut |unit| searches_per_sec_for(unit, min_millis)),
             }
         })
         .collect()
@@ -478,8 +486,9 @@ mod tests {
     }
 
     /// Release-mode floor regression for the key-parallel kernel, the
-    /// large-capacity scale-up at 64k and 1M entries and the Turbo
-    /// speedup at 8192 entries, on the fixed-seed key stream. Run by
+    /// large-capacity stream and point-search scale-up at 64k and 1M
+    /// entries and the Turbo speedup at 8192 entries, on the fixed-seed
+    /// key stream. Run by
     /// `scripts/ci.sh` as
     /// `cargo test --release -p dsp-cam-bench -- --ignored`; too slow
     /// (and too noisy) for the default debug test pass, hence ignored.

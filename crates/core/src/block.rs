@@ -15,6 +15,8 @@
 //!   register (sizes ≥ 256 standalone — Table VI's latency step from 3 to
 //!   4 cycles).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use dsp48::word::mask_width;
 use serde::{Deserialize, Serialize};
 
@@ -69,12 +71,11 @@ pub struct CamBlock {
     cycles: u64,
     update_beats: u64,
     searches: u64,
-    /// Whether a shadow fault was injected since the planes were last
-    /// fully repaired: such a block's planes may answer a key it holds
-    /// no copy of, so an exact-match candidate walk must visit it (see
-    /// [`crate::exact`]).
-    #[serde(default)]
-    suspect: bool,
+    /// All-miss broadcasts the owning unit charges this block but has not
+    /// settled into `cycles`, `searches` and the obs misses yet: every
+    /// counter read adds them in (see [`CamBlock::show_unsettled`]).
+    #[serde(skip)]
+    unsettled: Unsettled,
     /// Reusable match vector behind [`CamBlock::search`] — host-side
     /// scratch, not architectural state.
     #[serde(skip)]
@@ -93,6 +94,19 @@ pub struct CamBlock {
 struct BlockObs {
     matches: u64,
     misses: u64,
+}
+
+/// A count the owning unit publishes through a shared borrow (see
+/// [`CamBlock::show_unsettled`]), so atomic; a clone copies its value.
+/// `Relaxed` suffices: the count publishes no other data, and while a
+/// unit is shared every store to it writes the same value.
+#[derive(Debug, Default)]
+struct Unsettled(AtomicU64);
+
+impl Clone for Unsettled {
+    fn clone(&self) -> Self {
+        Unsettled(AtomicU64::new(self.0.load(Ordering::Relaxed)))
+    }
 }
 
 impl CamBlock {
@@ -117,7 +131,7 @@ impl CamBlock {
             cycles: 0,
             update_beats: 0,
             searches: 0,
-            suspect: false,
+            unsettled: Unsettled::default(),
             vector_scratch: MatchVector::default(),
             #[cfg(feature = "obs")]
             obs: BlockObs::default(),
@@ -188,7 +202,7 @@ impl CamBlock {
     /// Block-level cycles consumed so far.
     #[must_use]
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.cycles + self.unsettled() * self.config.search_latency()
     }
 
     /// Update beats processed.
@@ -200,7 +214,28 @@ impl CamBlock {
     /// Searches processed.
     #[must_use]
     pub fn searches(&self) -> u64 {
-        self.searches
+        self.searches + self.unsettled()
+    }
+
+    fn unsettled(&self) -> u64 {
+        self.unsettled.0.load(Ordering::Relaxed)
+    }
+
+    /// Publish the `n` all-miss broadcasts the owning unit has charged
+    /// this block since it last settled them (replacing any count shown
+    /// before), so every counter read includes them. A unit calls this
+    /// through a shared borrow before any of its blocks' counters can be
+    /// read; it cannot change `n` until it is mutably borrowed again.
+    pub(crate) fn show_unsettled(&self, n: u64) {
+        self.unsettled.0.store(n, Ordering::Relaxed);
+    }
+
+    /// Charge `n` all-miss broadcasts the owning unit had not settled
+    /// yet, and show none: the unit's settle, before it moves the block
+    /// to another group or forgets its monitoring tallies.
+    pub(crate) fn settle(&mut self, n: u64) {
+        self.tally(n, 0);
+        *self.unsettled.0.get_mut() = 0;
     }
 
     /// Broadcasts that hit at least one valid cell (obs monitoring).
@@ -214,7 +249,7 @@ impl CamBlock {
     #[cfg(feature = "obs")]
     #[must_use]
     pub fn obs_misses(&self) -> u64 {
-        self.obs.misses
+        self.obs.misses + self.unsettled()
     }
 
     /// Per-cell `(is_valid, pd_fires)` observations, in cell order —
@@ -222,15 +257,6 @@ impl CamBlock {
     #[cfg(feature = "obs")]
     pub fn cell_observations(&self) -> impl Iterator<Item = (bool, u64)> + '_ {
         self.cells.iter().map(|c| (c.is_valid(), c.pd_fires()))
-    }
-
-    /// Whether a shadow fault was injected since the block's planes were
-    /// last fully repaired (by [`CamBlock::reset`] or
-    /// [`CamBlock::scrub_all`]) — until then its planes may answer a key
-    /// it holds no copy of.
-    #[must_use]
-    pub(crate) fn is_suspect(&self) -> bool {
-        self.suspect
     }
 
     /// Bit-accurate audit pass over the bit-sliced shadow: re-derive the
@@ -258,15 +284,16 @@ impl CamBlock {
     }
 
     /// Apply one targeted [`ShadowFault`] to this block's shadow
-    /// structures (the DSP oracle is untouched) and mark the block
-    /// suspect. Subsumes [`CamBlock::inject_shadow_fault`]; the general
-    /// entry point of the fault injector.
+    /// structures (the DSP oracle is untouched). Subsumes
+    /// [`CamBlock::inject_shadow_fault`]; the general entry point of the
+    /// fault injector. Until [`CamBlock::scrub_all`] or
+    /// [`CamBlock::reset`] repairs them, the planes may answer a key the
+    /// block holds no copy of, so a unit lists the block as suspect.
     ///
     /// # Panics
     ///
     /// Panics if the fault addresses a cell out of range.
     pub fn inject_fault_at(&mut self, fault: ShadowFault) {
-        self.suspect = true;
         match fault {
             ShadowFault::Plane {
                 cell,
@@ -301,10 +328,9 @@ impl CamBlock {
     }
 
     /// Scrub every cell of the block (the governor's bulk-repair path
-    /// after a cross-check divergence), which clears the suspect mark.
-    /// Returns total divergent shadow entries repaired.
+    /// after a cross-check divergence), so its planes equal its cells
+    /// again. Returns total divergent shadow entries repaired.
     pub fn scrub_all(&mut self) -> usize {
-        self.suspect = false;
         (0..self.cells.len())
             .map(|cell| self.scrub_cell(cell))
             .sum()
@@ -419,6 +445,14 @@ impl CamBlock {
     /// `out` reusing its allocation, so a warmed-up block broadcasts
     /// without touching the heap.
     pub fn search_vector_into(&mut self, key: u64, out: &mut MatchVector) {
+        let hit = self.match_into(key, out);
+        self.tally(1, u64::from(hit));
+    }
+
+    /// [`CamBlock::search_vector_into`] without the charge: the kernel a
+    /// unit runs, charging the block itself. Returns whether any cell
+    /// matched.
+    pub(crate) fn match_into(&mut self, key: u64, out: &mut MatchVector) -> bool {
         let key = self.mask_key(key);
         match self.config.fidelity {
             FidelityMode::BitAccurate => {
@@ -434,7 +468,7 @@ impl CamBlock {
                 out.fill_raw(bitslice.len(), |bits| bitslice.search_into(key, bits));
             }
         }
-        self.tally(1, u64::from(out.any()));
+        out.any()
     }
 
     /// Charge `n` broadcasts, `matched` of which hit: one search latency
@@ -549,25 +583,35 @@ impl CamBlock {
     /// perturbing any search counter or cycle accounting — the probe
     /// behind [`CamUnit`](crate::unit::CamUnit)'s deletion path. Answers
     /// from the always-coherent bit-sliced planes, so the result is
-    /// identical on every fidelity tier.
+    /// identical on every fidelity tier. `scratch` receives the planes'
+    /// match vector, reusing its allocation.
     #[must_use]
-    pub fn probe_first(&self, key: u64) -> Option<usize> {
-        self.bitslice.search(self.mask_key(key)).first()
+    pub fn probe_first(&self, key: u64, scratch: &mut MatchVector) -> Option<usize> {
+        self.probe_into(key, scratch);
+        scratch.first()
     }
 
     /// How many valid cells match `key`, capped at `limit`, without
     /// perturbing any search counter or cycle accounting — the probe
     /// behind the write buffer's staged-delete decision. Like
     /// [`probe_first`](Self::probe_first) it answers from the
-    /// always-coherent bit-sliced planes, so the count is identical on
-    /// every fidelity tier.
+    /// always-coherent bit-sliced planes into `scratch`, so the count is
+    /// identical on every fidelity tier.
     #[must_use]
-    pub fn probe_count(&self, key: u64, limit: usize) -> usize {
+    pub fn probe_count(&self, key: u64, limit: usize, scratch: &mut MatchVector) -> usize {
         if limit == 0 {
             return 0;
         }
-        let matches = self.bitslice.search(self.mask_key(key));
-        matches.iter_matches().take(limit).count()
+        self.probe_into(key, scratch);
+        scratch.iter_matches().take(limit).count()
+    }
+
+    /// The planes' match vector for `key` into `out`, charging nothing.
+    fn probe_into(&self, key: u64, out: &mut MatchVector) {
+        let key = self.mask_key(key);
+        out.fill_raw(self.bitslice.len(), |bits| {
+            self.bitslice.search_into(key, bits)
+        });
     }
 
     /// Per-entry ternary update (extension beyond the paper's shared-mask
@@ -584,8 +628,8 @@ impl CamBlock {
     }
 
     /// Assert the reset signal: clear every cell and the fill pointer.
-    /// The planes are re-derived from the cleared cells, so the suspect
-    /// mark clears too.
+    /// The planes are re-derived from the cleared cells, which repairs
+    /// any shadow fault.
     pub fn reset(&mut self) {
         for cell in &mut self.cells {
             cell.clear();
@@ -593,7 +637,6 @@ impl CamBlock {
         self.bitslice.refresh_all(&self.cells);
         self.write_ptr = 0;
         self.holes.clear();
-        self.suspect = false;
         self.cycles += 1;
     }
 
@@ -859,8 +902,10 @@ mod tests {
         for fidelity in [FidelityMode::BitAccurate, FidelityMode::Turbo] {
             b.set_fidelity(fidelity);
             let (c, s) = (b.cycles(), b.searches());
-            assert_eq!(b.probe_first(5), Some(0), "{fidelity:?}");
-            assert_eq!(b.probe_first(6), None, "{fidelity:?}");
+            let mut scratch = MatchVector::default();
+            assert_eq!(b.probe_first(5, &mut scratch), Some(0), "{fidelity:?}");
+            assert_eq!(b.probe_first(6, &mut scratch), None, "{fidelity:?}");
+            assert_eq!(b.probe_count(5, 3, &mut scratch), 2, "{fidelity:?}");
             assert_eq!((b.cycles(), b.searches()), (c, s), "{fidelity:?}");
         }
     }

@@ -9,10 +9,14 @@
 //! candidate walk: it visits, in fill order, only the blocks the table
 //! names for a key plus every suspect block (one with a shadow fault
 //! injected since its planes were last fully repaired, so they may
-//! answer a key it holds no copy of), folds each visited block's answer
-//! into the key's encoded answer, and charges every other block the
-//! all-miss tally a full walk would have charged. The counter-neutral
-//! deletion probes use the same candidates on both tiers.
+//! answer a key it holds no copy of; each group lists its suspects, so
+//! nothing scans the group for them), and folds each visited block's
+//! answer into the key's encoded answer. Every block the key skips or
+//! misses is owed the all-miss search a full walk would have charged,
+//! and the unit charges those by group, not block by block, so the walk
+//! costs O(its candidates) whatever the group's capacity. The
+//! counter-neutral deletion probes use the same candidates on both
+//! tiers.
 //!
 //! The table is derived state like the bit-sliced planes, but it is
 //! keyed by the DSP cell models, never by the planes: the unit adds the

@@ -113,13 +113,32 @@ pub enum BusResponse {
     Search(SearchResult),
 }
 
-/// Per-group fill state (the Block Address Controller).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Per-group fill state (the Block Address Controller), plus what a
+/// search of the group needs besides its blocks.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 struct GroupFill {
     /// Block indices owned by this group, in fill order.
     blocks: Vec<usize>,
     /// Index into `blocks` of the block currently being filled.
     current: usize,
+    /// Slots (positions in `blocks`) holding a suspect block, ascending:
+    /// one with a shadow fault injected since its planes were last fully
+    /// repaired (by a reset or a cross-check's bulk repair), so they may
+    /// answer a key it holds no copy of.
+    suspects: Vec<usize>,
+    /// Keys the group has answered since its blocks' counters were last
+    /// settled: each of its blocks is charged one search per key, those
+    /// not charged directly as all-miss (see [`CamUnit::unsettled`]).
+    served: u64,
+}
+
+impl GroupFill {
+    fn of(blocks: Vec<usize>) -> Self {
+        GroupFill {
+            blocks,
+            ..GroupFill::default()
+        }
+    }
 }
 
 /// The configurable DSP-based CAM unit.
@@ -154,6 +173,9 @@ pub struct CamUnit {
     /// Each block's `(group, slot)` in the fill state, where a candidate
     /// walk lays it out (never read from the faultable Routing Table).
     placement: Vec<(usize, usize)>,
+    /// Searches charged to each block directly (its hits) since the
+    /// counters were last settled.
+    charged: Vec<u64>,
     #[serde(skip)]
     scratch: WalkScratch,
     /// Attached observability sink; host-side monitoring, never
@@ -179,10 +201,7 @@ impl CamUnit {
             config,
             blocks,
             routing: vec![0; config.num_blocks],
-            fill: vec![GroupFill {
-                blocks: (0..config.num_blocks).collect(),
-                current: 0,
-            }],
+            fill: vec![GroupFill::of((0..config.num_blocks).collect())],
             entries_per_group: 0,
             issue_cycles: 0,
             update_words: 0,
@@ -191,6 +210,7 @@ impl CamUnit {
             wbuf: WriteBuffer::default(),
             exact: exact::indexable(&config).then(|| ExactIndex::with_room(config.total_cells())),
             placement: (0..config.num_blocks).map(|b| (0, b)).collect(),
+            charged: vec![0; config.num_blocks],
             scratch: WalkScratch::default(),
             #[cfg(feature = "obs")]
             observer: None,
@@ -296,9 +316,13 @@ impl CamUnit {
 
     /// Clear every block, the exact-match index and every fill pointer in
     /// one issue cycle: reset and the Routing Table writes. Staged writes
-    /// retire first, so block counters end where the inline path's would.
+    /// retire first, so block counters end where the inline path's would,
+    /// and block counters are settled, so a repartition may regroup the
+    /// blocks. Resetting every block repairs its planes, so no block is
+    /// suspect afterwards.
     fn clear(&mut self) {
         self.flush_write_buffer();
+        self.settle();
         for block in &mut self.blocks {
             block.reset();
         }
@@ -307,6 +331,7 @@ impl CamUnit {
         }
         for fill in &mut self.fill {
             fill.current = 0;
+            fill.suspects.clear();
         }
         self.entries_per_group = 0;
         self.issue_cycles += 1;
@@ -320,10 +345,7 @@ impl CamUnit {
     fn repartition(&mut self, groups: usize, routing: Vec<usize>) {
         self.clear();
         self.fill = (0..groups)
-            .map(|g| GroupFill {
-                blocks: (0..routing.len()).filter(|&b| routing[b] == g).collect(),
-                current: 0,
-            })
+            .map(|g| GroupFill::of((0..routing.len()).filter(|&b| routing[b] == g).collect()))
             .collect();
         self.placement = vec![(0, 0); routing.len()];
         for (g, fill) in self.fill.iter().enumerate() {
@@ -442,9 +464,12 @@ impl CamUnit {
         }
     }
 
-    /// Borrow the underlying blocks (inspection in tests/benches).
+    /// Borrow the underlying blocks (inspection in tests/benches), their
+    /// counters complete: this first shows each block the all-miss
+    /// searches its group's candidate walks owe it, in `O(blocks)`.
     #[must_use]
     pub fn blocks(&self) -> &[CamBlock] {
+        self.show_unsettled();
         &self.blocks
     }
 
@@ -474,10 +499,13 @@ impl CamUnit {
     /// and, with `obs`, the observer detached. Architectural state
     /// (contents, shadow planes, fill pointers, counters, scrub
     /// progress) is copied unchanged, so the replica answers
-    /// bit-identically to the original.
+    /// bit-identically to the original. Its block counters are settled
+    /// before the monitoring tallies are cleared, so the misses its
+    /// groups owed before the copy stay out of them.
     #[must_use]
     pub fn rehydrate(&self) -> CamUnit {
         let mut unit = self.clone();
+        unit.settle();
         unit.scratch = WalkScratch::default();
         unit.wbuf.reset_transients();
         for block in &mut unit.blocks {
@@ -664,6 +692,14 @@ mod tests {
             cam.write_routing_entry(9, 9).unwrap_err(),
             CamError::NoSuchBlock { .. }
         ));
+    }
+
+    /// A unit can be shared across threads: the owed misses it shows its
+    /// blocks through a shared borrow are atomic counts.
+    #[test]
+    fn units_are_send_and_sync() {
+        fn shared<T: Send + Sync>() {}
+        shared::<CamUnit>();
     }
 
     /// `rehydrate` resets exactly the never-serialized transients; a

@@ -70,6 +70,7 @@ impl CamUnit {
     /// attached observer.
     pub fn publish_metrics(&self) {
         let Some(obs) = &self.observer else { return };
+        self.show_unsettled();
         // Scope interning allocates, so resolve ids before taking the
         // batch lock.
         let group_scopes: Vec<ScopeId> = (0..self.groups())

@@ -46,18 +46,21 @@ impl CamUnit {
     }
 
     /// Corrupt one cell's shadow entries in block `block` — the unit-level
-    /// fault-injection hook behind [`CamBlock::inject_shadow_fault`].
+    /// fault-injection hook behind [`CamBlock::inject_shadow_fault`] —
+    /// and list the block as suspect in its group.
     ///
     /// # Panics
     ///
     /// Panics if `block` or `cell` is out of range.
     pub fn inject_shadow_fault(&mut self, block: usize, cell: usize) {
         self.blocks[block].inject_shadow_fault(cell);
+        self.mark_suspect(block);
     }
 
     /// Apply one targeted fault: a shadow-state bit flip inside a block
-    /// or a Routing Table corruption (see [`FaultSite`]). The one-shot
-    /// API behind [`CamUnit::inject_faults`]; subsumes
+    /// (which lists the block as suspect in its group) or a Routing
+    /// Table corruption (see [`FaultSite`]). The one-shot API behind
+    /// [`CamUnit::inject_faults`]; subsumes
     /// [`CamUnit::inject_shadow_fault`].
     ///
     /// # Panics
@@ -65,7 +68,10 @@ impl CamUnit {
     /// Panics if the site's block or cell index is beyond the unit.
     pub fn inject_fault(&mut self, site: FaultSite) {
         match site {
-            FaultSite::Shadow { block, fault } => self.blocks[block].inject_fault_at(fault),
+            FaultSite::Shadow { block, fault } => {
+                self.blocks[block].inject_fault_at(fault);
+                self.mark_suspect(block);
+            }
             FaultSite::Routing { block } => {
                 self.routing[block] = (self.routing[block] + 1) % self.groups();
             }
@@ -229,14 +235,16 @@ impl CamUnit {
                 continue;
             }
             // The serving shadow lied. Repair the whole answering group
-            // and the exact-match index from the oracle, serve the
-            // oracle's answer, and fall back to the oracle tier.
+            // (so none of its blocks is suspect any more) and the
+            // exact-match index from the oracle, serve the oracle's
+            // answer, and fall back to the oracle tier.
             self.scrub.divergences += 1;
             let repaired: usize = self.fill[group]
                 .blocks
                 .iter()
                 .map(|&b| self.blocks[b].scrub_all())
                 .sum();
+            self.fill[group].suspects.clear();
             let rebuilt = self
                 .exact
                 .as_mut()

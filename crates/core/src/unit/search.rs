@@ -2,10 +2,33 @@
 //! the group walks. A full walk ORs every block into one group-wide
 //! vector per key and encodes it; a Turbo search on a binary unit runs a
 //! candidate walk instead, which visits only the blocks the exact-match
-//! index names and folds each one's answer into the key's encoded
-//! answer, block by block.
-
-use std::collections::HashMap;
+//! index names plus the group's suspects, and folds each one's answer
+//! into the key's encoded answer, block by block.
+//!
+//! # The all-miss tally, charged by group
+//!
+//! A key a group answers costs every block of the group one search (one
+//! search latency and, under `obs`, one match or one miss), whether or
+//! not a walk ran that block's kernel. A full walk runs every block and
+//! charges each one directly. A candidate walk charges a block directly
+//! only for the keys it matches, and counts those charges per block;
+//! every other search of the walk is an all-miss the group owes the
+//! block: the keys the group's candidate walks have served since the
+//! last settle, minus the block's direct charges. So a candidate walk
+//! never touches a block it skips, and costs O(its candidates) whatever
+//! the group's capacity.
+//!
+//! The owed misses reach a block's counters in two ways. Before any
+//! counter can be read (`blocks()`, `publish_metrics`), the unit shows
+//! each block its owed count through a shared borrow, and every counter
+//! read adds it in. Before a block changes group or loses its
+//! monitoring tallies (`reset`, `configure_groups` and
+//! `write_routing_entry`, which all clear the unit, and `rehydrate`),
+//! the unit settles them: the owed misses are charged for good and the
+//! ledger restarts at zero. `snapshot()` reads no block counter, a
+//! clone copies the ledger with the blocks, and a tier switch leaves the
+//! ledger valid (full walks neither add to it nor read it), so none of
+//! them needs either.
 
 use dsp48::word::mask_width;
 #[cfg(feature = "obs")]
@@ -23,23 +46,63 @@ use crate::exact::ExactIndex;
 /// cross-check caught while serving it (repaired either way).
 type Served<T> = (T, Option<(usize, u64)>);
 
-/// Reusable buffers of the group walks and the deletion probes'
-/// candidate walks, so a stream of searches allocates nothing per key
-/// (or per batch) once they reach steady-state size.
+/// Reusable buffers of the group walks, the deletion probes and the
+/// stream dedup, so once they reach steady-state size a delete
+/// allocates nothing and a search only the answers it returns.
 #[derive(Debug, Clone, Default)]
 pub(super) struct WalkScratch {
     /// The keys one group answers.
     keys: Vec<u64>,
     /// One group-wide match vector per key of a full walk's chunk.
     combined: Vec<MatchVector>,
-    /// One block's match vector, for walks that answer block by block.
+    /// One block's match vector, for walks that answer block by block
+    /// and for the deletion probes.
     block: MatchVector,
-    /// Slots of the walked group holding a suspect block, ascending.
-    suspects: Vec<usize>,
     /// Slots one key's candidate walk visits, ascending.
     candidates: Vec<usize>,
-    /// Keys of the group whose candidate walk visited each slot.
-    visits: Vec<usize>,
+    /// A stream's keys, deduplicated.
+    dedup: Dedup,
+}
+
+/// A stream's keys deduplicated in first-occurrence order.
+#[derive(Debug, Clone, Default)]
+struct Dedup {
+    /// `(key, position)` of every presented key, sorted.
+    sorted: Vec<(u64, usize)>,
+    /// The unique keys, in first-occurrence order.
+    unique: Vec<u64>,
+    /// Per presented key, the index in `unique` of its answer.
+    slots: Vec<usize>,
+}
+
+impl Dedup {
+    /// Deduplicate `keys` into `unique` and `slots`.
+    fn load(&mut self, keys: &[u64]) {
+        self.sorted.clear();
+        self.sorted.extend(keys.iter().copied().zip(0..));
+        // Sorted by key, then position: each key's run starts at its
+        // first occurrence.
+        self.sorted.sort_unstable();
+        self.slots.clear();
+        self.slots.resize(keys.len(), 0);
+        for run in self.sorted.chunk_by(|a, b| a.0 == b.0) {
+            for &(_, at) in run {
+                self.slots[at] = run[0].1;
+            }
+        }
+        // Number the unique keys in order; a repeat's first occurrence
+        // comes earlier, so it is numbered already.
+        self.unique.clear();
+        for (at, &key) in keys.iter().enumerate() {
+            let first = self.slots[at];
+            self.slots[at] = if first == at {
+                self.unique.push(key);
+                self.unique.len() - 1
+            } else {
+                self.slots[first]
+            };
+        }
+    }
 }
 
 /// What a full walk asks of each block it visits (a candidate walk
@@ -187,29 +250,34 @@ impl CamUnit {
 
     /// The unique keys served `M` per issue cycle through the batch
     /// kernel (on a full walk), answers fanned back out to the caller's
-    /// key order: both streaming variants.
+    /// key order: both streaming variants. The dedup runs in reused
+    /// buffers, and a stream without repeats hands back the engine's
+    /// answers as they are.
     fn serve_stream(&mut self, keys: &[u64]) -> Served<Vec<SearchResult>> {
         if keys.is_empty() {
             return (Vec::new(), None);
         }
-        // Dedup preserving first-occurrence order; `slots[i]` is the
-        // unique-key index answering original key `i`.
-        let mut seen: HashMap<u64, usize> = HashMap::with_capacity(keys.len());
-        let mut unique: Vec<u64> = Vec::new();
-        let mut slots: Vec<usize> = Vec::with_capacity(keys.len());
-        for &key in keys {
-            let next = unique.len();
-            let slot = *seen.entry(key).or_insert_with(|| {
-                unique.push(key);
-                next
-            });
-            slots.push(slot);
-        }
-        let issue = unique.len().div_ceil(self.groups()) as u64;
-        let (answers, diverged) = self.serve(0, &unique, issue, Probe::Batch);
+        let mut dedup = std::mem::take(&mut self.scratch.dedup);
+        dedup.load(keys);
+        let issue = dedup.unique.len().div_ceil(self.groups()) as u64;
+        let (answers, diverged) = self.serve(0, &dedup.unique, issue, Probe::Batch);
         #[cfg(feature = "obs")]
-        self.trace_stream(keys.len(), &unique, &answers, self.issue_cycles - issue);
-        let results = slots.iter().map(|&slot| answers[slot].clone()).collect();
+        self.trace_stream(
+            keys.len(),
+            &dedup.unique,
+            &answers,
+            self.issue_cycles - issue,
+        );
+        let results = if dedup.unique.len() == keys.len() {
+            answers
+        } else {
+            dedup
+                .slots
+                .iter()
+                .map(|&slot| answers[slot].clone())
+                .collect()
+        };
+        self.scratch.dedup = dedup;
         (results, diverged)
     }
 
@@ -316,6 +384,8 @@ impl CamUnit {
     /// Visit every block of `group` for `keys`, `batch_width` keys at a
     /// time: each block ORs its answers into one group-wide vector per
     /// key at its slot offset, and each vector is encoded once complete.
+    /// Every block is charged directly for every key, so a full walk owes
+    /// no block anything.
     fn full_walk(
         &mut self,
         group: usize,
@@ -360,16 +430,16 @@ impl CamUnit {
     }
 
     /// Visit only each key's [`CamUnit::candidate_slots`] of `group`, in
-    /// ascending order, folding each visited block's block-sized answer
+    /// ascending order, folding each matching block's block-sized answer
     /// (the scalar kernel's, whatever the probe: a block answers one key
-    /// at a time here) into the key's (see [`SearchOutput::fold_block`]),
-    /// and charge every block a key skips the all-miss tally a full walk
-    /// would have charged. Only the suspect scan and that tally, once
-    /// per call, grow with the group's capacity. Under Priority encoding
-    /// only the first hit can change the answer, so once a key has one,
-    /// each later candidate that is not suspect is charged one matching
-    /// search without running its kernel — exactly what its planes
-    /// would answer, since a
+    /// at a time here) into the key's (see [`SearchOutput::fold_block`])
+    /// and charging it the match; every block the key skips or misses
+    /// is owed its all-miss search by the group. Nothing here grows with
+    /// the group's capacity. Under Priority encoding only the first hit
+    /// can change the answer, so once a key has one, each later
+    /// candidate that is not suspect is charged one matching search
+    /// without running its kernel — exactly what its planes would
+    /// answer, since a
     /// [trusted](crate::exact::ExactIndex::is_trusted) index names only
     /// blocks whose cells hold the key, and a non-suspect block's planes
     /// equal its cells. Until an index fault is repaired, every
@@ -386,91 +456,121 @@ impl CamUnit {
         let encoding = self.config.block.encoding;
         let limit = mask_width(self.config.block.cell.data_width);
         let trusted = self.exact.as_ref().is_some_and(ExactIndex::is_trusted);
-        self.suspect_slots(group, &mut walk.suspects);
-        walk.visits.clear();
-        walk.visits.resize(slots, 0);
+        self.fill[group].served += keys.len() as u64;
         for (k, &key) in keys.iter().enumerate() {
-            self.candidate_slots(group, key & limit, &walk.suspects, &mut walk.candidates);
+            self.candidate_slots(group, key & limit, &mut walk.candidates);
             let mut output = encoding.miss(slots * block_size);
             for &slot in &walk.candidates {
-                walk.visits[slot] += 1;
-                let block = &mut self.blocks[self.fill[group].blocks[slot]];
-                if trusted
+                let b = self.fill[group].blocks[slot];
+                let hit = if trusted
                     && matches!(output, SearchOutput::Priority(Some(_)))
-                    && !block.is_suspect()
+                    && self.fill[group].suspects.binary_search(&slot).is_err()
                 {
-                    block.tally(1, 1);
-                    continue;
+                    true
+                } else if self.blocks[b].match_into(key, &mut walk.block) {
+                    output.fold_block(&walk.block, slot * block_size);
+                    true
+                } else {
+                    false
+                };
+                if hit {
+                    self.charge_hit(b);
                 }
-                block.search_vector_into(key, &mut walk.block);
-                output.fold_block(&walk.block, slot * block_size);
             }
             answer(k, output);
         }
-        // A block a key skipped answers it all-miss: charge that miss
-        // exactly as the full walk would have.
-        for (slot, &visits) in walk.visits.iter().enumerate() {
-            let skipped = (keys.len() - visits) as u64;
-            self.blocks[self.fill[group].blocks[slot]].tally(skipped, 0);
+    }
+
+    /// Charge block `b` directly for one search that matched, which its
+    /// group then no longer owes it.
+    fn charge_hit(&mut self, b: usize) {
+        self.blocks[b].tally(1, 1);
+        self.charged[b] += 1;
+    }
+
+    /// The all-miss searches block `b`'s group owes it: the keys the
+    /// group served since the last settle, less those charged to `b`
+    /// directly.
+    fn unsettled(&self, b: usize) -> u64 {
+        self.fill[self.placement[b].0].served - self.charged[b]
+    }
+
+    /// Show every block the all-miss searches its group owes it, so its
+    /// counter reads are complete (see the module docs). `O(blocks)`;
+    /// through a shared borrow, so the unit cannot serve another key
+    /// before the reads.
+    pub(super) fn show_unsettled(&self) {
+        for (b, block) in self.blocks.iter().enumerate() {
+            block.show_unsettled(self.unsettled(b));
         }
+    }
+
+    /// Charge every block the all-miss searches its group owes it for
+    /// good and restart the ledger, before a block changes group or
+    /// loses its monitoring tallies.
+    pub(super) fn settle(&mut self) {
+        for b in 0..self.blocks.len() {
+            let owed = self.unsettled(b);
+            self.blocks[b].settle(owed);
+        }
+        for fill in &mut self.fill {
+            fill.served = 0;
+        }
+        self.charged.fill(0);
     }
 
     /// Visit `group`'s [`CamUnit::candidate_slots`] for (masked) `key` in
     /// fill order until `hit` accepts a block, returning its slot: the one
-    /// candidate walk of both deletion probes.
+    /// candidate walk of both deletion probes, which hand `hit` a reused
+    /// match vector for the block's probe.
     pub(super) fn find_candidate(
         &mut self,
         group: usize,
         key: u64,
-        mut hit: impl FnMut(&mut CamBlock) -> bool,
+        mut hit: impl FnMut(&mut CamBlock, &mut MatchVector) -> bool,
     ) -> Option<usize> {
         let mut walk = std::mem::take(&mut self.scratch);
-        self.suspect_slots(group, &mut walk.suspects);
-        self.candidate_slots(group, key, &walk.suspects, &mut walk.candidates);
-        let found = walk
-            .candidates
-            .iter()
-            .copied()
-            .find(|&slot| hit(&mut self.blocks[self.fill[group].blocks[slot]]));
+        self.candidate_slots(group, key, &mut walk.candidates);
+        let found = walk.candidates.iter().copied().find(|&slot| {
+            hit(
+                &mut self.blocks[self.fill[group].blocks[slot]],
+                &mut walk.block,
+            )
+        });
         self.scratch = walk;
         found
     }
 
-    /// The slots of `group` (positions in its fill order) holding a
-    /// suspect block — one whose planes may answer a key it holds no
-    /// copy of (see [`CamBlock::is_suspect`]) — ascending, into `out`.
-    fn suspect_slots(&self, group: usize, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(
-            self.fill[group]
-                .blocks
-                .iter()
-                .enumerate()
-                .filter(|&(_, &b)| self.blocks[b].is_suspect())
-                .map(|(slot, _)| slot),
-        );
-    }
-
     /// The slots of `group` a walk for (masked) `key` must visit,
     /// ascending, into `out`: on a binary unit, the blocks the
-    /// exact-match index names for the key plus the group's `suspects`
-    /// (from [`CamUnit::suspect_slots`]); every slot on a unit without an
-    /// index. Every other block holds no valid copy of the key, so its
-    /// planes answer all-miss.
-    fn candidate_slots(&self, group: usize, key: u64, suspects: &[usize], out: &mut Vec<usize>) {
+    /// exact-match index names for the key plus the group's suspects;
+    /// every slot on a unit without an index. Every other block holds no
+    /// valid copy of the key, so its planes answer all-miss.
+    fn candidate_slots(&self, group: usize, key: u64, out: &mut Vec<usize>) {
         out.clear();
+        let fill = &self.fill[group];
         let Some(exact) = &self.exact else {
-            out.extend(0..self.fill[group].blocks.len());
+            out.extend(0..fill.blocks.len());
             return;
         };
         exact.for_each_block(key, |b| {
             let (g, slot) = self.placement[b];
-            if g == group && suspects.binary_search(&slot).is_err() {
+            if g == group && fill.suspects.binary_search(&slot).is_err() {
                 out.push(slot);
             }
         });
-        out.extend_from_slice(suspects);
+        out.extend_from_slice(&fill.suspects);
         out.sort_unstable();
+    }
+
+    /// List block `b` as suspect in its group: a shadow fault was just
+    /// injected into it.
+    pub(super) fn mark_suspect(&mut self, b: usize) {
+        let (g, slot) = self.placement[b];
+        let suspects = &mut self.fill[g].suspects;
+        if let Err(at) = suspects.binary_search(&slot) {
+            suspects.insert(at, slot);
+        }
     }
 }
 

@@ -172,8 +172,8 @@ impl CamUnit {
         let mut deleted_any = false;
         for group in 0..self.groups() {
             let mut held = None;
-            let Some(slot) = self.find_candidate(group, key, |block| {
-                let cell = block.probe_first(key);
+            let Some(slot) = self.find_candidate(group, key, |block, scratch| {
+                let cell = block.probe_first(key, scratch);
                 held = cell.and_then(|cell| block.invalidate(cell));
                 cell.is_some()
             }) else {
@@ -256,8 +256,8 @@ impl CamUnit {
         };
         let needed = 1usize.saturating_add(net.unsigned_abs() as usize);
         let mut found = 0usize;
-        self.find_candidate(group, key, |block| {
-            found += block.probe_count(key, needed - found);
+        self.find_candidate(group, key, |block, scratch| {
+            found += block.probe_count(key, needed - found, scratch);
             found >= needed
         })
         .is_some()

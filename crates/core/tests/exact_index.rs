@@ -12,9 +12,19 @@
 //! deletion probe must serve that faulted answer, exactly as a walk
 //! over every block would, so the sampled cross-check sees the
 //! divergence and degrades the tier.
+//!
+//! A candidate walk leaves the blocks it skips or that miss owed an
+//! all-miss search each, which reach the counters only where they can
+//! be read or must settle; a full walk charges every block as it goes,
+//! so the ternary twin is an independent reference at each such point.
+
+#[cfg(feature = "obs")]
+use std::sync::Arc;
 
 use dsp_cam_core::faults::XorShift64;
 use dsp_cam_core::prelude::*;
+#[cfg(feature = "obs")]
+use dsp_cam_obs::ObsSink;
 
 const BLOCK_SIZE: usize = 8;
 
@@ -290,6 +300,230 @@ fn churn_against_the_full_walk(encoding: Encoding) {
         4 * most_holding_hot >= 3 * 8,
         "{encoding:?}: the hot key held copies in at most {most_holding_hot} of 8 blocks"
     );
+}
+
+/// Blocks in the fold-point twins: one group of 128 at first, so a
+/// candidate walk skips most of a group of at least 64 blocks.
+const FOLD_BLOCKS: usize = 128;
+
+/// A binary Turbo unit of [`FOLD_BLOCKS`] blocks, its write buffer on or
+/// off, and its `ternary(16, 0)` twin (which cannot buffer), both
+/// cross-checking every key so a phantom match is caught and repaired.
+fn fold_twin(encoding: Encoding, buffered: bool) -> (CamUnit, CamUnit) {
+    let build = |cell: CellConfig| {
+        let mut builder = UnitConfig::builder()
+            .kind(cell.kind)
+            .data_width(cell.data_width)
+            .ternary_mask(cell.ternary_mask)
+            .block_size(BLOCK_SIZE)
+            .num_blocks(FOLD_BLOCKS)
+            .bus_width(64)
+            .encoding(encoding)
+            .fidelity(FidelityMode::Turbo)
+            .batch_width(4)
+            .scrub(crosscheck_every_key(false));
+        if buffered {
+            builder = builder.write_buffer(WriteBufferConfig::default());
+        }
+        CamUnit::new(builder.build().unwrap()).unwrap()
+    };
+    (
+        build(CellConfig::binary(16)),
+        build(CellConfig::ternary(16, 0)),
+    )
+}
+
+/// `steps` seeded operations on both twins, interleaving every search
+/// entry point with updates and deletes over keys 1..=60 (one draw in
+/// three the hot key), every answer compared.
+fn churn(twins: &mut (CamUnit, CamUnit), rng: &mut XorShift64, steps: usize, case: &str) {
+    let (indexed, full) = twins;
+    let draw = |rng: &mut XorShift64| {
+        if rng.below(3) == 0 {
+            HOT
+        } else {
+            1 + rng.below(60)
+        }
+    };
+    for step in 0..steps {
+        let key = draw(rng);
+        let (a, b) = match rng.below(10) {
+            0..=2 => {
+                let words: Vec<u64> = (0..=rng.below(3)).map(|_| draw(rng)).collect();
+                (
+                    format!("{:?}", indexed.update(&words)),
+                    format!("{:?}", full.update(&words)),
+                )
+            }
+            3..=4 => (
+                indexed.delete_first(key).to_string(),
+                full.delete_first(key).to_string(),
+            ),
+            5..=6 => (
+                format!("{:?}", indexed.search(key)),
+                format!("{:?}", full.search(key)),
+            ),
+            7 => {
+                let keys: Vec<u64> = (0..indexed.groups()).map(|_| draw(rng)).collect();
+                (
+                    format!("{:?}", indexed.search_multi(&keys)),
+                    format!("{:?}", full.search_multi(&keys)),
+                )
+            }
+            _ => {
+                let keys: Vec<u64> = (0..=rng.below(12)).map(|_| draw(rng)).collect();
+                (
+                    format!("{:?}", indexed.search_stream(&keys)),
+                    format!("{:?}", full.search_stream(&keys)),
+                )
+            }
+        };
+        assert_eq!(a, b, "{case}: step {step}");
+    }
+}
+
+/// Per-block counters, the snapshot and the scrub report agree. The
+/// binary twin flushes its write buffer first: its ternary twin wrote
+/// inline, and a flushed buffer leaves the blocks where inline writes
+/// would.
+fn assert_agree(twins: &mut (CamUnit, CamUnit), case: &str) {
+    let (indexed, full) = twins;
+    indexed.flush_write_buffer();
+    assert_eq!(block_counters(indexed), block_counters(full), "{case}");
+    assert_eq!(indexed.snapshot(), full.snapshot(), "{case}");
+    assert_eq!(indexed.scrub_report(), full.scrub_report(), "{case}");
+}
+
+/// A valid-bit upset on an unwritten cell of the last block: a phantom
+/// copy of key 0, which no churn stores.
+const LAST_BLOCK_PHANTOM: FaultSite = FaultSite::Shadow {
+    block: FOLD_BLOCKS - 1,
+    fault: ShadowFault::PlaneValid { cell: 3 },
+};
+
+#[test]
+fn owed_misses_reach_the_counters_at_every_fold_point() {
+    for buffered in [false, true] {
+        for encoding in ENCODINGS {
+            fold_points_against_the_full_walk(encoding, buffered);
+        }
+    }
+}
+
+/// Churn both twins between every point where a unit shows or settles
+/// the misses its groups owe, comparing them at each: `blocks()`,
+/// `snapshot()`, `publish_metrics()` (under `obs`), a fault that puts a
+/// block on its group's suspect list until the cross-check's repair
+/// takes it off, a tier switch, `clone()`, `rehydrate()`,
+/// `configure_groups`, `write_routing_entry` and `reset`.
+fn fold_points_against_the_full_walk(encoding: Encoding, buffered: bool) {
+    let mut twins = fold_twin(encoding, buffered);
+    let mut rng = XorShift64::new(0x0F01_D5EE);
+    let case = |point: &str| format!("{encoding:?}, buffered {buffered}: {point}");
+    // Every comparison reads the counters through `blocks()`.
+    churn(&mut twins, &mut rng, 80, &case("blocks()"));
+    assert_agree(&mut twins, &case("blocks()"));
+    churn(&mut twins, &mut rng, 40, &case("snapshot()"));
+    assert_eq!(
+        twins.0.snapshot(),
+        twins.1.snapshot(),
+        "{}",
+        case("snapshot()")
+    );
+    assert_agree(&mut twins, &case("snapshot()"));
+    #[cfg(feature = "obs")]
+    {
+        let sinks = [Arc::new(ObsSink::new()), Arc::new(ObsSink::new())];
+        twins.0.attach_observer(&sinks[0]);
+        twins.1.attach_observer(&sinks[1]);
+        churn(&mut twins, &mut rng, 40, &case("publish_metrics()"));
+        twins.0.flush_write_buffer();
+        for (cam, sink) in [&twins.0, &twins.1].into_iter().zip(&sinks) {
+            cam.publish_metrics();
+            assert_eq!(
+                published_counters(sink, cam.routing_table()),
+                read_counters(&twins.1),
+                "{}",
+                case("publish_metrics()")
+            );
+        }
+        assert_agree(&mut twins, &case("publish_metrics()"));
+    }
+    // The phantom puts the last block on the suspect list, so the walk
+    // for key 0 visits it; the cross-check catches the phantom, repairs
+    // the group (taking the block off the list) and degrades the tier.
+    twins.0.inject_fault(LAST_BLOCK_PHANTOM);
+    twins.1.inject_fault(LAST_BLOCK_PHANTOM);
+    assert_eq!(twins.0.search(0), twins.1.search(0), "{}", case("phantom"));
+    assert_eq!(twins.1.scrub_report().divergences, 1, "{}", case("phantom"));
+    assert_agree(&mut twins, &case("phantom"));
+    churn(&mut twins, &mut rng, 40, &case("degraded"));
+    assert_agree(&mut twins, &case("degraded"));
+    for cam in [&mut twins.0, &mut twins.1] {
+        cam.set_fidelity(FidelityMode::Turbo);
+    }
+    assert_agree(&mut twins, &case("set_fidelity"));
+    churn(&mut twins, &mut rng, 40, &case("set_fidelity"));
+    assert_agree(&mut twins, &case("set_fidelity"));
+    let mut copies = (twins.0.clone(), twins.1.clone());
+    assert_agree(&mut copies, &case("clone()"));
+    churn(&mut copies, &mut rng, 40, &case("clone()"));
+    assert_agree(&mut copies, &case("clone()"));
+    let mut twins = (copies.0.rehydrate(), copies.1.rehydrate());
+    assert_agree(&mut twins, &case("rehydrate()"));
+    churn(&mut twins, &mut rng, 40, &case("rehydrate()"));
+    assert_agree(&mut twins, &case("rehydrate()"));
+    for cam in [&mut twins.0, &mut twins.1] {
+        cam.configure_groups(2).unwrap();
+    }
+    assert_agree(&mut twins, &case("configure_groups"));
+    churn(&mut twins, &mut rng, 60, &case("configure_groups"));
+    assert_agree(&mut twins, &case("configure_groups"));
+    for cam in [&mut twins.0, &mut twins.1] {
+        cam.write_routing_entry(3, 1).unwrap();
+    }
+    assert_agree(&mut twins, &case("write_routing_entry"));
+    churn(&mut twins, &mut rng, 60, &case("write_routing_entry"));
+    assert_agree(&mut twins, &case("write_routing_entry"));
+    for cam in [&mut twins.0, &mut twins.1] {
+        cam.reset();
+    }
+    assert_agree(&mut twins, &case("reset"));
+    churn(&mut twins, &mut rng, 60, &case("reset"));
+    assert_agree(&mut twins, &case("reset"));
+}
+
+/// The counters `publish_metrics` writes at each block's scope:
+/// searches, cycles, update beats, matches and misses.
+#[cfg(feature = "obs")]
+fn published_counters(sink: &ObsSink, routing: &[usize]) -> Vec<[u64; 5]> {
+    let snapshot = sink.snapshot();
+    routing
+        .iter()
+        .enumerate()
+        .map(|(b, g)| {
+            let path = format!("unit/group{g}/block{b}");
+            ["searches", "cycles", "update_beats", "matches", "misses"]
+                .map(|name| snapshot.counter(&path, name))
+        })
+        .collect()
+}
+
+/// The same counters read from the blocks.
+#[cfg(feature = "obs")]
+fn read_counters(cam: &CamUnit) -> Vec<[u64; 5]> {
+    cam.blocks()
+        .iter()
+        .map(|b| {
+            [
+                b.searches(),
+                b.cycles(),
+                b.update_beats(),
+                b.obs_matches(),
+                b.obs_misses(),
+            ]
+        })
+        .collect()
 }
 
 /// A phantom index entry leaves the walk untrusted: the block it names

@@ -11,9 +11,10 @@
 //! two are property-equivalent — see `dsp-cam-core`'s tests); cycle
 //! accounting follows [`crate::model`]. For small graphs
 //! [`CamTriangleCounter::run_on_hardware_model`] drives the *real*
-//! simulated [`CamUnit`] — every DSP tick included
-//! — to validate that the fast path computes exactly what the hardware
-//! hierarchy would.
+//! simulated [`CamUnit`] — every DSP tick included — and takes each
+//! edge's compute cycles from the unit's issue counter, to validate
+//! that the fast path computes exactly what the hardware hierarchy
+//! would.
 
 #[cfg(feature = "obs")]
 use std::sync::Arc;
@@ -181,8 +182,12 @@ impl CamTriangleCounter {
 
     /// Count triangles by driving the *full hardware simulation* — a real
     /// [`CamUnit`] whose every search ticks the underlying DSP48E2 models.
-    /// Orders of magnitude slower than [`CamTriangleCounter::run`]; use on
-    /// small graphs to validate the fast path.
+    /// Each edge's compute term is the unit's own
+    /// [`issue_cycles`](CamUnit::issue_cycles) across its loads and
+    /// probes, not [`CamGeometry::intersect_cycles`], so agreeing cycles
+    /// check the analytical model. Orders of magnitude slower than
+    /// [`CamTriangleCounter::run`]; use on small graphs to validate the
+    /// fast path.
     ///
     /// # Errors
     ///
@@ -267,6 +272,10 @@ impl CamTriangleCounter {
                 };
                 let capacity = self.geometry.capacity();
                 let mut remaining = longer;
+                // The unit's issue cycles for loading and probing each
+                // chunk; its reconfigure and reset overlap the load over
+                // the control path (see `crate::model`).
+                let mut compute = 0u64;
                 while !remaining.is_empty() {
                     let take = remaining.len().min(capacity);
                     let (chunk, rest) = remaining.split_at(take);
@@ -275,6 +284,7 @@ impl CamTriangleCounter {
                     let load_start = unit.issue_cycles();
                     unit.configure_groups(m).expect("M divides the block count");
                     let words: Vec<u64> = chunk.iter().map(|&x| u64::from(x)).collect();
+                    let update_start = unit.issue_cycles();
                     unit.update(&words).expect("chunk fits one group");
                     probe.phase("load_cycles", unit.issue_cycles() - load_start);
                     // One batched probe for the whole shorter list: the
@@ -291,6 +301,7 @@ impl CamTriangleCounter {
                     }
                     matches += chunk_matches;
                     probe.phase("probe_cycles", unit.issue_cycles() - probe_start);
+                    compute += unit.issue_cycles() - update_start;
                     probe.count("chunks", 1);
                     probe.count("keys_probed", keys.len() as u64);
                     probe.count("matches", chunk_matches);
@@ -298,7 +309,6 @@ impl CamTriangleCounter {
                 }
                 edges += 1;
                 probe.count("edges", 1);
-                let compute = self.geometry.intersect_cycles(longer.len(), shorter.len());
                 cycles += self.costs.edge_cycles(adj_u.len(), adj_v.len(), compute);
             }
         }
@@ -424,5 +434,8 @@ mod tests {
         assert_eq!(fast.triangles, 1);
         let hw = counter.run_on_hardware_model(&g).unwrap();
         assert_eq!(hw.triangles, 1);
+        // The hub's edges probe three chunks one key per cycle, so they
+        // are compute bound and the unit's issue cycles decide the total.
+        assert_eq!(fast.cycles, hw.cycles);
     }
 }

@@ -19,7 +19,18 @@
 //!   per cycle, where `M` is chosen from the list length exactly as the
 //!   paper describes (a list shorter than a block still occupies a whole
 //!   block; `M · ceil(L/block) = 16` blocks). Lists longer than the unit
-//!   capacity process in chunks.
+//!   capacity process in chunks. Each chunk also reconfigures the unit to
+//!   `M` groups before its load and resets it after its probe; the paper
+//!   writes the group configuration over the control path, so both
+//!   overlap the load and cost no compute cycle here, although the
+//!   simulated unit charges each one issue cycle.
+//!
+//! The hardware-model path
+//! ([`CamTriangleCounter::run_on_hardware_model`](crate::CamTriangleCounter::run_on_hardware_model))
+//! takes each edge's compute term from the driven unit's issue cycles
+//! across its updates and streamed searches instead of
+//! [`CamGeometry::intersect_cycles`], so its total agrees with the
+//! analytical one only if the formula counts what the unit charges.
 //!
 //! Compute overlaps memory (dataflow pipelines), so an edge costs
 //! `edge_overhead + max(mem, compute)`. A constant

@@ -78,6 +78,20 @@ echo "==> exact-match index suite (obs)"
 run_filtered -q --offline -p dsp-cam-core --features obs --test exact_index
 run_filtered -q --offline -p dsp-cam-core --features obs --lib -- exact::
 
+# Table IX's cycle check: the hardware-model triangle count takes each
+# edge's compute cycles from the driven unit's issue counter, and must
+# agree with the analytical model's formula, at the case-study geometry
+# and at one small enough that most edges are compute bound. Run it and
+# tc-accel's own unit tests (the same check on a chunked hub) explicitly
+# under both feature sets, through run_filtered so a rename cannot drop
+# them.
+echo "==> case-study cycle check (default)"
+run_filtered -q --offline --test case_study -- hardware_simulation_validates_the_cycle_model
+run_filtered -q --offline -p tc-accel --lib
+echo "==> case-study cycle check (obs)"
+run_filtered -q --offline --features obs --test case_study -- hardware_simulation_validates_the_cycle_model
+run_filtered -q --offline -p tc-accel --features obs --lib
+
 # The fault drill runs a fixed-seed chaos campaign against a
 # scrub-enabled Turbo unit (inject -> degrade -> scrub -> restore),
 # under both feature sets, each output checked against its committed
@@ -178,10 +192,12 @@ fi
 # Release-mode perf floors on a fixed-seed key stream: the key-parallel
 # batch kernel must beat its one-key degenerate >= 2x at 8192 entries on
 # a ternary(32, 0) plane walk, binary Turbo stream throughput must hold
-# its per-entry floor at 64k and at 1M entries (one unit, ~230 MB peak
-# RSS; a candidate walk whose per-key work grew with group capacity
-# again would fail the 1M floor), and the Turbo tier must stay >= 50x
-# the bit-accurate tier at 8192 entries (BENCH_search.json regression
+# its per-entry floor and one-key search its rate floor at 64k and at 1M
+# entries (one unit per size, ~230 MB peak RSS at 1M; a candidate walk
+# whose per-key work grew with group capacity again would fail the 1M
+# stream floor, and a search that scanned its group once per call the 1M
+# point-search floor), and the Turbo tier must stay >= 50x the
+# bit-accurate tier at 8192 entries (BENCH_search.json regression
 # guards, from the FLOORS table in crates/bench/src/artefact.rs). Run
 # under both feature sets — the obs build must not tax the kernel
 # either.
