@@ -1,9 +1,7 @@
-//! Criterion microbenchmarks of the cycle-accurate streaming pipeline and
-//! the dense SIMD block — host-side simulation rates for the two
-//! extension datapaths.
+//! Criterion microbenchmarks of the cycle-accurate streaming pipeline —
+//! host-side simulation rates for issuing searches and for idle ticks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dsp_cam_core::dense::DenseCamBlock;
 use dsp_cam_core::prelude::*;
 use dsp_cam_sim::Clocked;
 use std::hint::black_box;
@@ -45,31 +43,5 @@ fn bench_streaming(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dense(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dense_simd_block");
-    group.bench_function("search_512_entries", |b| {
-        let mut cam = DenseCamBlock::new(512);
-        for v in 0..512u64 {
-            cam.insert(v % 4096).expect("fits");
-        }
-        let mut key = 0u64;
-        b.iter(|| {
-            key = (key + 7) % 4096;
-            black_box(cam.search(black_box(key)).expect("in width"))
-        });
-    });
-    group.bench_function("insert_clear_cycle", |b| {
-        let mut cam = DenseCamBlock::new(64);
-        b.iter(|| {
-            cam.reset();
-            for v in 0..64u64 {
-                cam.insert(v).expect("fits");
-            }
-            black_box(cam.len())
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_streaming, bench_dense);
+criterion_group!(benches, bench_streaming);
 criterion_main!(benches);

@@ -978,13 +978,12 @@ impl CamCluster {
                 shards: self.shards.len(),
             });
         }
-        if self.failover.is_none() {
+        let Some(fo) = self.failover.as_mut() else {
             return Err(ClusterError::FailoverDisabled);
-        }
-        if !self.shard_healthy(shard) {
+        };
+        if fo.health[shard] != ShardHealth::Healthy {
             return Ok(());
         }
-        let fo = self.failover.as_mut().expect("checked above");
         fo.stats.failures_detected += 1;
         match fault {
             ShardFault::Stall { ticks } => {
@@ -1036,22 +1035,18 @@ impl CamCluster {
     /// `moved.len()` cycles even when a read-your-writes search flush
     /// applies the whole staged batch physically in one shot.
     fn try_cutover(&mut self) {
-        let drained = match &self.migration {
-            Some(m) => {
-                m.copied >= m.moved.len()
-                    && self.shards[m.dest].buffer_depth() == 0
-                    // A failed participant defers cutover: the window
-                    // stays open until the shard recovers (or a
-                    // destination crash rolls the window back).
-                    && self.shard_healthy(m.source)
-                    && self.shard_healthy(m.dest)
-            }
-            None => return,
-        };
-        if !drained {
+        let drained = self.migration.as_ref().is_some_and(|m| {
+            m.copied >= m.moved.len()
+                && self.shards[m.dest].buffer_depth() == 0
+                // A failed participant defers cutover: the window stays
+                // open until the shard recovers (or a destination crash
+                // rolls the window back).
+                && self.shard_healthy(m.source)
+                && self.shard_healthy(m.dest)
+        });
+        let Some(m) = self.migration.take_if(|_| drained) else {
             return;
-        }
-        let m = self.migration.take().expect("checked above");
+        };
         for &w in &m.moved {
             self.shards[m.source].unit_mut().delete_first(w);
             self.shards[m.source].journal_direct(JournalOp::Delete(w));

@@ -275,26 +275,10 @@ impl BitSliceIndex {
     ///
     /// Panics if `cell` is out of range.
     pub fn refresh(&mut self, cell: usize, from: &CamCell) {
-        self.program(
-            cell,
-            from.stored(),
-            !from.pattern_mask().value(),
-            from.is_valid(),
-        );
-    }
-
-    /// Program `cell` as storing `stored` under the `care` bit mask
-    /// (`1` = compared; only the low `width` bits of either are read),
-    /// valid or not — the one write primitive of the index, behind
-    /// [`BitSliceIndex::refresh`] and the quad-packed lanes of
-    /// [`DenseCamBlock`](crate::dense::DenseCamBlock), whose oracle is
-    /// not a [`CamCell`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is out of range.
-    pub(crate) fn program(&mut self, cell: usize, stored: u64, care: u64, valid: bool) {
         assert!(cell < self.len, "cell {cell} out of range {}", self.len);
+        let stored = from.stored();
+        // `1` = compared; only the low `width` bits are read.
+        let care = !from.pattern_mask().value();
         let bit = 1u64 << (cell % 64);
         let word = cell / 64;
         for b in 0..self.width {
@@ -313,7 +297,7 @@ impl BitSliceIndex {
                 self.planes[one_slot] &= !bit;
             }
         }
-        self.set_valid(cell, valid);
+        self.set_valid(cell, from.is_valid());
     }
 
     /// Re-shadow every cell (the block's reset path).
@@ -495,10 +479,12 @@ const LANES: usize = 4;
 
 /// OR the batch kernel's answer for `keys[k]` straight into `out[k]`,
 /// the index's cell 0 landing at cell `offset` — the one bridge from the
-/// kernel to match vectors (dense and scalar blocks, and the unit's
-/// group combine). Returns a mask with bit `k` set when `keys[k]`
-/// matched. Panics as [`BitSliceIndex::search_batch_into`] does, or if a
-/// vector cannot hold the index at `offset`.
+/// kernel to match vectors, behind [`CamBlock::search_batch_or`] and so
+/// the unit's group combine. Returns a mask with bit `k` set when
+/// `keys[k]` matched. Panics as [`BitSliceIndex::search_batch_into`]
+/// does, or if a vector cannot hold the index at `offset`.
+///
+/// [`CamBlock::search_batch_or`]: crate::block::CamBlock::search_batch_or
 pub(crate) fn search_batch_or(
     index: &BitSliceIndex,
     keys: &[u64],

@@ -505,38 +505,23 @@ impl CamBlock {
         matches
     }
 
-    /// Broadcast a whole batch of up to
-    /// [`MAX_BATCH_WIDTH`](crate::bitslice::MAX_BATCH_WIDTH) keys,
-    /// filling `out[k]` with the match vector for `keys[k]` (extra `out`
-    /// entries are grown/reused, never shrunk). On the `Turbo` tier the
-    /// batch is answered in a **single pass** over the bit planes by the
-    /// kernel behind [`BitSliceIndex::search_batch_into`]; `BitAccurate`
-    /// broadcasts key-by-key. Results and counter bumps are exactly those of
-    /// `keys.len()` sequential [`CamBlock::search_vector_into`] calls:
-    /// one search-latency charge, one search tick and one match/miss
-    /// tally per key.
+    /// Broadcast a batch of up to
+    /// [`MAX_BATCH_WIDTH`](crate::bitslice::MAX_BATCH_WIDTH) keys, OR-ing
+    /// the block's match vector for `keys[k]` into `out[k]` with cell 0
+    /// landing at cell `offset` — the unit's group combine, which lays a
+    /// group's blocks out side by side in one vector per key. On the
+    /// `Turbo` tier the batch is answered in a **single pass** over the
+    /// bit planes by the kernel behind
+    /// [`BitSliceIndex::search_batch_into`]; `BitAccurate` broadcasts
+    /// key-by-key. Counter bumps are exactly those of `keys.len()`
+    /// sequential [`CamBlock::search_vector_into`] calls: one
+    /// search-latency charge, one search tick and one match/miss tally
+    /// per key.
     ///
     /// # Panics
     ///
-    /// Panics if `keys.len()` exceeds the kernel's `MAX_BATCH_WIDTH`.
-    pub fn search_batch_into(&mut self, keys: &[u64], out: &mut Vec<MatchVector>) {
-        if out.len() < keys.len() {
-            out.resize_with(keys.len(), MatchVector::default);
-        }
-        for vector in &mut out[..keys.len()] {
-            vector.reset(self.cells.len());
-        }
-        self.search_batch_or(keys, &mut out[..keys.len()], 0);
-    }
-
-    /// [`CamBlock::search_batch_into`] OR-ed into caller vectors with
-    /// cell 0 landing at cell `offset` — the unit's group combine, which
-    /// lays a group's blocks out side by side in one vector per key.
-    ///
-    /// # Panics
-    ///
-    /// As [`CamBlock::search_batch_into`], or if a vector cannot hold the
-    /// block at `offset`.
+    /// Panics if `keys.len()` exceeds the kernel's `MAX_BATCH_WIDTH`, or
+    /// if a vector cannot hold the block at `offset`.
     pub(crate) fn search_batch_or(&mut self, keys: &[u64], out: &mut [MatchVector], offset: usize) {
         if self.config.fidelity != FidelityMode::Turbo {
             let mut vector = std::mem::take(&mut self.vector_scratch);

@@ -51,7 +51,6 @@ pub mod block;
 pub mod bus;
 pub mod cell;
 pub mod config;
-pub mod dense;
 pub mod encoder;
 pub mod error;
 pub mod exact;
@@ -74,7 +73,6 @@ pub mod prelude {
     pub use crate::config::{
         BlockConfig, CellConfig, FidelityMode, ScrubPolicy, UnitConfig, WriteBufferConfig,
     };
-    pub use crate::dense::DenseCamBlock;
     pub use crate::encoder::{Encoding, MatchVector, SearchOutput};
     pub use crate::error::{CamError, ConfigError};
     pub use crate::faults::{FaultPlan, FaultRates, FaultSite, ShadowFault};

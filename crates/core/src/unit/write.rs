@@ -242,9 +242,10 @@ impl CamUnit {
     /// op lands: net staged inserts of the key, plus the physical
     /// matches still present, must leave at least one copy. Reads the
     /// golden FIFO (never the buffer's derived index) and the
-    /// counter-neutral [`CamBlock::probe_count`] of the candidate blocks
-    /// (see [`CamUnit::find_candidate`]), so the decision survives
-    /// injected buffer-index faults unchanged.
+    /// counter-neutral
+    /// [`CamBlock::probe_count`](crate::block::CamBlock::probe_count) of
+    /// the candidate blocks (see [`CamUnit::find_candidate`]), so the
+    /// decision survives injected buffer-index faults unchanged.
     fn staged_delete_would_hit(&mut self, key: u64) -> bool {
         let net = self.wbuf.net_of(key);
         if net > 0 {

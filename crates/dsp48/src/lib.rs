@@ -45,7 +45,6 @@ pub mod cam_profile;
 pub mod multiplier;
 pub mod opmode;
 pub mod pattern;
-pub mod simd_cam;
 pub mod slice;
 pub mod word;
 

@@ -64,7 +64,7 @@ pub struct Dataset {
     pub paper_ours_ms: f64,
     /// Paper's Vitis-baseline execution time (ms).
     pub paper_baseline_ms: f64,
-    /// Default shrink divisor applied by [`Dataset::generate_default`].
+    /// Default shrink divisor for [`Dataset::generate`].
     pub default_scale: u32,
 }
 
@@ -255,12 +255,6 @@ impl Dataset {
             }
         }
         edges
-    }
-
-    /// Generate at the dataset's default scale.
-    #[must_use]
-    pub fn generate_default(&self) -> Vec<(u32, u32)> {
-        self.generate(self.default_scale)
     }
 }
 

@@ -148,11 +148,6 @@ impl ObsSink {
     pub fn to_vcd(&self, module: &str) -> Vcd {
         self.lock().tracer.to_vcd(module)
     }
-
-    /// Drop retained trace records (admission counters keep running).
-    pub fn clear_trace(&self) {
-        self.lock().tracer.clear();
-    }
 }
 
 /// Batched recording handle — all methods run under the single lock

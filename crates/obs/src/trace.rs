@@ -321,11 +321,6 @@ impl EventTracer {
         self.ring.iter()
     }
 
-    /// Discard all retained records (admission counters keep running).
-    pub fn clear(&mut self) {
-        self.ring.clear();
-    }
-
     /// Render the retained trace as a JSON array of record objects.
     #[must_use]
     pub fn to_json(&self) -> String {

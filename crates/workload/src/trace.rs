@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 /// One workload operation, in generator vocabulary (single-word updates
 /// and key deletes; the streaming arm maps these onto
-/// [`Op`](dsp_cam_core::pipelined::Op) one-to-one).
+/// [`Op`] one-to-one).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceOp {
     /// Point search for one key.

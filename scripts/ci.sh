@@ -47,10 +47,15 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # Rustdoc with warnings denied, so a deleted or renamed item cannot
 # leave a dangling intra-doc link behind. Both feature sets: an
-# obs-gated item resolves only when obs is on.
+# obs-gated item resolves only when obs is on. The public pass never
+# renders crate-private docs, so a second pass documents private items
+# too and checks their links.
 echo "==> cargo doc (deny warnings, default + obs)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --features obs
+echo "==> cargo doc --document-private-items (deny warnings, default + obs)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --document-private-items
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --document-private-items --features obs
 
 echo "==> cargo test (default features: obs compiled out)"
 cargo test -q --offline --workspace

@@ -1,6 +1,6 @@
 //! System-level integration: the cycle-accurate streaming pipeline, the
-//! snapshot counters, the dense SIMD block and the RTL generator all agree
-//! with the transaction-level unit they wrap.
+//! snapshot counters and the RTL generator all agree with the
+//! transaction-level unit they wrap.
 
 use dsp_cam::cam::unit::UnitSnapshot;
 use dsp_cam::prelude::*;
@@ -112,25 +112,6 @@ fn rtl_defines_match_the_behavioural_configuration() {
     // The encoder buffer flag is what sets the 8-cycle search latency.
     assert_eq!(config.search_latency(), 8);
     assert_eq!(unit.capacity(), 2048);
-}
-
-#[test]
-fn dense_block_quarter_dsp_cross_check() {
-    use dsp_cam::cam::dense::DenseCamBlock;
-    use dsp_cam::fpga::CamResourceModel;
-
-    // Same 512-entry capacity: scalar costs 512 DSPs, dense costs 128.
-    let scalar_usage = CamResourceModel::u250().block_resources(512);
-    let mut dense = DenseCamBlock::new(512);
-    assert_eq!(scalar_usage.dsp, 512);
-    assert_eq!(dense.dsp_count(), 128);
-
-    // And the dense block still answers correctly at 12-bit width.
-    for v in 0..512u64 {
-        dense.insert(v % 4096).unwrap();
-    }
-    assert_eq!(dense.search(5).unwrap().first(), Some(5));
-    assert!(!dense.search(600).unwrap().any());
 }
 
 #[test]
