@@ -18,13 +18,16 @@ fn bench_streaming(c: &mut Criterion) {
         let mut cam = StreamingCam::new(config).expect("constructible");
         cam.issue(Op::Update(vec![42])).expect("slot");
         cam.drain();
-        cam.drain_retired();
+        let mut retired = Vec::new();
+        cam.drain_retired(&mut retired);
         let mut key = 0u64;
         b.iter(|| {
             key = (key + 1) % 100;
             cam.issue(Op::Search(black_box(key))).expect("slot");
             cam.tick();
-            black_box(cam.drain_retired())
+            retired.clear();
+            cam.drain_retired(&mut retired);
+            black_box(retired.len())
         });
     });
     group.bench_function("idle_tick", |b| {

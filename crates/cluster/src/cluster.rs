@@ -24,7 +24,7 @@
 //! is drained: the moved words are deleted from the source, the ring
 //! slot flips to the destination, and the frozen replica is dropped.
 //! Because every key has exactly one serving home at any instant and
-//! shard pipelines are FIFO per pipe, per-key operation order is
+//! each shard applies its ops in issue order, per-key operation order is
 //! preserved across the entire window — the observational-equivalence
 //! property `tests/migration_equivalence.rs` proves against a
 //! no-migration reference.
@@ -182,14 +182,18 @@ struct Migration {
     dest_journal_mark: u64,
 }
 
-/// The routing decision for one trace record: shard sub-issues (with
-/// the original key positions of streamed searches) plus any
-/// frozen-replica answers, position-stamped.
+/// The routing decision for one trace record: shard sub-issues, the
+/// original key positions each answers, and any frozen-replica and
+/// degraded answers, position-stamped. [`CamCluster::plan`] overwrites
+/// it, so one plan serves every record and its lists keep their storage.
 #[derive(Debug)]
 pub(crate) struct RecordPlan {
-    /// `(shard, op, original key positions)` — positions are empty for
-    /// write-path ops (they carry one implicit position).
-    pub(crate) subs: Vec<(usize, Op, Vec<usize>)>,
+    /// `(shard, op)`, at most one per shard.
+    pub(crate) subs: Vec<(usize, Op)>,
+    /// Per shard: the keys of a streamed record bound for it, and the
+    /// original positions of the keys its sub-issue answers (none for
+    /// write-path ops, which carry one implicit position).
+    routes: Vec<(Vec<u64>, Vec<usize>)>,
     /// `(original position, result)` answered synchronously from the
     /// frozen replica.
     pub(crate) frozen: Vec<(usize, SearchResult)>,
@@ -197,6 +201,23 @@ pub(crate) struct RecordPlan {
     /// replica epoch because the home shard is failed — stale but never
     /// silent (degraded reads).
     pub(crate) degraded: Vec<(usize, SearchResult)>,
+}
+
+impl RecordPlan {
+    /// An empty plan for a cluster of `shards` shards.
+    pub(crate) fn new(shards: usize) -> Self {
+        RecordPlan {
+            subs: Vec::new(),
+            routes: vec![(Vec::new(), Vec::new()); shards],
+            frozen: Vec::new(),
+            degraded: Vec::new(),
+        }
+    }
+
+    /// The original key positions shard `shard`'s sub-issue answers.
+    pub(crate) fn positions(&self, shard: usize) -> &[usize] {
+        &self.routes[shard].1
+    }
 }
 
 /// N CAM shards behind a consistent-hash ring, with live migration.
@@ -405,7 +426,7 @@ impl CamCluster {
 
     /// Swap shard `i`'s unit for `unit` — a snapshot restore, e.g. of
     /// `shard(i).unit().rehydrate()` — returning the old one. The shard's
-    /// clock, pipes and retire log are untouched.
+    /// clock and retire queues are untouched.
     ///
     /// # Panics
     ///
@@ -455,8 +476,8 @@ impl CamCluster {
                     let rebuilt = fo.rebuilds[shard]
                         .take()
                         .expect("rebuilding shard has a rebuilt unit");
-                    // Nothing is in flight: the crash purged the pipes
-                    // and the closed issue port kept them empty.
+                    // Nothing is in flight: the crash purged the pipeline
+                    // and the closed issue port kept it empty.
                     let _dead = self.shards[shard].replace_unit(rebuilt);
                     fo.health[shard] = ShardHealth::Healthy;
                     fo.stats.rebuilds_completed += 1;
@@ -553,18 +574,21 @@ impl CamCluster {
         }
     }
 
-    /// Route one trace record: answer frozen-replica reads now, plan
-    /// shard sub-issues for everything else, and charge the routing
-    /// tallies. Write-path ops on a migrating slot are redirected to
-    /// the destination and their keys marked dirty (over-marking is
-    /// safe: the destination's staged replica answers un-written slot
-    /// keys identically to the frozen one).
-    pub(crate) fn plan(&mut self, op: &TraceOp) -> RecordPlan {
-        let mut plan = RecordPlan {
-            subs: Vec::new(),
-            frozen: Vec::new(),
-            degraded: Vec::new(),
-        };
+    /// Route one trace record into `plan`, replacing what it held:
+    /// answer frozen-replica reads now, plan shard sub-issues for
+    /// everything else, and charge the routing tallies. Write-path ops
+    /// on a migrating slot are redirected to the destination and their
+    /// keys marked dirty (over-marking is safe: the destination's staged
+    /// replica answers un-written slot keys identically to the frozen
+    /// one).
+    pub(crate) fn plan(&mut self, op: &TraceOp, plan: &mut RecordPlan) {
+        plan.subs.clear();
+        plan.frozen.clear();
+        plan.degraded.clear();
+        for (keys, positions) in &mut plan.routes {
+            keys.clear();
+            positions.clear();
+        }
         match op {
             TraceOp::Search(key) => {
                 self.counters.searches += 1;
@@ -575,7 +599,8 @@ impl CamCluster {
                 } else {
                     let shard = self.home_of(k);
                     if self.shard_healthy(shard) {
-                        plan.subs.push((shard, Op::Search(*key), vec![0]));
+                        plan.subs.push((shard, Op::Search(*key)));
+                        plan.routes[shard].1.push(0);
                     } else {
                         let result = self.degraded_search(shard, *key);
                         plan.degraded.push((0, result));
@@ -584,8 +609,6 @@ impl CamCluster {
             }
             TraceOp::SearchStream(keys) => {
                 self.counters.stream_keys += keys.len() as u64;
-                let mut per_shard: Vec<(Vec<u64>, Vec<usize>)> =
-                    vec![(Vec::new(), Vec::new()); self.shards.len()];
                 for (pos, &key) in keys.iter().enumerate() {
                     let k = key & self.key_mask;
                     if self.frozen_serves(k) {
@@ -594,17 +617,17 @@ impl CamCluster {
                     } else {
                         let shard = self.home_of(k);
                         if self.shard_healthy(shard) {
-                            per_shard[shard].0.push(key);
-                            per_shard[shard].1.push(pos);
+                            plan.routes[shard].0.push(key);
+                            plan.routes[shard].1.push(pos);
                         } else {
                             let result = self.degraded_search(shard, key);
                             plan.degraded.push((pos, result));
                         }
                     }
                 }
-                for (shard, (batch, positions)) in per_shard.into_iter().enumerate() {
+                for (shard, (batch, _)) in plan.routes.iter().enumerate() {
                     if !batch.is_empty() {
-                        plan.subs.push((shard, Op::SearchStream(batch), positions));
+                        plan.subs.push((shard, Op::SearchStream(batch.clone())));
                     }
                 }
             }
@@ -613,29 +636,30 @@ impl CamCluster {
                 let k = word & self.key_mask;
                 let shard = self.home_of(k);
                 self.mark_dirty(k);
-                plan.subs.push((shard, Op::Update(vec![*word]), Vec::new()));
+                plan.subs.push((shard, Op::Update(vec![*word])));
             }
             TraceOp::Delete { key, .. } => {
                 self.counters.deletes += 1;
                 let k = key & self.key_mask;
                 let shard = self.home_of(k);
                 self.mark_dirty(k);
-                plan.subs.push((shard, Op::Delete(*key), Vec::new()));
+                plan.subs.push((shard, Op::Delete(*key)));
             }
         }
-        plan
     }
 
     /// Answer a search from the frozen replica, charging the hit
     /// tallies (the replica's own counters are discarded at cutover).
     fn frozen_search(&mut self, key: u64) -> SearchResult {
+        debug_assert!(
+            self.migration.is_some(),
+            "frozen_serves sends a read to the frozen replica only while a window is open"
+        );
+        let Some(m) = &mut self.migration else {
+            return self.home_search(key);
+        };
         self.counters.frozen_reads += 1;
-        let result = self
-            .migration
-            .as_mut()
-            .expect("frozen_serves checked")
-            .frozen
-            .search(key);
+        let result = m.frozen.search(key);
         self.counters.search_hits += u64::from(result.is_match());
         result
     }
@@ -644,12 +668,26 @@ impl CamCluster {
     /// stale but never silent. Charges the hit tallies like any other
     /// answered search.
     pub(crate) fn degraded_search(&mut self, shard: usize, key: u64) -> SearchResult {
-        let fo = self
-            .failover
-            .as_mut()
-            .expect("an unhealthy shard implies failover is enabled");
+        debug_assert!(
+            self.failover.is_some(),
+            "a shard is unhealthy only on a failover cluster"
+        );
+        let Some(fo) = &mut self.failover else {
+            return self.home_search(key);
+        };
         fo.stats.degraded_reads += 1;
         let result = fo.epochs[shard].search(key);
+        self.counters.search_hits += u64::from(result.is_match());
+        result
+    }
+
+    /// Answer `key` from its home shard's live unit, charging the hit
+    /// tally like any other answered search: what a read path serves,
+    /// behind a `debug_assert!`, should its invariant ever fail, rather
+    /// than panic.
+    fn home_search(&mut self, key: u64) -> SearchResult {
+        let home = self.home_of(key & self.key_mask);
+        let result = self.shards[home].unit_mut().search(key);
         self.counters.search_hits += u64::from(result.is_match());
         result
     }
@@ -706,10 +744,7 @@ impl CamCluster {
             Some(result) => result,
             // `read` answers every presented key; should it ever not,
             // serve the key from its home unit rather than panic.
-            None => {
-                let home = self.home_of(key & self.key_mask);
-                self.shards[home].unit_mut().search(key)
-            }
+            None => self.home_search(key),
         }
     }
 
@@ -972,6 +1007,17 @@ impl CamCluster {
         shard: usize,
         fault: ShardFault,
     ) -> Result<(), ClusterError> {
+        self.fail_shard(shard, fault).map(drop)
+    }
+
+    /// [`CamCluster::inject_shard_fault`], handing back the ops a crash
+    /// purged from the shard's pipeline as `(op, arrival)` in issue
+    /// order — the issue engine re-issues them once the shard is back.
+    pub(crate) fn fail_shard(
+        &mut self,
+        shard: usize,
+        fault: ShardFault,
+    ) -> Result<Vec<(Op, u64)>, ClusterError> {
         if shard >= self.shards.len() {
             return Err(ClusterError::ShardOutOfRange {
                 shard,
@@ -982,7 +1028,7 @@ impl CamCluster {
             return Err(ClusterError::FailoverDisabled);
         };
         if fo.health[shard] != ShardHealth::Healthy {
-            return Ok(());
+            return Ok(Vec::new());
         }
         fo.stats.failures_detected += 1;
         match fault {
@@ -991,23 +1037,26 @@ impl CamCluster {
                     since: self.cycle,
                     until: self.cycle + ticks.max(1),
                 };
+                Ok(Vec::new())
             }
-            ShardFault::Crash => self.crash_shard(shard),
+            ShardFault::Crash => Ok(self.crash_shard(shard)),
         }
-        Ok(())
     }
 
-    /// Lose shard `shard`: purge its pipes (unacknowledged writes are
-    /// the client's to retry), reset the dead unit, and start restoring
-    /// `epoch + acknowledged journal` at one word per tick. A window
-    /// whose destination this is rolls back, its scrub landing on the
-    /// rebuild; a dying *source* keeps the window open — the frozen
-    /// replica keeps answering and cutover waits on the rebuild.
-    fn crash_shard(&mut self, shard: usize) {
-        // `inject_shard_fault` crashes shards of failover clusters only.
-        let Some(fo) = &mut self.failover else { return };
+    /// Lose shard `shard`: purge its pipeline (unacknowledged writes are
+    /// the client's to retry, so the purged ops are returned), reset the
+    /// dead unit, and start restoring `epoch + acknowledged journal` at
+    /// one word per tick. A window whose destination this is rolls back,
+    /// its scrub landing on the rebuild; a dying *source* keeps the
+    /// window open — the frozen replica keeps answering and cutover
+    /// waits on the rebuild.
+    fn crash_shard(&mut self, shard: usize) -> Vec<(Op, u64)> {
+        // `fail_shard` crashes shards of failover clusters only.
+        let Some(fo) = &mut self.failover else {
+            return Vec::new();
+        };
         let now = self.cycle;
-        self.shards[shard].purge_in_flight();
+        let purged = self.shards[shard].purge_in_flight();
         let mut rebuilt = fo.epochs[shard].rehydrate();
         let epoch_words = rebuilt.stored_words().len();
         let replayed = self.shards[shard]
@@ -1025,6 +1074,7 @@ impl CamCluster {
         if let Some(m) = self.migration.take_if(|m| m.dest == shard) {
             self.rollback_migration(m);
         }
+        purged
     }
 
     /// Fire cutover once the copy engine has pushed every moved word

@@ -7,7 +7,7 @@
 //! A shard can fail two ways:
 //!
 //! * [`ShardFault::Crash`] — the shard loses its contents and every
-//!   in-flight operation (the pipes are purged without retiring);
+//!   in-flight operation (its pipeline is purged without retiring);
 //! * [`ShardFault::Stall`] — the shard's issue port closes for a
 //!   bounded number of ticks but its pipeline keeps draining (a slow
 //!   shard, not a dead one).

@@ -16,7 +16,7 @@
 //!   records bound for *different* shards issue in the same cycle — the
 //!   cluster's throughput win — while per-key operation order is
 //!   preserved by construction (one serving home per key at any
-//!   instant, FIFO pipes per shard).
+//!   instant, ops applied in issue order per shard).
 //! * [`CamCluster::search`], [`CamCluster::search_stream`],
 //!   [`CamCluster::update`] and [`CamCluster::delete`] each dispatch one
 //!   record and step the engine until it has retired or been shed.
@@ -53,7 +53,7 @@ use dsp_cam_core::unit::SearchResult;
 use dsp_cam_workload::{percentile, Trace, TraceOp};
 
 use crate::cluster::{CamCluster, ClusterError, RecordPlan};
-use crate::failover::{ClusterFaultPlan, ShardFault, ShedPolicy};
+use crate::failover::{ClusterFaultPlan, ShedPolicy};
 
 /// Open a migration window after `after_records` trace records have
 /// been dispatched.
@@ -147,7 +147,7 @@ pub struct ClusterReplayOutcome {
     /// queueing included), in retire order.
     pub per_shard_latencies: Vec<Vec<u64>>,
     /// Latencies of frozen-replica answers (dispatch wait plus the
-    /// search-pipe latency the replica port mirrors).
+    /// search latency the replica port mirrors).
     pub frozen_latencies: Vec<u64>,
     /// Latencies of degraded replica-epoch answers, same convention.
     pub degraded_latencies: Vec<u64>,
@@ -244,6 +244,8 @@ fn presented_of(op: &Op) -> u64 {
 
 /// The cluster's issue engine: dispatched sub-issues, deferred writes,
 /// and the tallies of everything it issued, answered, retried and shed.
+/// Its per-cycle and per-record buffers live here and are reused, so a
+/// step allocates nothing of its own.
 #[derive(Debug)]
 struct Dispatcher {
     policy: ShedPolicy,
@@ -252,16 +254,19 @@ struct Dispatcher {
     was_healthy: Vec<bool>,
     /// Per shard, retry attempts left in the current outage.
     budget: Vec<u64>,
-    /// Per shard, a copy of each issued op not yet harvested, with its
-    /// arrival, to re-issue should a crash purge it. A shard retires in
-    /// issue order, so a FIFO matches completions back to what was
-    /// issued — and a crash's purged ops are exactly the queue's
-    /// remainder.
-    outstanding: Vec<VecDeque<(Op, u64)>>,
     /// Writes waiting out a failed shard, oldest first.
     deferred: VecDeque<DeferredWrite>,
     /// Sub-issues waiting for an issue slot, in dispatch order.
     subs: VecDeque<PendingSub>,
+    /// Per shard, whether this cycle's issue slot is taken.
+    claimed: Vec<bool>,
+    /// Per shard, sub-issues issued and not yet harvested: only a shard
+    /// with some can retire anything, so only it is harvested.
+    in_flight: Vec<usize>,
+    /// The routing of the record being dispatched.
+    plan: RecordPlan,
+    /// One shard's completions of the current cycle, with their stamps.
+    harvest: Vec<(RetireRecord, Completion)>,
     outcome: ClusterReplayOutcome,
 }
 
@@ -276,9 +281,12 @@ impl Dispatcher {
             search_latency: cluster.shard(0).unit().config().search_latency(),
             subs: VecDeque::new(),
             deferred: VecDeque::new(),
-            outstanding: (0..shards).map(|_| VecDeque::new()).collect(),
             budget: vec![policy.retry_budget; shards],
             was_healthy: vec![true; shards],
+            claimed: vec![false; shards],
+            in_flight: vec![0; shards],
+            plan: RecordPlan::new(shards),
+            harvest: Vec::new(),
             outcome,
         }
     }
@@ -286,9 +294,7 @@ impl Dispatcher {
     /// Whether some dispatched sub-issue has neither retired nor been
     /// shed.
     fn busy(&self) -> bool {
-        !self.subs.is_empty()
-            || !self.deferred.is_empty()
-            || self.outstanding.iter().any(|q| !q.is_empty())
+        !self.subs.is_empty() || !self.deferred.is_empty() || self.in_flight.iter().any(|&n| n > 0)
     }
 
     /// Replenish a shard's retry budget when it comes back.
@@ -302,10 +308,13 @@ impl Dispatcher {
         }
     }
 
-    /// Take `plan`'s shard sub-issues into the dispatch queue and record
-    /// the reads its planning answered (frozen-replica and degraded),
-    /// for a record that arrived at `arrival` and was planned at `now`.
-    fn dispatch(&mut self, plan: &mut RecordPlan, arrival: u64, now: u64) {
+    /// Route `op` into [`Dispatcher::plan`], take its shard sub-issues
+    /// into the dispatch queue, and record the reads its planning
+    /// answered (frozen-replica and degraded), for a record that arrived
+    /// at `arrival` and was planned at `now`.
+    fn dispatch(&mut self, cluster: &mut CamCluster, op: &TraceOp, arrival: u64, now: u64) {
+        cluster.plan(op, &mut self.plan);
+        let plan = &mut self.plan;
         self.outcome.presented += (plan.frozen.len() + plan.degraded.len()) as u64;
         let latency = (now - arrival) + self.search_latency;
         self.outcome
@@ -314,7 +323,7 @@ impl Dispatcher {
         self.outcome
             .degraded_latencies
             .extend(std::iter::repeat_n(latency, plan.degraded.len()));
-        for (shard, op, _) in plan.subs.drain(..) {
+        for (shard, op) in plan.subs.drain(..) {
             self.outcome.presented += presented_of(&op);
             self.subs.push_back(PendingSub { shard, op, arrival });
         }
@@ -323,24 +332,34 @@ impl Dispatcher {
     /// One cycle: issue what the shards can take — deferred writes
     /// first (they are the oldest work), then the dispatch queue, each
     /// shard's slot `claimed` once — tick the cluster, and pull retired
-    /// completions and retire-log stamps off every shard, handing each
-    /// completion to `retired` with its shard.
+    /// completions off every shard with ops in flight, handing each to
+    /// `retired` with its shard.
     fn step(&mut self, cluster: &mut CamCluster, mut retired: impl FnMut(usize, Completion)) {
         let now = cluster.cycle();
-        let mut claimed = vec![false; self.outstanding.len()];
-        self.issue_deferred(cluster, now, &mut claimed);
-        self.issue_queued(cluster, now, &mut claimed);
+        self.claimed.fill(false);
+        self.issue_deferred(cluster, now);
+        self.issue_queued(cluster, now);
         cluster.tick();
-        for (i, issued) in self.outstanding.iter_mut().enumerate() {
-            for (_, done) in cluster.shard_mut(i).drain_retired() {
+        for (i, in_flight) in self.in_flight.iter_mut().enumerate() {
+            if *in_flight == 0 {
+                continue;
+            }
+            cluster.shard_mut(i).drain_retired(&mut self.harvest);
+            debug_assert!(
+                self.harvest.len() <= *in_flight,
+                "shard {i} retired an op this engine did not issue"
+            );
+            // Should that ever fail, stop counting rather than wrap and
+            // keep the engine busy forever.
+            *in_flight = in_flight.saturating_sub(self.harvest.len());
+            let mut latencies = self.outcome.per_shard_latencies.get_mut(i);
+            for (stamp, done) in self.harvest.drain(..) {
                 cluster.tally(&done);
                 self.outcome.completions += 1;
-                issued.pop_front();
+                if let Some(latencies) = &mut latencies {
+                    latencies.push(stamp.latency());
+                }
                 retired(i, done);
-            }
-            let records = cluster.shard_mut(i).take_retire_log();
-            if let Some(latencies) = self.outcome.per_shard_latencies.get_mut(i) {
-                latencies.extend(records.iter().map(RetireRecord::latency));
             }
         }
     }
@@ -349,15 +368,15 @@ impl Dispatcher {
     /// rollback may have re-homed its key) and issues if the shard is
     /// back, retries with exponential backoff if not, and is shed once
     /// its bounds are spent.
-    fn issue_deferred(&mut self, cluster: &mut CamCluster, now: u64, claimed: &mut [bool]) {
+    fn issue_deferred(&mut self, cluster: &mut CamCluster, now: u64) {
         while let Some(mut head) = self.deferred.pop_front() {
             let target = cluster
                 .resolve_shard(&head.sub.op)
                 .unwrap_or(head.sub.shard);
             let healthy = cluster.shard_healthy(target);
-            if healthy && !claimed[target] {
+            if healthy && !self.claimed[target] {
                 head.sub.shard = target;
-                self.issue(cluster, head.sub, claimed);
+                self.issue(cluster, head.sub);
                 continue;
             }
             if healthy {
@@ -383,7 +402,7 @@ impl Dispatcher {
     /// order) defer; reads bound for a failed shard answer degraded
     /// immediately; everything else issues while its shard's slot is
     /// free.
-    fn issue_queued(&mut self, cluster: &mut CamCluster, now: u64, claimed: &mut [bool]) {
+    fn issue_queued(&mut self, cluster: &mut CamCluster, now: u64) {
         while let Some(mut sub) = self.subs.pop_front() {
             sub.shard = cluster.resolve_shard(&sub.op).unwrap_or(sub.shard);
             let healthy = cluster.shard_healthy(sub.shard);
@@ -399,12 +418,12 @@ impl Dispatcher {
                 Op::Search(key) if !healthy => std::slice::from_ref(key),
                 Op::SearchStream(keys) | Op::SearchMulti(keys) if !healthy => keys,
                 _ => {
-                    if claimed[sub.shard] {
+                    if self.claimed[sub.shard] {
                         self.outcome.head_of_line_stalls += 1;
                         self.subs.push_front(sub);
                         break;
                     }
-                    self.issue(cluster, sub, claimed);
+                    self.issue(cluster, sub);
                     continue;
                 }
             };
@@ -418,11 +437,11 @@ impl Dispatcher {
         }
     }
 
-    /// Issue `sub` on its (re-resolved, healthy, unclaimed) shard and
-    /// record it outstanding.
-    fn issue(&mut self, cluster: &mut CamCluster, sub: PendingSub, claimed: &mut [bool]) {
-        claimed[sub.shard] = true;
-        self.outstanding[sub.shard].push_back((sub.op.clone(), sub.arrival));
+    /// Issue `sub` on its (re-resolved, healthy, unclaimed) shard. The
+    /// shard holds the op until it retires, and a crash hands it back.
+    fn issue(&mut self, cluster: &mut CamCluster, sub: PendingSub) {
+        self.claimed[sub.shard] = true;
+        self.in_flight[sub.shard] += 1;
         // `claimed` hands each shard's slot out once per cycle and every
         // tick empties it, so the port is free.
         let free = cluster
@@ -433,12 +452,24 @@ impl Dispatcher {
         self.outcome.issued += 1;
     }
 
-    /// Give a crashed shard's purged in-flight ops back to the dispatch
-    /// head in their original issue order — their completions will never
+    /// Stop early: drop what is queued or deferred unissued, and tick
+    /// the cluster until what was issued has retired, so no later engine
+    /// harvests a completion it did not issue.
+    fn abandon(mut self, cluster: &mut CamCluster) {
+        self.subs.clear();
+        self.deferred.clear();
+        while self.busy() {
+            self.step(cluster, |_, _| {});
+        }
+    }
+
+    /// Give a crashed shard's purged ops back to the dispatch head in
+    /// their original issue order — their completions will never
     /// arrive, so they are un-issued and go around again.
-    fn requeue_purged(&mut self, shard: usize) {
-        while let Some((op, arrival)) = self.outstanding[shard].pop_back() {
-            self.outcome.issued -= 1;
+    fn requeue_purged(&mut self, shard: usize, purged: Vec<(Op, u64)>) {
+        self.outcome.issued -= purged.len() as u64;
+        self.in_flight[shard] -= purged.len();
+        for (op, arrival) in purged.into_iter().rev() {
             self.subs.push_front(PendingSub { shard, op, arrival });
         }
     }
@@ -455,7 +486,9 @@ impl Dispatcher {
 /// Propagates prefill admission failures (as
 /// [`ClusterError::Admission`]), [`CamCluster::begin_migration`] errors
 /// from the migration plan, and [`ClusterError::FailoverDisabled`] when
-/// a fault plan is supplied without [`CamCluster::enable_failover`].
+/// a fault plan is supplied without [`CamCluster::enable_failover`]. An
+/// error mid-replay leaves the rest of the trace unissued, once the ops
+/// already issued have retired.
 pub fn replay_cluster(
     trace: &Trace,
     cluster: &mut CamCluster,
@@ -468,12 +501,20 @@ pub fn replay_cluster(
         .prefill(trace.prefill_words())
         .map_err(ClusterError::Admission)?;
     let shards = cluster.num_shards();
-    for i in 0..shards {
-        cluster.shard_mut(i).enable_retire_log();
-        cluster.shard_mut(i).drain_retired();
-    }
+    // A record issues at most one sub-issue per shard, so this bounds
+    // what a replay without crashes retires; each shard's latency list
+    // is sized once for its share of it, with a quarter of headroom for
+    // skew, rather than doubling its way up.
+    let sub_issues: usize = trace
+        .records
+        .iter()
+        .map(|record| record.op.weight().min(shards))
+        .sum();
+    let share = sub_issues.div_ceil(shards);
     let outcome = ClusterReplayOutcome {
-        per_shard_latencies: vec![Vec::new(); shards],
+        per_shard_latencies: (0..shards)
+            .map(|_| Vec::with_capacity(share + share / 4))
+            .collect(),
         ..ClusterReplayOutcome::default()
     };
     // Hits, rejections, frozen and degraded answers, failover tallies
@@ -484,19 +525,14 @@ pub fn replay_cluster(
     let stalls_before = cluster.migration_stalls().len();
 
     let start = cluster.cycle();
-    let arrivals = trace.arrivals(start);
-    let mut next_record = 0usize;
+    let mut records = trace.records.iter().zip(trace.arrivals(start)).peekable();
     let mut dispatched = 0usize;
-    let mut queue: VecDeque<usize> = VecDeque::new();
+    let mut queue: VecDeque<(&TraceOp, u64)> = VecDeque::with_capacity(config.queue_capacity);
     let mut engine = Dispatcher::new(cluster, outcome);
     let mut migrate = config.migrate;
     let mut faults = config.faults.clone();
 
-    while next_record < trace.records.len()
-        || !queue.is_empty()
-        || engine.busy()
-        || !cluster.settled()
-    {
+    while records.peek().is_some() || !queue.is_empty() || engine.busy() || !cluster.settled() {
         let now = cluster.cycle();
 
         // Fire due shard faults. A crash purges the shard's in-flight
@@ -505,9 +541,12 @@ pub fn replay_cluster(
         // acknowledged, so re-issue is the client's contract.
         if let Some(plan) = &mut faults {
             for fault in plan.due(now - start) {
-                cluster.inject_shard_fault(fault.shard, fault.fault)?;
-                if fault.fault == ShardFault::Crash {
-                    engine.requeue_purged(fault.shard);
+                match cluster.fail_shard(fault.shard, fault.fault) {
+                    Ok(purged) => engine.requeue_purged(fault.shard, purged),
+                    Err(err) => {
+                        engine.abandon(cluster);
+                        return Err(err);
+                    }
                 }
             }
         }
@@ -525,19 +564,21 @@ pub fn replay_cluster(
                 match cluster.begin_migration(plan.slot, plan.dest) {
                     Ok(()) => migrate = None,
                     Err(ClusterError::ShardUnavailable { .. }) => {}
-                    Err(err) => return Err(err),
+                    Err(err) => {
+                        engine.abandon(cluster);
+                        return Err(err);
+                    }
                 }
             }
         }
         let now = cluster.cycle();
         // Admit due arrivals up to the queue bound (backpressure: the
         // rest wait at the source and keep their arrival stamps).
-        while next_record < trace.records.len()
-            && arrivals[next_record] <= now
-            && queue.len() < config.queue_capacity
-        {
-            queue.push_back(next_record);
-            next_record += 1;
+        while queue.len() < config.queue_capacity {
+            let Some((record, arrival)) = records.next_if(|&(_, arrival)| arrival <= now) else {
+                break;
+            };
+            queue.push_back((&record.op, arrival));
         }
         engine.outcome.peak_queue_depth = engine.outcome.peak_queue_depth.max(queue.len());
 
@@ -545,11 +586,10 @@ pub fn replay_cluster(
         // sub-issues, answering frozen-replica and degraded reads on
         // the spot.
         while engine.subs.len() < shards {
-            let Some(record) = queue.pop_front() else {
+            let Some((op, arrival)) = queue.pop_front() else {
                 break;
             };
-            let mut plan = cluster.plan(&trace.records[record].op);
-            engine.dispatch(&mut plan, arrivals[record], now);
+            engine.dispatch(cluster, op, arrival, now);
             dispatched += 1;
         }
         engine.step(cluster, |_, _| {});
@@ -586,26 +626,20 @@ pub(crate) fn transact(
     op: &TraceOp,
 ) -> (Vec<(usize, SearchResult)>, Vec<Completion>) {
     let mut engine = Dispatcher::new(cluster, ClusterReplayOutcome::default());
-    let mut plan = cluster.plan(op);
+    let now = cluster.cycle();
+    engine.dispatch(cluster, op, now, now);
     // A record gives each shard at most one sub-issue, so a shard names
     // the key positions its completion answers.
-    let positions: Vec<(usize, Vec<usize>)> = plan
-        .subs
-        .iter_mut()
-        .map(|(shard, _, keys)| (*shard, std::mem::take(keys)))
+    let positions: Vec<Vec<usize>> = (0..cluster.num_shards())
+        .map(|shard| engine.plan.positions(shard).to_vec())
         .collect();
-    let now = cluster.cycle();
-    engine.dispatch(&mut plan, now, now);
-    let mut answers = plan.frozen;
-    answers.append(&mut plan.degraded);
+    let mut answers = std::mem::take(&mut engine.plan.frozen);
+    answers.append(&mut engine.plan.degraded);
     let mut writes = Vec::new();
     while engine.busy() {
         engine.replenish(cluster);
         engine.step(cluster, |shard, done| {
-            let at = positions
-                .iter()
-                .filter(|&&(s, _)| s == shard)
-                .flat_map(|(_, keys)| keys.iter().copied());
+            let at = positions[shard].iter().copied();
             match done {
                 Completion::Search(result) => answers.extend(at.zip([result])),
                 Completion::SearchStream(results) => answers.extend(at.zip(results)),
@@ -614,4 +648,97 @@ pub(crate) fn transact(
         });
     }
     (answers, writes)
+}
+
+#[cfg(test)]
+mod tests {
+    use dsp_cam_core::config::{UnitConfig, WriteBufferConfig};
+    use dsp_cam_workload::{generate, Arrival, OpMix, WorkloadConfig};
+
+    use super::*;
+
+    fn cluster() -> CamCluster {
+        let config = UnitConfig::builder()
+            .data_width(12)
+            .block_size(8)
+            .num_blocks(4)
+            .bus_width(64)
+            .write_buffer(WriteBufferConfig {
+                capacity: 64,
+                drain_per_tick: 1,
+                bypass: false,
+            })
+            .build()
+            .expect("valid geometry");
+        CamCluster::new(config, 4, 16).expect("valid shape")
+    }
+
+    fn trace() -> Trace {
+        generate(&WorkloadConfig {
+            seed: 0xC2,
+            ops: 200,
+            key_space: 1024,
+            zipf_s: 0.9,
+            mix: OpMix::READ_HEAVY,
+            stream_batch: 4,
+            arrival: Arrival::BackToBack,
+            churn_per_mille: 50,
+            prefill: 32,
+            max_live: Some(64),
+            eviction_min_gap: 1,
+        })
+        .expect("valid workload")
+    }
+
+    /// The shards still holding an op in flight or a completion nobody
+    /// harvested: what the next engine would take for its own.
+    fn leftovers(cluster: &mut CamCluster) -> Vec<usize> {
+        let mut retired = Vec::new();
+        (0..cluster.num_shards())
+            .filter(|&i| {
+                let shard = cluster.shard_mut(i);
+                shard.drain_retired(&mut retired);
+                shard.in_flight() || !std::mem::take(&mut retired).is_empty()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn transactional_calls_after_a_replay_leave_nothing_on_the_shards() {
+        let mut cluster = cluster();
+        let outcome =
+            replay_cluster(&trace(), &mut cluster, &IngestConfig::default()).expect("replay runs");
+        assert_eq!(outcome.dropped, 0);
+        assert_eq!(leftovers(&mut cluster), [0usize; 0]);
+        for key in 0..50 {
+            let _ = cluster.search(key);
+        }
+        assert_eq!(leftovers(&mut cluster), [0usize; 0]);
+    }
+
+    #[test]
+    fn a_replay_stopped_by_an_error_leaves_nothing_on_the_shards() {
+        let mut cluster = cluster();
+        let home = cluster.ring().assignment(3);
+        let config = IngestConfig {
+            migrate: Some(MigrationPlan {
+                after_records: 10,
+                slot: 3,
+                dest: home,
+            }),
+            ..IngestConfig::default()
+        };
+        assert_eq!(
+            replay_cluster(&trace(), &mut cluster, &config).map(drop),
+            Err(ClusterError::AlreadyHome {
+                slot: 3,
+                shard: home
+            })
+        );
+        assert_eq!(leftovers(&mut cluster), [0usize; 0]);
+        for key in 0..50 {
+            let _ = cluster.search(key);
+        }
+        assert_eq!(leftovers(&mut cluster), [0usize; 0]);
+    }
 }

@@ -16,7 +16,7 @@
 //! path) that keeps answering searches while the destination shard
 //! absorbs the moved words through its write buffer. No query is ever
 //! dropped or reordered — each key has exactly one serving home at any
-//! instant, and per-shard pipes are FIFO.
+//! instant, and each shard applies its ops in issue order.
 //!
 //! [`ClusterSnapshot`] replicates read-only copies of every shard for
 //! multi-shard search fan-out outside the clocked pipeline, and

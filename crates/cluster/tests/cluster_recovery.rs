@@ -769,3 +769,73 @@ fn a_replay_reports_only_its_own_failover_work() {
     assert_eq!(second.degraded_answers, 0);
     assert_eq!(second.dropped, 0);
 }
+
+/// On 2,048-cell shards a search takes 8 cycles and a write 6, so a
+/// write issued the cycle after a search retires before it: retire
+/// order is not issue order. A crash must re-issue exactly the ops it
+/// purged; re-issuing a write that had already retired in place of the
+/// search still in flight stores the write twice and never answers the
+/// search.
+#[test]
+fn crashes_on_eight_cycle_shards_reissue_exactly_the_purged_ops() {
+    let config = UnitConfig::builder()
+        .data_width(32)
+        .block_size(128)
+        .num_blocks(16)
+        .bus_width(512)
+        .fidelity(FidelityMode::Turbo)
+        .write_buffer(WriteBufferConfig {
+            capacity: 64,
+            drain_per_tick: 2,
+            bypass: false,
+        })
+        .build()
+        .unwrap();
+    assert_eq!(config.search_latency() - config.update_latency(), 2);
+    // Seeds whose fault plans crash a shard with such a pair in flight.
+    for seed in [3u64, 17, 21, 33] {
+        let trace = generate(&WorkloadConfig {
+            seed,
+            ops: 3000,
+            key_space: 1024,
+            zipf_s: 0.8,
+            mix: OpMix::WRITE_HEAVY,
+            stream_batch: 8,
+            arrival: Arrival::Bursty {
+                mean_burst: 32,
+                idle_ticks: 24,
+            },
+            churn_per_mille: 20,
+            prefill: 512,
+            max_live: Some(800),
+            eviction_min_gap: 1,
+        })
+        .unwrap();
+        let mut twin = CamCluster::new(config, 4, 64).unwrap();
+        let reference = replay_cluster(&trace, &mut twin, &IngestConfig::default()).unwrap();
+        let mut faulty = CamCluster::new(config, 4, 64).unwrap();
+        faulty.enable_failover(replication());
+        faulty.set_shed_policy(patient_policy());
+        let faults = ClusterFaultPlan::seeded(seed * 7 + 1, 4, reference.ticks, 3);
+        let outcome = replay_cluster(
+            &trace,
+            &mut faulty,
+            &IngestConfig {
+                faults: Some(faults),
+                ..IngestConfig::default()
+            },
+        )
+        .unwrap();
+        assert!(outcome.failures_detected > 0, "seed {seed}");
+        assert_eq!(
+            (outcome.dropped, outcome.shed_writes),
+            (0, 0),
+            "seed {seed}"
+        );
+        assert_eq!(
+            faulty.content_digest(),
+            twin.content_digest(),
+            "seed {seed}: every acknowledged write stored exactly once"
+        );
+    }
+}

@@ -4,17 +4,19 @@
 //! call; real hardware answers `search_latency` cycles later while new
 //! operations keep issuing every cycle (initiation interval 1). This
 //! module provides that view: [`StreamingCam`] implements
-//! [`dsp_cam_sim::Clocked`], accepts at most one operation per
-//! cycle, and delivers completions through latency pipes built from
-//! [`dsp_cam_sim::Pipe`] — so Table VI/VIII's "throughput = frequency"
-//! rows can be *demonstrated*, not just computed.
+//! [`dsp_cam_sim::Clocked`], accepts at most one operation per cycle,
+//! applies it at its issue edge and holds it in an issue-ordered retire
+//! queue, one per datapath (writes and searches), until its retire edge
+//! — so Table VI/VIII's "throughput = frequency" rows can be
+//! *demonstrated*, not just computed.
 
+use std::collections::VecDeque;
 #[cfg(feature = "obs")]
 use std::sync::Arc;
 
 #[cfg(feature = "obs")]
 use dsp_cam_obs::{ObsSink, ScopeId};
-use dsp_cam_sim::{Clocked, Pipe};
+use dsp_cam_sim::Clocked;
 use serde::{Deserialize, Serialize};
 
 use crate::config::UnitConfig;
@@ -43,8 +45,8 @@ pub enum Op {
     /// and counters are identical at every width.
     SearchStream(Vec<u64>),
     /// Delete the first stored match of a key
-    /// ([`CamUnit::delete_first`]): a write-path operation, so it flows
-    /// through the update pipe (and, when a write buffer is configured,
+    /// ([`CamUnit::delete_first`]): a write-path operation, so it retires
+    /// at the update latency (and, when a write buffer is configured,
     /// absorbs as a tombstone exactly like the transaction-level call).
     Delete(u64),
 }
@@ -67,13 +69,13 @@ pub enum Completion {
     Delete(bool),
 }
 
-/// One entry of the pipeline's retire log (see
-/// [`StreamingCam::enable_retire_log`]): the cycle stamps needed to
-/// attribute end-to-end latency to an operation replayed from a trace.
+/// One completion's cycle stamps (see [`StreamingCam::drain_retired`]
+/// and [`StreamingCam::enable_retire_log`]): what attributes end-to-end
+/// latency to an operation replayed from a trace.
 ///
 /// `retired - arrival + 1` is the workload-visible retire latency: the
-/// pipe latency plus however long the op queued behind the single issue
-/// slot after it arrived.
+/// configured latency plus however long the op queued behind the single
+/// issue slot after it arrived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetireRecord {
     /// Cycle the operation arrived at the unit (trace arrival time; at
@@ -87,18 +89,58 @@ pub struct RetireRecord {
 
 impl RetireRecord {
     /// End-to-end retire latency in cycles: queueing behind the issue
-    /// slot plus the pipe latency (result visible the cycle after the
-    /// retire edge).
+    /// slot plus the configured latency (result visible the cycle after
+    /// the retire edge).
     #[must_use]
     pub fn latency(&self) -> u64 {
         self.retired - self.arrival + 1
     }
 }
 
+/// An operation applied at its issue edge and waiting for its retire
+/// edge: it keeps the op itself so a crash can hand it back.
+#[derive(Debug)]
+struct InFlight {
+    op: Op,
+    arrival: u64,
+    issued: u64,
+    done: Completion,
+}
+
+/// One datapath's operations in flight, in issue order. Every op waits
+/// the same `delay` cycles, so retire order is issue order and the next
+/// op to retire is always at the front.
+#[derive(Debug)]
+struct RetireQueue {
+    /// Latency minus one: an op issued in cycle `c` retires at the edge
+    /// ending cycle `c + delay`.
+    delay: u64,
+    ops: VecDeque<InFlight>,
+}
+
+impl RetireQueue {
+    fn new(latency: u64) -> Self {
+        RetireQueue {
+            delay: latency - 1,
+            ops: VecDeque::new(),
+        }
+    }
+
+    /// Issue cycle of the op retiring at the edge that ends `cycle`, if
+    /// one does.
+    fn due(&self, cycle: u64) -> Option<u64> {
+        let issued = self.ops.front()?.issued;
+        (issued + self.delay <= cycle).then_some(issued)
+    }
+}
+
 /// A [`CamUnit`] behind a cycle-accurate issue/retire pipeline.
 ///
-/// One issue slot per cycle; both latency pipes advance exactly once per
-/// [`Clocked::tick`]; completions carry the cycle at which they retired.
+/// One issue slot per cycle. An op is applied to the unit at its issue
+/// edge and retires `latency - 1` edges later (the update latency for
+/// updates and deletes, the search latency for searches); completions
+/// retiring at the same edge leave in issue order and carry the cycle
+/// at which they retired.
 ///
 /// # Examples
 ///
@@ -112,7 +154,8 @@ impl RetireRecord {
 /// cam.drain();
 /// cam.issue(Op::Search(42)).expect("free slot");
 /// cam.drain();
-/// let retired = cam.drain_retired();
+/// let mut retired = Vec::new();
+/// cam.drain_retired(&mut retired);
 /// assert!(matches!(&retired.last().unwrap().1,
 ///     Completion::Search(hit) if hit.is_match()));
 /// # Ok(())
@@ -125,14 +168,15 @@ pub struct StreamingCam {
     /// for plain [`StreamingCam::issue`], earlier for queued trace
     /// replay through [`StreamingCam::issue_at`]).
     pending: Option<(Op, u64)>,
-    /// Pipes carry `(arrival, issue_cycle, completion)` so the retire
-    /// edge can attribute end-to-end latency.
-    update_pipe: Pipe<(u64, u64, Completion)>,
-    search_pipe: Pipe<(u64, u64, Completion)>,
+    /// Ops in flight on the write path (updates, deletes) and on the
+    /// search path, indexed by `WRITES` and `SEARCHES`.
+    queues: [RetireQueue; 2],
     cycle: u64,
-    retired: Vec<(u64, Completion)>,
-    /// Optional replay hook: `(arrival, issued, retired)` stamps per
-    /// completion, in retire order.
+    /// Completions retired and not yet drained, with their stamps, in
+    /// retire order.
+    retired: Vec<(RetireRecord, Completion)>,
+    /// Every completion's stamps since logging was enabled (see
+    /// [`StreamingCam::enable_retire_log`]).
     retire_log: Option<Vec<RetireRecord>>,
     /// Optional acknowledged-write journal (see [`OpJournal`]): write
     /// ops record their content effect at the apply edge and are
@@ -146,6 +190,9 @@ pub struct StreamingCam {
 }
 
 impl StreamingCam {
+    const WRITES: usize = 0;
+    const SEARCHES: usize = 1;
+
     /// Wrap a fresh unit built from `config`.
     ///
     /// # Errors
@@ -157,19 +204,17 @@ impl StreamingCam {
 
     /// Wrap an existing unit — the cluster shard-construction hook: the
     /// unit keeps its contents, groups and counters; the pipeline state
-    /// (pipes, cycle, retire log) starts fresh at cycle 0.
+    /// (retire queues, cycle) starts fresh at cycle 0.
     #[must_use]
     pub fn from_unit(unit: CamUnit) -> Self {
         let config = *unit.config();
         StreamingCam {
             unit,
             pending: None,
-            // An item exits `depth` shifts after the shift that admits it,
-            // and the admitting shift is the issue cycle itself — so a
-            // depth of latency-1 retires results at the edge that ends
-            // cycle (issue + latency - 1), exactly the hardware timing.
-            update_pipe: Pipe::new(config.update_latency() as usize - 1),
-            search_pipe: Pipe::new(config.search_latency() as usize - 1),
+            queues: [
+                RetireQueue::new(config.update_latency()),
+                RetireQueue::new(config.search_latency()),
+            ],
             cycle: 0,
             retired: Vec::new(),
             retire_log: None,
@@ -180,7 +225,7 @@ impl StreamingCam {
     }
 
     /// Swap the wrapped unit for `unit`, returning the old one — the
-    /// live-migration cutover hook. The clock, pipes and retire log are
+    /// live-migration cutover hook. The clock and retire queues are
     /// untouched, so in-window latency accounting stays continuous.
     ///
     /// # Panics
@@ -207,10 +252,16 @@ impl StreamingCam {
     }
 
     /// Record a completion at the current cycle's retire edge.
-    fn retire(&mut self, arrival: u64, issued: u64, done: Completion) {
+    fn retire(&mut self, op: InFlight) {
+        let stamp = RetireRecord {
+            arrival: op.arrival,
+            issued: op.issued,
+            retired: self.cycle,
+        };
+        let done = op.done;
         // The retire edge is the acknowledgement point: the oldest
-        // pending journal effect belongs to this write completion (the
-        // update pipe is FIFO, so the queues stay 1:1).
+        // pending journal effect belongs to this write completion (writes
+        // retire in issue order, so the queues stay 1:1).
         if matches!(done, Completion::Update(_) | Completion::Delete(_)) {
             if let Some(journal) = &mut self.journal {
                 journal.ack_one();
@@ -222,21 +273,16 @@ impl StreamingCam {
                 Completion::Update(_) | Completion::Delete(_) => "update_latency_cycles",
                 _ => "search_latency_cycles",
             };
-            // Result visible the cycle after the retire edge: latency =
-            // retire - arrival + 1 — the configured pipe latency plus
-            // any queueing behind the issue slot (arrival == issue for
-            // plain `issue`, so the histogram keeps its old meaning
-            // outside trace replay).
-            sink.observe(*scope, metric, self.cycle - arrival + 1);
+            // Result visible the cycle after the retire edge: the
+            // configured latency plus any queueing behind the issue slot
+            // (arrival == issue for plain `issue`, so the histogram keeps
+            // its old meaning outside trace replay).
+            sink.observe(*scope, metric, stamp.latency());
         }
         if let Some(log) = &mut self.retire_log {
-            log.push(RetireRecord {
-                arrival,
-                issued,
-                retired: self.cycle,
-            });
+            log.push(stamp);
         }
-        self.retired.push((self.cycle, done));
+        self.retired.push((stamp, done));
     }
 
     /// The wrapped unit (e.g. to reconfigure groups between phases; doing
@@ -333,17 +379,22 @@ impl StreamingCam {
         }
     }
 
-    /// The crash edge: discard the staged op and everything in flight
-    /// in both pipes *without retiring it*, and drop the journal's
-    /// unacknowledged tail. The completions of purged ops never reach
-    /// the client, which therefore owns their re-issue. Returns how
-    /// many operations were discarded.
-    pub fn purge_in_flight(&mut self) -> usize {
-        let purged = usize::from(self.pending.take().is_some())
-            + self.update_pipe.occupancy()
-            + self.search_pipe.occupancy();
-        self.update_pipe.flush();
-        self.search_pipe.flush();
+    /// The crash edge: discard everything in flight and the staged op
+    /// *without retiring it*, and drop the journal's unacknowledged
+    /// tail. The completions of purged ops never reach the client,
+    /// which therefore owns their re-issue: they are handed back as
+    /// `(op, arrival)` pairs in issue order, the staged op last. Effects
+    /// already applied to the unit stay.
+    pub fn purge_in_flight(&mut self) -> Vec<(Op, u64)> {
+        let in_flight = self.queues.iter().map(|q| q.ops.len()).sum::<usize>();
+        let mut purged = Vec::with_capacity(in_flight + 1);
+        while let Some(queue) = self.first_out(|q| q.ops.front().map(|op| op.issued)) {
+            let Some(op) = self.queues[queue].ops.pop_front() else {
+                break;
+            };
+            purged.push((op.op, op.arrival));
+        }
+        purged.extend(self.pending.take());
         if let Some(journal) = &mut self.journal {
             journal.drop_pending();
         }
@@ -395,16 +446,30 @@ impl StreamingCam {
         issued
     }
 
-    /// Completions retired so far as `(cycle, completion)` pairs;
-    /// draining resets the list.
-    pub fn drain_retired(&mut self) -> Vec<(u64, Completion)> {
-        std::mem::take(&mut self.retired)
+    /// Move the completions retired so far onto the end of `out`, each
+    /// with its [`RetireRecord`] stamps, in retire order; draining
+    /// resets the pipeline's list. A caller that harvests every cycle
+    /// reuses one `out`.
+    pub fn drain_retired(&mut self, out: &mut Vec<(RetireRecord, Completion)>) {
+        out.append(&mut self.retired);
+    }
+
+    /// The queue whose front leaves first: of the fronts `ready` names an
+    /// issue cycle for, the one issued earliest.
+    fn first_out(&self, ready: impl Fn(&RetireQueue) -> Option<u64>) -> Option<usize> {
+        let [writes, searches] = &self.queues;
+        match (ready(writes), ready(searches)) {
+            (Some(w), Some(s)) if w < s => Some(Self::WRITES),
+            (Some(_), None) => Some(Self::WRITES),
+            (_, Some(_)) => Some(Self::SEARCHES),
+            (None, None) => None,
+        }
     }
 
     /// Whether operations are still pending or in flight.
     #[must_use]
     pub fn in_flight(&self) -> bool {
-        !self.update_pipe.is_empty() || !self.search_pipe.is_empty() || self.pending.is_some()
+        self.pending.is_some() || self.queues.iter().any(|q| !q.ops.is_empty())
     }
 
     /// Tick until everything retires.
@@ -417,66 +482,62 @@ impl StreamingCam {
 
 impl Clocked for StreamingCam {
     fn tick(&mut self) {
-        let (arrival, into_update, into_search) = match self.pending.take() {
-            Some((Op::Update(words), arrival)) => {
-                let result = self.unit.update(&words);
-                if let Some(journal) = &mut self.journal {
-                    journal.push_pending(result.is_ok().then(|| JournalOp::Update(words.clone())));
+        if let Some((op, arrival)) = self.pending.take() {
+            let (queue, done) = match &op {
+                Op::Update(words) => {
+                    let result = self.unit.update(words);
+                    if let Some(journal) = &mut self.journal {
+                        journal
+                            .push_pending(result.is_ok().then(|| JournalOp::Update(words.clone())));
+                    }
+                    (Self::WRITES, Completion::Update(result))
                 }
-                (arrival, Some(Completion::Update(result)), None)
-            }
-            Some((Op::Search(key), arrival)) => {
-                let result = self.unit.search(key);
-                (arrival, None, Some(Completion::Search(result)))
-            }
-            Some((Op::SearchMulti(keys), arrival)) => {
-                let result = self.unit.try_search_multi(&keys);
-                (arrival, None, Some(Completion::SearchMulti(result)))
-            }
-            Some((Op::SearchStream(keys), arrival)) => {
-                let result = self.unit.search_stream(&keys);
-                (arrival, None, Some(Completion::SearchStream(result)))
-            }
-            Some((Op::Delete(key), arrival)) => {
-                let hit = self.unit.delete_first(key);
-                if let Some(journal) = &mut self.journal {
-                    journal.push_pending(hit.then_some(JournalOp::Delete(key)));
+                Op::Search(key) => (Self::SEARCHES, Completion::Search(self.unit.search(*key))),
+                Op::SearchMulti(keys) => (
+                    Self::SEARCHES,
+                    Completion::SearchMulti(self.unit.try_search_multi(keys)),
+                ),
+                Op::SearchStream(keys) => (
+                    Self::SEARCHES,
+                    Completion::SearchStream(self.unit.search_stream(keys)),
+                ),
+                Op::Delete(key) => {
+                    let hit = self.unit.delete_first(*key);
+                    if let Some(journal) = &mut self.journal {
+                        journal.push_pending(hit.then_some(JournalOp::Delete(*key)));
+                    }
+                    (Self::WRITES, Completion::Delete(hit))
                 }
-                (arrival, Some(Completion::Delete(hit)), None)
-            }
-            None => {
-                // An idle cycle drains the write buffer within its
-                // configured budget and still advances the background
-                // scrubber — exactly like hardware background engines
-                // stealing unused port cycles (both no-ops without their
-                // respective policies).
-                let budget = self
-                    .unit
-                    .config()
-                    .write_buffer
-                    .map_or(0, |w| w.drain_per_tick);
-                self.unit.drain_write_buffer(budget);
-                self.unit.scrub_tick();
-                (self.cycle, None, None)
-            }
-        };
-        let issued = self.cycle;
-        let from_update = self
-            .update_pipe
-            .shift(into_update.map(|c| (arrival, issued, c)));
-        let from_search = self
-            .search_pipe
-            .shift(into_search.map(|c| (arrival, issued, c)));
-        // Both pipes can reach their retire edge on the same tick (the
-        // update pipe is one stage shorter, so an update issued at N+1
-        // lands with a search issued at N). Same-cycle retirements must
-        // leave in program order — by issue cycle — not in a fixed pipe
-        // order.
-        let mut retiring: Vec<(u64, u64, Completion)> =
-            [from_update, from_search].into_iter().flatten().collect();
-        retiring.sort_by_key(|&(_, at, _)| at);
-        for (arrived, at, done) in retiring {
-            self.retire(arrived, at, done);
+            };
+            self.queues[queue].ops.push_back(InFlight {
+                op,
+                arrival,
+                issued: self.cycle,
+                done,
+            });
+        } else {
+            // An idle cycle drains the write buffer within its configured
+            // budget and still advances the background scrubber — exactly
+            // like hardware background engines stealing unused port
+            // cycles (both no-ops without their respective policies).
+            let budget = self
+                .unit
+                .config()
+                .write_buffer
+                .map_or(0, |w| w.drain_per_tick);
+            self.unit.drain_write_buffer(budget);
+            self.unit.scrub_tick();
+        }
+        // The retire edge. One issue per cycle puts at most one op per
+        // queue at this edge; the write path is shorter, so a write can
+        // meet a search issued one or two cycles before it, and
+        // same-edge retirements leave in program order — by issue cycle.
+        let now = self.cycle;
+        while let Some(queue) = self.first_out(|q| q.due(now)) {
+            let Some(op) = self.queues[queue].ops.pop_front() else {
+                break;
+            };
+            self.retire(op);
         }
         self.cycle += 1;
     }
@@ -496,18 +557,28 @@ mod tests {
             .expect("valid")
     }
 
+    /// The completions retired so far, each with its retire cycle.
+    fn take_retired(cam: &mut StreamingCam) -> Vec<(u64, Completion)> {
+        let mut retired = Vec::new();
+        cam.drain_retired(&mut retired);
+        retired
+            .into_iter()
+            .map(|(stamp, done)| (stamp.retired, done))
+            .collect()
+    }
+
     #[test]
     fn search_retires_after_exactly_search_latency_cycles() {
         let cfg = config();
         let mut cam = StreamingCam::new(cfg).unwrap();
         cam.issue(Op::Update(vec![42])).unwrap();
         cam.drain();
-        cam.drain_retired();
+        take_retired(&mut cam);
 
         let issue_cycle = cam.cycle();
         cam.issue(Op::Search(42)).unwrap();
         cam.drain();
-        let retired = cam.drain_retired();
+        let retired = take_retired(&mut cam);
         assert_eq!(retired.len(), 1);
         let (cycle, completion) = &retired[0];
         assert_eq!(
@@ -532,7 +603,7 @@ mod tests {
             ticks += 1;
         }
         assert_eq!(ticks, cfg.update_latency());
-        match &cam.drain_retired()[0].1 {
+        match &take_retired(&mut cam)[0].1 {
             Completion::Update(Ok(())) => {}
             other => panic!("unexpected {other:?}"),
         }
@@ -546,7 +617,7 @@ mod tests {
         let mut cam = StreamingCam::new(cfg).unwrap();
         cam.issue(Op::Update(vec![1, 2, 3, 4])).unwrap();
         cam.drain();
-        cam.drain_retired();
+        take_retired(&mut cam);
         let start = cam.cycle();
         let n = 100u64;
         for i in 0..n {
@@ -556,7 +627,7 @@ mod tests {
         cam.drain();
         let total = cam.cycle() - start;
         assert_eq!(total, n + cfg.search_latency() - 1);
-        let retired = cam.drain_retired();
+        let retired = take_retired(&mut cam);
         assert_eq!(retired.len(), n as usize);
         assert!(retired.iter().all(|(_, c)| matches!(
             c,
@@ -579,13 +650,13 @@ mod tests {
         let mut cam = StreamingCam::new(config()).unwrap();
         cam.issue(Op::Update(vec![10, 20])).unwrap();
         cam.drain();
-        cam.drain_retired();
+        take_retired(&mut cam);
         for key in [10u64, 99, 20] {
             cam.issue(Op::Search(key)).unwrap();
             cam.tick();
         }
         cam.drain();
-        let retired = cam.drain_retired();
+        let retired = take_retired(&mut cam);
         let hits: Vec<bool> = retired
             .iter()
             .map(|(_, c)| match c {
@@ -598,15 +669,15 @@ mod tests {
 
     #[test]
     fn mixed_update_search_streams_stay_ordered_per_pipe() {
-        // Updates retire one cycle before a search issued the cycle after
-        // them (6- vs 8-cycle pipes at this size); both pipes advance in
-        // lockstep without losing completions.
+        // An update retires two edges before a search issued the cycle
+        // after it (6- vs 7-cycle latencies at this size); neither queue
+        // loses a completion.
         let mut cam = StreamingCam::new(config()).unwrap();
         cam.issue(Op::Update(vec![5])).unwrap();
         cam.tick();
         cam.issue(Op::Search(5)).unwrap();
         cam.drain();
-        let retired = cam.drain_retired();
+        let retired = take_retired(&mut cam);
         assert_eq!(retired.len(), 2);
         assert!(matches!(retired[0].1, Completion::Update(Ok(()))));
         match &retired[1].1 {
@@ -621,20 +692,20 @@ mod tests {
 
     #[test]
     fn same_cycle_retirements_follow_issue_order() {
-        // With a 7-cycle search pipe and a 6-cycle update pipe, a search
-        // issued at cycle N and an update issued at N+1 retire at the
-        // same edge; program order demands the search come out first.
+        // With 7-cycle searches and 6-cycle updates, a search issued at
+        // cycle N and an update issued at N+1 retire at the same edge;
+        // program order demands the search come out first.
         let cfg = config();
         assert_eq!(cfg.search_latency() - cfg.update_latency(), 1);
         let mut cam = StreamingCam::new(cfg).unwrap();
         cam.issue(Op::Update(vec![5])).unwrap();
         cam.drain();
-        cam.drain_retired();
+        take_retired(&mut cam);
         cam.issue(Op::Search(5)).unwrap();
         cam.tick();
         cam.issue(Op::Update(vec![6])).unwrap();
         cam.drain();
-        let retired = cam.drain_retired();
+        let retired = take_retired(&mut cam);
         assert_eq!(retired.len(), 2);
         assert_eq!(retired[0].0, retired[1].0, "both retire at the same edge");
         assert!(
@@ -656,7 +727,7 @@ mod tests {
         let mut cam = StreamingCam::new(cfg).unwrap();
         cam.issue(Op::Update(vec![1, 2, 3])).unwrap(); // over capacity
         cam.drain();
-        match &cam.drain_retired()[0].1 {
+        match &take_retired(&mut cam)[0].1 {
             Completion::Update(Err(CamError::Full { rejected, .. })) => assert_eq!(*rejected, 1),
             other => panic!("unexpected {other:?}"),
         }
@@ -669,11 +740,11 @@ mod tests {
         cam.unit_mut().configure_groups(4).unwrap();
         cam.issue(Op::Update(vec![10, 20, 30])).unwrap();
         cam.drain();
-        cam.drain_retired();
+        take_retired(&mut cam);
         let issue_cycle = cam.cycle();
         cam.issue(Op::SearchMulti(vec![10, 99, 30, 20])).unwrap();
         cam.drain();
-        let retired = cam.drain_retired();
+        let retired = take_retired(&mut cam);
         assert_eq!(retired.len(), 1);
         assert_eq!(retired[0].0 - issue_cycle, cfg.search_latency() - 1);
         match &retired[0].1 {
@@ -691,7 +762,7 @@ mod tests {
         // Single group: two concurrent keys is one too many.
         cam.issue(Op::SearchMulti(vec![1, 2])).unwrap();
         cam.drain();
-        match &cam.drain_retired()[0].1 {
+        match &take_retired(&mut cam)[0].1 {
             Completion::SearchMulti(Err(CamError::TooManyQueries {
                 presented,
                 capacity,
@@ -709,7 +780,7 @@ mod tests {
         cam.unit_mut().configure_groups(4).unwrap();
         cam.issue(Op::Update(vec![10, 20, 30])).unwrap();
         cam.drain();
-        cam.drain_retired();
+        take_retired(&mut cam);
         let issue_cycle = cam.cycle();
         let issued = cam.unit().issue_cycles();
         // 7 keys (5 unique) exceed the 4 groups: the batched path packs
@@ -717,7 +788,7 @@ mod tests {
         cam.issue(Op::SearchStream(vec![10, 99, 10, 30, 20, 40, 99]))
             .unwrap();
         cam.drain();
-        let retired = cam.drain_retired();
+        let retired = take_retired(&mut cam);
         assert_eq!(retired.len(), 1);
         assert_eq!(retired[0].0 - issue_cycle, cfg.search_latency() - 1);
         match &retired[0].1 {
@@ -752,10 +823,10 @@ mod tests {
             cam.unit_mut().configure_groups(4).unwrap();
             cam.issue(Op::Update((0..100u64).collect())).unwrap();
             cam.drain();
-            cam.drain_retired();
+            take_retired(&mut cam);
             cam.issue(Op::SearchStream(stream.clone())).unwrap();
             cam.drain();
-            let retired = cam.drain_retired();
+            let retired = take_retired(&mut cam);
             assert_eq!(retired.len(), 1);
             let results = match &retired[0].1 {
                 Completion::SearchStream(results) => results.clone(),
@@ -776,7 +847,7 @@ mod tests {
         cam.unit_mut().configure_groups(4).unwrap();
         cam.issue_batch([Op::Update(vec![1, 2, 3, 4])]);
         cam.drain();
-        cam.drain_retired();
+        take_retired(&mut cam);
         let start = cam.cycle();
         let batch: Vec<Op> = (0..50)
             .map(|i| Op::SearchMulti(vec![1 + (i % 4), 2, 3, 4]))
@@ -788,7 +859,7 @@ mod tests {
             50 + cfg.search_latency() - 1,
             "II = 1: N ops retire in N + latency - 1 cycles"
         );
-        let retired = cam.drain_retired();
+        let retired = take_retired(&mut cam);
         assert_eq!(retired.len(), 50);
         assert!(retired.iter().all(|(_, c)| matches!(
             c,
@@ -803,7 +874,7 @@ mod tests {
         // The staged update must not be clobbered by the batch.
         cam.issue_batch([Op::Search(5)]);
         cam.drain();
-        let retired = cam.drain_retired();
+        let retired = take_retired(&mut cam);
         assert!(matches!(retired[0].1, Completion::Update(Ok(()))));
         assert!(
             matches!(&retired[1].1, Completion::Search(hit) if hit.is_match()),
@@ -841,12 +912,12 @@ mod tests {
         }
         assert_eq!(cam.buffer_depth(), 0, "idle drain reached quiescence");
         cam.drain();
-        cam.drain_retired();
+        take_retired(&mut cam);
         // The drained contents answer searches physically.
         cam.issue(Op::Search(11)).unwrap();
         cam.drain();
         assert!(matches!(
-            &cam.drain_retired()[0].1,
+            &take_retired(&mut cam)[0].1,
             Completion::Search(hit) if hit.is_match()
         ));
     }
@@ -857,13 +928,13 @@ mod tests {
         let mut cam = StreamingCam::new(cfg).unwrap();
         cam.issue(Op::Update(vec![10, 20])).unwrap();
         cam.drain();
-        cam.drain_retired();
+        take_retired(&mut cam);
         let issue_cycle = cam.cycle();
         cam.issue(Op::Delete(10)).unwrap();
         cam.tick();
         cam.issue(Op::Delete(99)).unwrap();
         cam.drain();
-        let retired = cam.drain_retired();
+        let retired = take_retired(&mut cam);
         assert_eq!(retired.len(), 2);
         assert_eq!(
             retired[0].0 - issue_cycle,
@@ -875,7 +946,7 @@ mod tests {
         cam.issue(Op::Search(10)).unwrap();
         cam.drain();
         assert!(matches!(
-            &cam.drain_retired()[0].1,
+            &take_retired(&mut cam)[0].1,
             Completion::Search(miss) if !miss.is_match()
         ));
     }
@@ -931,7 +1002,7 @@ mod tests {
         cam.issue(Op::Update(vec![42])).unwrap();
         cam.tick();
         let journal = cam.write_journal().unwrap();
-        assert_eq!(journal.unacked_len(), 1, "applied but still in the pipe");
+        assert_eq!(journal.unacked_len(), 1, "applied but still in flight");
         assert_eq!(journal.acked_len(), 0);
         cam.drain();
         let journal = cam.write_journal().unwrap();
@@ -959,16 +1030,28 @@ mod tests {
         cam.enable_write_journal(64);
         cam.issue(Op::Update(vec![1])).unwrap();
         cam.drain();
-        cam.drain_retired();
+        take_retired(&mut cam);
         // One acked write, then two in flight plus one staged.
+        let start = cam.cycle();
         cam.issue(Op::Update(vec![2])).unwrap();
         cam.tick();
         cam.issue(Op::Search(1)).unwrap();
         cam.tick();
         cam.issue(Op::Update(vec![3])).unwrap();
-        assert_eq!(cam.purge_in_flight(), 3);
+        assert_eq!(
+            cam.purge_in_flight(),
+            vec![
+                (Op::Update(vec![2]), start),
+                (Op::Search(1), start + 1),
+                (Op::Update(vec![3]), start + 2),
+            ],
+            "purged ops come back in issue order, the staged op last"
+        );
         assert!(!cam.in_flight());
-        assert!(cam.drain_retired().is_empty(), "nothing retires post-purge");
+        assert!(
+            take_retired(&mut cam).is_empty(),
+            "nothing retires post-purge"
+        );
         let journal = cam.write_journal().unwrap();
         assert_eq!(journal.acked_len(), 1, "acked prefix survives");
         assert_eq!(journal.unacked_len(), 0, "unacked tail dropped");
@@ -998,7 +1081,7 @@ mod tests {
         cam.tick();
         cam.issue(Op::Search(7)).unwrap();
         cam.drain();
-        cam.drain_retired();
+        take_retired(&mut cam);
 
         let snap = sink.snapshot();
         let update = snap

@@ -515,7 +515,8 @@ mod tests {
         pipe.unit_mut().inject_fault(fault);
         pipe.issue(Op::SearchStream(vec![5, 9])).unwrap();
         pipe.drain();
-        let retired = pipe.drain_retired();
+        let mut retired = Vec::new();
+        pipe.drain_retired(&mut retired);
         assert!(
             matches!(&retired[..], [(_, Completion::SearchStream(hits))] if *hits == expected),
             "{retired:?}"

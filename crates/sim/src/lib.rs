@@ -3,24 +3,31 @@
 //! Small, dependency-light building blocks for cycle-level hardware
 //! modelling, shared by every crate in the workspace:
 //!
-//! * [`clock`] — the [`clock::Clocked`] trait;
-//! * [`pipeline`] — fixed-depth pipeline registers ([`pipeline::Pipe`]),
-//!   the tool with which every datapath latency in the CAM model is built;
+//! * [`clock`] — the [`clock::Clocked`] trait, which every cycle-level
+//!   model implements (the CAM's streaming pipeline keeps its latencies
+//!   in issue-ordered retire queues of its own);
 //! * [`memory`] — a DDR4 channel model (512-bit data path) used by the
 //!   triangle-counting case study;
-//! * [`stats`] — throughput counters.
+//! * [`arbiter`] — a round-robin arbiter;
+//! * [`stats`] — throughput counters;
+//! * [`vcd`] — a value-change-dump writer for waveform viewers.
 //!
 //! ## Example
 //!
 //! ```
-//! use dsp_cam_sim::Pipe;
+//! use dsp_cam_sim::memory::MemRequest;
+//! use dsp_cam_sim::{Clocked, DdrChannel};
 //!
-//! // A 3-deep pipeline: values emerge three shifts later.
-//! let mut pipe = Pipe::new(3);
-//! assert_eq!(pipe.shift(Some(1)), None);
-//! assert_eq!(pipe.shift(Some(2)), None);
-//! assert_eq!(pipe.shift(Some(3)), None);
-//! assert_eq!(pipe.shift(None), Some(1));
+//! // One 64-byte beat behind the channel's first-word latency.
+//! let mut ddr = DdrChannel::default();
+//! ddr.request(7, MemRequest { addr: 0, bytes: 64 });
+//! let mut cycles = 0;
+//! while !ddr.is_idle() {
+//!     ddr.tick();
+//!     cycles += 1;
+//! }
+//! assert_eq!(ddr.take_completed(), vec![7]);
+//! assert_eq!(cycles, ddr.access_cycles(MemRequest { addr: 0, bytes: 64 }));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -29,13 +36,11 @@
 pub mod arbiter;
 pub mod clock;
 pub mod memory;
-pub mod pipeline;
 pub mod stats;
 pub mod vcd;
 
 pub use arbiter::RoundRobin;
 pub use clock::Clocked;
 pub use memory::{DdrChannel, DdrConfig};
-pub use pipeline::Pipe;
 pub use stats::Throughput;
 pub use vcd::Vcd;

@@ -10,10 +10,10 @@
 //! * [`replay_direct`] applies the same trace through transaction-level
 //!   [`CamUnit`] calls with no clock at all.
 //!
-//! The two arms retire completions in different global orders (the
-//! update pipe is one stage shorter than the search pipe, so streaming
-//! can retire a later write before an earlier search), but *within*
-//! each pipe order is preserved. [`split_by_pipe`] projects a
+//! The two arms retire completions in different global orders (writes
+//! retire one or two cycles sooner than searches, so streaming can
+//! retire a later write before an earlier search), but *within* each
+//! pipe order is preserved. [`split_by_pipe`] projects a
 //! completion list onto its write-path and search-path subsequences;
 //! the differential contract is that both arms agree per pipe, and on
 //! the unit snapshot and per-block counters at quiescence.
@@ -93,12 +93,10 @@ fn prefill(unit: &mut CamUnit, trace: &Trace) {
 pub fn replay_streaming(trace: &Trace, cam: &mut StreamingCam) -> ReplayOutcome {
     prefill(cam.unit_mut(), trace);
     cam.enable_retire_log();
-    cam.drain_retired();
+    cam.drain_retired(&mut Vec::new());
 
     let start = cam.cycle();
-    let mut at = start;
-    for record in &trace.records {
-        at += u64::from(record.gap);
+    for (record, at) in trace.records.iter().zip(trace.arrivals(start)) {
         while cam.cycle() < at {
             cam.tick();
         }
@@ -120,8 +118,10 @@ pub fn replay_streaming(trace: &Trace, cam: &mut StreamingCam) -> ReplayOutcome 
         cam.tick();
     }
 
+    let mut retired = Vec::new();
+    cam.drain_retired(&mut retired);
     let mut outcome = ReplayOutcome {
-        completions: cam.drain_retired().into_iter().map(|(_, c)| c).collect(),
+        completions: retired.into_iter().map(|(_, c)| c).collect(),
         records: cam.take_retire_log(),
         ticks: cam.cycle() - start,
         ..ReplayOutcome::default()

@@ -147,18 +147,13 @@ impl Trace {
         self.records.iter().map(|r| r.op.to_op())
     }
 
-    /// Arrival cycle of every record: prefix sums of the gaps, starting
-    /// from `base`.
-    #[must_use]
-    pub fn arrivals(&self, base: u64) -> Vec<u64> {
-        let mut at = base;
-        self.records
-            .iter()
-            .map(|r| {
-                at += u64::from(r.gap);
-                at
-            })
-            .collect()
+    /// Arrival cycle of every record, in record order: running sums of
+    /// the gaps, starting from `base`.
+    pub fn arrivals(&self, base: u64) -> impl Iterator<Item = u64> + '_ {
+        self.records.iter().scan(base, |at, r| {
+            *at += u64::from(r.gap);
+            Some(*at)
+        })
     }
 
     /// FNV-1a digest over the seed, prefill, gaps, and every op's tag
@@ -268,7 +263,8 @@ mod tests {
 
     #[test]
     fn arrivals_are_gap_prefix_sums() {
-        assert_eq!(sample().arrivals(10), vec![11, 11, 15, 16, 16]);
+        let arrivals: Vec<u64> = sample().arrivals(10).collect();
+        assert_eq!(arrivals, vec![11, 11, 15, 16, 16]);
     }
 
     #[test]

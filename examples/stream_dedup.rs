@@ -39,6 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut first_seen = Vec::new();
     let mut inserted = std::collections::HashSet::new();
     let mut idx = 0usize;
+    let mut retired = Vec::new();
     while idx < trace.len() || cam.in_flight() {
         if idx < trace.len() {
             let flow = trace[idx];
@@ -54,7 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             idx += 1;
         }
         cam.tick();
-        for (_, completion) in cam.drain_retired() {
+        cam.drain_retired(&mut retired);
+        for (_, completion) in retired.drain(..) {
             if let Completion::Search(hit) = completion {
                 if !hit.is_match() {
                     first_seen.push(hit);
@@ -86,12 +88,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut probe = StreamingCam::new(config)?;
     probe.issue(Op::Update(vec![42])).expect("free slot");
     probe.drain();
-    probe.drain_retired();
+    probe.drain_retired(&mut Vec::new());
     let issue_at = probe.cycle();
     probe.issue(Op::Search(42)).expect("free slot");
     probe.drain();
-    let retired = probe.drain_retired();
-    let (retire_cycle, _) = retired[0];
+    probe.drain_retired(&mut retired);
+    let retire_cycle = retired[0].0.retired;
     println!(
         "Timing check: search issued at cycle {issue_at}, retired at cycle \
          {retire_cycle} — latency {} cycles as Table VIII specifies.",

@@ -42,6 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     let mut script = script.into_iter();
+    let mut retired = Vec::new();
     loop {
         let t = cam.cycle();
         // Drive the issue-side signals for this cycle.
@@ -70,8 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         cam.tick();
         // Capture the retire side.
-        let retired = cam.drain_retired();
-        match retired.last() {
+        retired.clear();
+        cam.drain_retired(&mut retired);
+        match retired.last().map(|(stamp, done)| (&stamp.retired, done)) {
             Some((cycle, Completion::Search(hit))) => {
                 vcd.sample(*cycle, s_retire_valid, 1);
                 vcd.sample(*cycle, s_retire_match, u64::from(hit.is_match()));

@@ -106,7 +106,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let staged_before = cam.buffer_depth();
     cam.issue(Op::Search(tail[3])).expect("free slot");
     cam.drain();
-    let retired = cam.drain_retired();
+    let mut retired = Vec::new();
+    cam.drain_retired(&mut retired);
     let Some((_, Completion::Search(hit))) = retired.last() else {
         unreachable!("search retires last");
     };

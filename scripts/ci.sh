@@ -83,6 +83,20 @@ echo "==> exact-match index suite (obs)"
 run_filtered -q --offline -p dsp-cam-core --features obs --test exact_index
 run_filtered -q --offline -p dsp-cam-core --features obs --lib -- exact::
 
+# The modelled cycle schedule: StreamingCam's issue/retire timing
+# against its reference model at both search latencies, and two seeded
+# replay_cluster runs on write-buffered shards (fault-free, and through
+# a crash and a stall) whose ticks, issues, stalls, queue peak, per-shard
+# retire counts and latency percentiles, retries and recovery ticks are
+# pinned exactly. Both feature sets, through run_filtered so a rename
+# cannot drop them.
+echo "==> cycle schedule pins (default)"
+run_filtered -q --offline -p dsp-cam-core --test streaming_timing
+run_filtered -q --offline -p dsp-cam-cluster --test replay_timing
+echo "==> cycle schedule pins (obs)"
+run_filtered -q --offline -p dsp-cam-core --features obs --test streaming_timing
+run_filtered -q --offline -p dsp-cam-cluster --features obs --test replay_timing
+
 # Table IX's cycle check: the hardware-model triangle count takes each
 # edge's compute cycles from the driven unit's issue counter, and must
 # agree with the analytical model's formula, at the case-study geometry

@@ -100,7 +100,8 @@ fn streaming_pipeline_survives_error_completions() {
     cam.tick();
     cam.issue(Op::Search(1)).expect("slot");
     cam.drain();
-    let retired = cam.drain_retired();
+    let mut retired = Vec::new();
+    cam.drain_retired(&mut retired);
     assert_eq!(retired.len(), 3);
     assert!(matches!(retired[0].1, Completion::Update(Ok(()))));
     assert!(matches!(

@@ -32,7 +32,7 @@ fn streaming_pipeline_reproduces_transaction_results() {
         reference.update(beat).unwrap();
     }
     streaming.drain();
-    streaming.drain_retired();
+    streaming.drain_retired(&mut Vec::new());
 
     // Stream a mixed probe set and compare every retired result with the
     // transaction-level answer.
@@ -42,7 +42,8 @@ fn streaming_pipeline_reproduces_transaction_results() {
         streaming.tick();
     }
     streaming.drain();
-    let retired = streaming.drain_retired();
+    let mut retired = Vec::new();
+    streaming.drain_retired(&mut retired);
     assert_eq!(retired.len(), probes.len());
     for (&probe, (_, completion)) in probes.iter().zip(&retired) {
         match completion {
@@ -73,7 +74,7 @@ fn phase_change_with_snapshot_accounting() {
     cam.unit_mut().configure_groups(8).unwrap();
     cam.issue(Op::Update(vec![100, 200])).expect("slot");
     cam.drain();
-    cam.drain_retired();
+    cam.drain_retired(&mut Vec::new());
     let hits = cam.unit_mut().search_multi(&[100, 200, 300]);
     assert!(hits[0].is_match());
     assert!(hits[1].is_match());
@@ -128,14 +129,16 @@ fn delete_and_masked_update_through_the_streaming_wrapper() {
     cam.unit_mut().update_masked(0xAB00, 0x00FF).unwrap();
     cam.issue(Op::Search(0xABCD)).expect("slot");
     cam.drain();
-    let retired = cam.drain_retired();
+    let mut retired = Vec::new();
+    cam.drain_retired(&mut retired);
     assert!(matches!(&retired[0].1,
         Completion::Search(hit) if hit.is_match()));
 
     assert!(cam.unit_mut().delete_first(0xAB11));
     cam.issue(Op::Search(0xABCD)).expect("slot");
     cam.drain();
-    let retired = cam.drain_retired();
+    retired.clear();
+    cam.drain_retired(&mut retired);
     assert!(matches!(&retired[0].1,
         Completion::Search(hit) if !hit.is_match()));
 }
