@@ -335,7 +335,7 @@ mod tests {
     #[test]
     fn obs_histogram_quantiles_bracket_the_retire_log_percentiles() {
         // The pipeline's obs histograms (log2 buckets) and the exact
-        // retire-log percentiles must tell the same story: the bucket
+        // retire-stamp percentiles must tell the same story: the bucket
         // upper-edge quantile is >= the exact percentile and within 2x.
         use std::sync::Arc;
 

@@ -244,7 +244,6 @@ pub struct CamCluster {
     /// Stall cycles of each completed migration, in completion order.
     stall_log: Vec<u64>,
     key_mask: u64,
-    cycle: u64,
     /// How long writes wait for a failed shard before they are shed.
     shed_policy: ShedPolicy,
     /// Replica epochs and shard health — `None` until
@@ -277,7 +276,6 @@ impl CamCluster {
             migration: None,
             counters: ClusterCounters::default(),
             stall_log: Vec::new(),
-            cycle: 0,
             shed_policy: ShedPolicy::default(),
             failover: None,
         })
@@ -389,10 +387,12 @@ impl CamCluster {
         &self.stall_log
     }
 
-    /// The cluster's lockstep cycle count.
+    /// The cluster's lockstep cycle count: every shard's clock, since
+    /// all of them tick together and a rebuild swaps a shard's unit, not
+    /// its pipeline.
     #[must_use]
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.shards[0].cycle()
     }
 
     /// Whether a migration window is open.
@@ -444,7 +444,6 @@ impl CamCluster {
         for cam in &mut self.shards {
             cam.tick();
         }
-        self.cycle += 1;
         if let Some(m) = &mut self.migration {
             if m.copied < m.moved.len() {
                 m.copied += 1;
@@ -458,52 +457,52 @@ impl CamCluster {
     /// finished rebuilds, and refresh replica epochs at clean ticks
     /// (cadence hits, post-rebuild, or journal over its watermark).
     fn step_failover(&mut self) {
+        let now = self.cycle();
         let Some(fo) = &mut self.failover else { return };
-        let now = self.cycle;
         let interval = fo.replication.refresh_interval;
         if interval > 0 && now.is_multiple_of(interval) {
             for flag in &mut fo.due_refresh {
                 *flag = true;
             }
         }
-        for shard in 0..self.shards.len() {
-            match fo.health[shard] {
+        for (shard, health) in fo.health.iter_mut().enumerate() {
+            *health = match std::mem::replace(health, ShardHealth::Healthy) {
                 ShardHealth::Stalled { since, until } if now >= until => {
-                    fo.health[shard] = ShardHealth::Healthy;
                     fo.stats.recovery_ticks.push(now - since);
+                    ShardHealth::Healthy
                 }
-                ShardHealth::Rebuilding { since, ready_at } if now >= ready_at => {
-                    let rebuilt = fo.rebuilds[shard]
-                        .take()
-                        .expect("rebuilding shard has a rebuilt unit");
+                ShardHealth::Rebuilding {
+                    since,
+                    ready_at,
+                    unit,
+                } if now >= ready_at => {
                     // Nothing is in flight: the crash purged the pipeline
                     // and the closed issue port kept it empty.
-                    let _dead = self.shards[shard].replace_unit(rebuilt);
-                    fo.health[shard] = ShardHealth::Healthy;
+                    let _dead = self.shards[shard].replace_unit(*unit);
                     fo.stats.rebuilds_completed += 1;
                     fo.stats.recovery_ticks.push(now - since);
                     // Epoch the rebuilt contents right away so the next
                     // failure does not replay this outage's journal.
                     fo.due_refresh[shard] = true;
+                    ShardHealth::Healthy
                 }
-                _ => {}
-            }
+                other => other,
+            };
         }
-        for shard in 0..self.shards.len() {
-            let (clean, over) = self.shards[shard]
-                .write_journal()
-                .map_or((false, false), |j| {
-                    (j.unacked_len() == 0, j.over_watermark())
-                });
+        for (shard, cam) in self.shards.iter_mut().enumerate() {
+            // A clean journal mark: no write is in flight on the shard,
+            // so the journal holds every one it has applied.
+            let (clean, over) = cam.write_journal().map_or((false, false), |journal| {
+                (cam.writes_in_flight() == 0, journal.over_watermark())
+            });
             if matches!(fo.health[shard], ShardHealth::Healthy)
                 && clean
                 && (fo.due_refresh[shard] || over)
             {
-                fo.epochs[shard] = self.shards[shard].unit().rehydrate();
-                self.shards[shard]
-                    .write_journal_mut()
-                    .expect("journal enabled with failover")
-                    .truncate();
+                fo.epochs[shard] = cam.unit().rehydrate();
+                if let Some(journal) = cam.write_journal_mut() {
+                    journal.truncate();
+                }
                 fo.due_refresh[shard] = false;
             }
         }
@@ -968,13 +967,9 @@ impl CamCluster {
     /// Shard `i`'s current logical contents: its in-flight rebuild while
     /// it is down, its live unit otherwise.
     fn logical_unit(&mut self, i: usize) -> &mut CamUnit {
-        match self
-            .failover
-            .as_mut()
-            .and_then(|fo| fo.rebuilds[i].as_mut())
-        {
-            Some(rebuilt) => rebuilt,
-            None => self.shards[i].unit_mut(),
+        match self.failover.as_mut().map(|fo| &mut fo.health[i]) {
+            Some(ShardHealth::Rebuilding { unit, .. }) => unit,
+            _ => self.shards[i].unit_mut(),
         }
     }
 
@@ -1024,18 +1019,19 @@ impl CamCluster {
                 shards: self.shards.len(),
             });
         }
+        let now = self.cycle();
         let Some(fo) = self.failover.as_mut() else {
             return Err(ClusterError::FailoverDisabled);
         };
-        if fo.health[shard] != ShardHealth::Healthy {
+        if !matches!(fo.health[shard], ShardHealth::Healthy) {
             return Ok(Vec::new());
         }
         fo.stats.failures_detected += 1;
         match fault {
             ShardFault::Stall { ticks } => {
                 fo.health[shard] = ShardHealth::Stalled {
-                    since: self.cycle,
-                    until: self.cycle + ticks.max(1),
+                    since: now,
+                    until: now + ticks.max(1),
                 };
                 Ok(Vec::new())
             }
@@ -1051,11 +1047,11 @@ impl CamCluster {
     /// window open — the frozen replica keeps answering and cutover
     /// waits on the rebuild.
     fn crash_shard(&mut self, shard: usize) -> Vec<(Op, u64)> {
+        let now = self.cycle();
         // `fail_shard` crashes shards of failover clusters only.
         let Some(fo) = &mut self.failover else {
             return Vec::new();
         };
-        let now = self.cycle;
         let purged = self.shards[shard].purge_in_flight();
         let mut rebuilt = fo.epochs[shard].rehydrate();
         let epoch_words = rebuilt.stored_words().len();
@@ -1066,10 +1062,10 @@ impl CamCluster {
         // Restore bandwidth model: one word per tick for the epoch plus
         // one per journal entry replayed.
         let ready_at = now + 1 + epoch_words as u64 + replayed as u64;
-        fo.rebuilds[shard] = Some(rebuilt);
         fo.health[shard] = ShardHealth::Rebuilding {
             since: now,
             ready_at,
+            unit: Box::new(rebuilt),
         };
         if let Some(m) = self.migration.take_if(|m| m.dest == shard) {
             self.rollback_migration(m);
@@ -1181,19 +1177,11 @@ impl ClusterSnapshot {
             per_shard[shard].0.push(key);
             per_shard[shard].1.push(pos);
         }
-        let mut results: Vec<Option<SearchResult>> = vec![None; keys.len()];
-        for (shard, (batch, positions)) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let sub = self.replicas[shard].search_stream(&batch);
-            for (pos, result) in positions.into_iter().zip(sub) {
-                results[pos] = Some(result);
-            }
+        let mut answers: Vec<(usize, SearchResult)> = Vec::with_capacity(keys.len());
+        for ((batch, positions), replica) in per_shard.into_iter().zip(&mut self.replicas) {
+            answers.extend(positions.into_iter().zip(replica.search_stream(&batch)));
         }
-        results
-            .into_iter()
-            .map(|r| r.expect("every key answered"))
-            .collect()
+        answers.sort_unstable_by_key(|&(pos, _)| pos);
+        answers.into_iter().map(|(_, result)| result).collect()
     }
 }

@@ -33,8 +33,8 @@ use dsp_cam_core::unit::CamUnit;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicationConfig {
     /// Cycle cadence at which healthy shards refresh their epoch
-    /// (the refresh waits for the first tick with no unacknowledged
-    /// writes so the epoch is a clean journal mark). `0` disables the
+    /// (the refresh waits for the first tick with no write in flight on
+    /// the shard so the epoch is a clean journal mark). `0` disables the
     /// cadence; epochs still refresh after every rebuild and whenever
     /// the journal outgrows its watermark.
     pub refresh_interval: u64,
@@ -200,7 +200,7 @@ pub struct FailoverStats {
 }
 
 /// Serving state of one shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub(crate) enum ShardHealth {
     /// Serving normally.
     Healthy,
@@ -218,6 +218,9 @@ pub(crate) enum ShardHealth {
         /// First cycle the rebuilt unit can be reinstalled (models the
         /// restore bandwidth of one word per tick).
         ready_at: u64,
+        /// The `epoch + journal` unit, reinstalled at `ready_at`: the
+        /// shard's logical contents until then.
+        unit: Box<CamUnit>,
     },
 }
 
@@ -231,9 +234,6 @@ pub(crate) struct FailoverState {
     /// last clean journal mark (mutable because searching a unit is
     /// `&mut`).
     pub epochs: Vec<CamUnit>,
-    /// Per-shard in-flight rebuild: the `epoch + journal` unit,
-    /// reinstalled at its [`ShardHealth::Rebuilding`] `ready_at`.
-    pub rebuilds: Vec<Option<CamUnit>>,
     /// Per-shard flag: refresh the epoch at the next clean tick.
     pub due_refresh: Vec<bool>,
     pub stats: FailoverStats,
@@ -246,7 +246,6 @@ impl FailoverState {
             replication,
             health: vec![ShardHealth::Healthy; shards],
             epochs,
-            rebuilds: (0..shards).map(|_| None).collect(),
             due_refresh: vec![false; shards],
             stats: FailoverStats::default(),
         }

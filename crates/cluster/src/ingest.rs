@@ -244,8 +244,11 @@ fn presented_of(op: &Op) -> u64 {
 
 /// The cluster's issue engine: dispatched sub-issues, deferred writes,
 /// and the tallies of everything it issued, answered, retried and shed.
-/// Its per-cycle and per-record buffers live here and are reused, so a
-/// step allocates nothing of its own.
+/// What it has issued lives on the shards alone: each shard's issue slot
+/// refuses a second op in a cycle, and its retire queues hold the ops in
+/// flight until they retire or a crash hands them back. Its per-record
+/// and harvest buffers live here and are reused, so a step allocates
+/// nothing of its own.
 #[derive(Debug)]
 struct Dispatcher {
     policy: ShedPolicy,
@@ -258,15 +261,10 @@ struct Dispatcher {
     deferred: VecDeque<DeferredWrite>,
     /// Sub-issues waiting for an issue slot, in dispatch order.
     subs: VecDeque<PendingSub>,
-    /// Per shard, whether this cycle's issue slot is taken.
-    claimed: Vec<bool>,
-    /// Per shard, sub-issues issued and not yet harvested: only a shard
-    /// with some can retire anything, so only it is harvested.
-    in_flight: Vec<usize>,
     /// The routing of the record being dispatched.
     plan: RecordPlan,
-    /// One shard's completions of the current cycle, with their stamps.
-    harvest: Vec<(RetireRecord, Completion)>,
+    /// One shard's drained completions, with their stamps.
+    drained: Vec<(RetireRecord, Completion)>,
     outcome: ClusterReplayOutcome,
 }
 
@@ -283,18 +281,18 @@ impl Dispatcher {
             deferred: VecDeque::new(),
             budget: vec![policy.retry_budget; shards],
             was_healthy: vec![true; shards],
-            claimed: vec![false; shards],
-            in_flight: vec![0; shards],
             plan: RecordPlan::new(shards),
-            harvest: Vec::new(),
+            drained: Vec::new(),
             outcome,
         }
     }
 
     /// Whether some dispatched sub-issue has neither retired nor been
-    /// shed.
-    fn busy(&self) -> bool {
-        !self.subs.is_empty() || !self.deferred.is_empty() || self.in_flight.iter().any(|&n| n > 0)
+    /// shed: it waits here, or a shard holds it in flight.
+    fn busy(&self, cluster: &CamCluster) -> bool {
+        !self.subs.is_empty()
+            || !self.deferred.is_empty()
+            || (0..cluster.num_shards()).any(|i| cluster.shard(i).in_flight())
     }
 
     /// Replenish a shard's retry budget when it comes back.
@@ -330,30 +328,26 @@ impl Dispatcher {
     }
 
     /// One cycle: issue what the shards can take — deferred writes
-    /// first (they are the oldest work), then the dispatch queue, each
-    /// shard's slot `claimed` once — tick the cluster, and pull retired
-    /// completions off every shard with ops in flight, handing each to
-    /// `retired` with its shard.
-    fn step(&mut self, cluster: &mut CamCluster, mut retired: impl FnMut(usize, Completion)) {
+    /// first (they are the oldest work), then the dispatch queue, one op
+    /// per shard — tick the cluster, and harvest what retired.
+    fn step(&mut self, cluster: &mut CamCluster, retired: impl FnMut(usize, Completion)) {
         let now = cluster.cycle();
-        self.claimed.fill(false);
         self.issue_deferred(cluster, now);
         self.issue_queued(cluster, now);
         cluster.tick();
-        for (i, in_flight) in self.in_flight.iter_mut().enumerate() {
-            if *in_flight == 0 {
+        self.harvest(cluster, retired);
+    }
+
+    /// Pull the completions retired so far off every shard, handing each
+    /// to `retired` with its shard.
+    fn harvest(&mut self, cluster: &mut CamCluster, mut retired: impl FnMut(usize, Completion)) {
+        for i in 0..cluster.num_shards() {
+            cluster.shard_mut(i).drain_retired(&mut self.drained);
+            if self.drained.is_empty() {
                 continue;
             }
-            cluster.shard_mut(i).drain_retired(&mut self.harvest);
-            debug_assert!(
-                self.harvest.len() <= *in_flight,
-                "shard {i} retired an op this engine did not issue"
-            );
-            // Should that ever fail, stop counting rather than wrap and
-            // keep the engine busy forever.
-            *in_flight = in_flight.saturating_sub(self.harvest.len());
             let mut latencies = self.outcome.per_shard_latencies.get_mut(i);
-            for (stamp, done) in self.harvest.drain(..) {
+            for (stamp, done) in self.drained.drain(..) {
                 cluster.tally(&done);
                 self.outcome.completions += 1;
                 if let Some(latencies) = &mut latencies {
@@ -373,14 +367,15 @@ impl Dispatcher {
             let target = cluster
                 .resolve_shard(&head.sub.op)
                 .unwrap_or(head.sub.shard);
-            let healthy = cluster.shard_healthy(target);
-            if healthy && !self.claimed[target] {
+            if cluster.shard_healthy(target) {
                 head.sub.shard = target;
-                self.issue(cluster, head.sub);
-                continue;
-            }
-            if healthy {
-                self.outcome.head_of_line_stalls += 1;
+                match self.issue(cluster, head.sub) {
+                    Ok(()) => continue,
+                    Err(sub) => {
+                        head.sub = sub;
+                        self.outcome.head_of_line_stalls += 1;
+                    }
+                }
             } else if now >= head.due {
                 head.attempts += 1;
                 self.outcome.write_retries += 1;
@@ -400,8 +395,8 @@ impl Dispatcher {
     /// The dispatch queue, in order. Writes bound for a failed shard (or
     /// queued behind deferred writes — FIFO among writes keeps per-key
     /// order) defer; reads bound for a failed shard answer degraded
-    /// immediately; everything else issues while its shard's slot is
-    /// free.
+    /// immediately; everything else issues until a shard's slot refuses
+    /// one, which stalls the head.
     fn issue_queued(&mut self, cluster: &mut CamCluster, now: u64) {
         while let Some(mut sub) = self.subs.pop_front() {
             sub.shard = cluster.resolve_shard(&sub.op).unwrap_or(sub.shard);
@@ -418,12 +413,11 @@ impl Dispatcher {
                 Op::Search(key) if !healthy => std::slice::from_ref(key),
                 Op::SearchStream(keys) | Op::SearchMulti(keys) if !healthy => keys,
                 _ => {
-                    if self.claimed[sub.shard] {
+                    if let Err(sub) = self.issue(cluster, sub) {
                         self.outcome.head_of_line_stalls += 1;
                         self.subs.push_front(sub);
                         break;
                     }
-                    self.issue(cluster, sub);
                     continue;
                 }
             };
@@ -437,28 +431,31 @@ impl Dispatcher {
         }
     }
 
-    /// Issue `sub` on its (re-resolved, healthy, unclaimed) shard. The
-    /// shard holds the op until it retires, and a crash hands it back.
-    fn issue(&mut self, cluster: &mut CamCluster, sub: PendingSub) {
-        self.claimed[sub.shard] = true;
-        self.in_flight[sub.shard] += 1;
-        // `claimed` hands each shard's slot out once per cycle and every
-        // tick empties it, so the port is free.
-        let free = cluster
-            .shard_mut(sub.shard)
-            .issue_at(sub.op, sub.arrival)
-            .is_ok();
-        debug_assert!(free, "slot claimed once per cycle");
-        self.outcome.issued += 1;
+    /// Issue `sub` on its (re-resolved, healthy) shard, or hand it back
+    /// if the shard's issue slot is taken this cycle. The shard holds the
+    /// op until it retires, and a crash hands it back.
+    fn issue(&mut self, cluster: &mut CamCluster, mut sub: PendingSub) -> Result<(), PendingSub> {
+        match cluster.shard_mut(sub.shard).issue_at(sub.op, sub.arrival) {
+            Ok(()) => {
+                self.outcome.issued += 1;
+                Ok(())
+            }
+            Err(op) => {
+                sub.op = op;
+                Err(sub)
+            }
+        }
     }
 
-    /// Stop early: drop what is queued or deferred unissued, and tick
-    /// the cluster until what was issued has retired, so no later engine
-    /// harvests a completion it did not issue.
+    /// Stop early: drop what is queued or deferred unissued, take what
+    /// already retired (a migration's quiesce may have ticked it out),
+    /// and tick the cluster until what was issued has retired, so no
+    /// later engine harvests a completion it did not issue.
     fn abandon(mut self, cluster: &mut CamCluster) {
         self.subs.clear();
         self.deferred.clear();
-        while self.busy() {
+        self.harvest(cluster, |_, _| {});
+        while self.busy(cluster) {
             self.step(cluster, |_, _| {});
         }
     }
@@ -468,7 +465,6 @@ impl Dispatcher {
     /// arrive, so they are un-issued and go around again.
     fn requeue_purged(&mut self, shard: usize, purged: Vec<(Op, u64)>) {
         self.outcome.issued -= purged.len() as u64;
-        self.in_flight[shard] -= purged.len();
         for (op, arrival) in purged.into_iter().rev() {
             self.subs.push_front(PendingSub { shard, op, arrival });
         }
@@ -532,7 +528,11 @@ pub fn replay_cluster(
     let mut migrate = config.migrate;
     let mut faults = config.faults.clone();
 
-    while records.peek().is_some() || !queue.is_empty() || engine.busy() || !cluster.settled() {
+    while records.peek().is_some()
+        || !queue.is_empty()
+        || engine.busy(cluster)
+        || !cluster.settled()
+    {
         let now = cluster.cycle();
 
         // Fire due shard faults. A crash purges the shard's in-flight
@@ -636,7 +636,7 @@ pub(crate) fn transact(
     let mut answers = std::mem::take(&mut engine.plan.frozen);
     answers.append(&mut engine.plan.degraded);
     let mut writes = Vec::new();
-    while engine.busy() {
+    while engine.busy(cluster) {
         engine.replenish(cluster);
         engine.step(cluster, |shard, done| {
             let at = positions[shard].iter().copied();

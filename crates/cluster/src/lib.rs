@@ -47,6 +47,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::expect_used, clippy::unwrap_used))]
 
 mod cluster;
 mod failover;

@@ -92,39 +92,6 @@ fn a_transactional_stream_issues_every_shard_in_the_same_cycle() {
 }
 
 #[test]
-fn transactional_calls_after_a_replay_leave_no_retire_log_behind() {
-    let trace = generate(&WorkloadConfig {
-        seed: 0xC2,
-        ops: 200,
-        key_space: 1024,
-        zipf_s: 0.9,
-        mix: OpMix::READ_HEAVY,
-        stream_batch: 4,
-        arrival: Arrival::BackToBack,
-        churn_per_mille: 50,
-        prefill: 32,
-        max_live: Some(64),
-        eviction_min_gap: 1,
-    })
-    .unwrap();
-    let mut cluster = cluster(4);
-    let outcome = replay_cluster(&trace, &mut cluster, &IngestConfig::default()).unwrap();
-    assert_eq!(outcome.dropped, 0);
-
-    for key in 0..50 {
-        let _ = cluster.search(key);
-    }
-    for i in 0..4 {
-        let left = cluster.shard(i).retire_log();
-        assert!(
-            left.is_empty(),
-            "shard {i} kept {} retire records",
-            left.len()
-        );
-    }
-}
-
-#[test]
 fn migration_preserves_content_and_reassigns_the_slot() {
     let mut cluster = cluster(4);
     let keys: Vec<u64> = (1..=48).collect();

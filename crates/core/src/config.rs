@@ -41,14 +41,9 @@ pub enum FidelityMode {
 /// and repairs divergence in place (see [`crate::scrub`]). Search paths
 /// additionally cross-check one answer in every `crosscheck_interval`
 /// against the oracle; a divergent answer is repaired and degrades the
-/// tier from Turbo to BitAccurate. After `restore_after`
-/// consecutive clean full sweeps the original tier is restored.
-///
-/// `strict` selects error semantics on a cross-check divergence:
-/// `false` (self-healing, the default) silently serves the corrected
-/// answer; `true` additionally surfaces
-/// [`CamError::ShadowDivergence`](crate::error::CamError::ShadowDivergence)
-/// from the fallible search paths — state is still repaired either way.
+/// tier from Turbo to BitAccurate; every search path serves the
+/// corrected answer. After `restore_after` consecutive clean full sweeps
+/// the original tier is restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScrubPolicy {
     /// Shadow cells audited (and repaired if divergent) per operation.
@@ -58,14 +53,11 @@ pub struct ScrubPolicy {
     pub crosscheck_interval: u64,
     /// Consecutive clean full sweeps before a degraded tier is restored.
     pub restore_after: u64,
-    /// Surface [`CamError::ShadowDivergence`](crate::error::CamError::ShadowDivergence)
-    /// instead of healing silently.
-    pub strict: bool,
 }
 
 impl Default for ScrubPolicy {
     /// The default policy: 32 cells per op, one cross-check per 8192
-    /// unique keys, restore after 4 clean sweeps, self-healing mode.
+    /// unique keys, restore after 4 clean sweeps.
     ///
     /// Each cross-check replays the answer through the bit-accurate
     /// oracle — a full group scan — so the interval dominates the scrub
@@ -77,7 +69,6 @@ impl Default for ScrubPolicy {
             cells_per_op: 32,
             crosscheck_interval: 8192,
             restore_after: 4,
-            strict: false,
         }
     }
 }
@@ -408,7 +399,6 @@ pub struct UnitConfigBuilder {
     block_size: usize,
     block_bus_width: Option<u32>,
     encoding: Encoding,
-    encoder_buffer: Option<bool>,
     num_blocks: usize,
     bus_width: u32,
     fidelity: FidelityMode,
@@ -426,7 +416,6 @@ impl Default for UnitConfigBuilder {
             block_size: 128,
             block_bus_width: None,
             encoding: Encoding::Priority,
-            encoder_buffer: None,
             num_blocks: 4,
             bus_width: 512,
             fidelity: FidelityMode::BitAccurate,
@@ -477,14 +466,6 @@ impl UnitConfigBuilder {
     #[must_use]
     pub fn encoding(mut self, encoding: Encoding) -> Self {
         self.encoding = encoding;
-        self
-    }
-
-    /// Force the encoder output buffer on or off (defaults to the paper's
-    /// policy: on when the unit exceeds 2048 cells).
-    #[must_use]
-    pub fn encoder_buffer(mut self, on: bool) -> Self {
-        self.encoder_buffer = Some(on);
         self
     }
 
@@ -540,8 +521,9 @@ impl UnitConfigBuilder {
     ///
     /// Returns the first [`ConfigError`] found by the Table III rules.
     pub fn build(self) -> Result<UnitConfig, ConfigError> {
-        let total = self.block_size * self.num_blocks;
-        let buffer = self.encoder_buffer.unwrap_or(total >= 2048);
+        // The paper's policy: the encoder output buffer is on from 2,048
+        // cells.
+        let buffer = self.block_size * self.num_blocks >= 2048;
         let cell = CellConfig {
             kind: self.kind,
             data_width: self.data_width,
@@ -591,7 +573,6 @@ mod tests {
             .block_size(64)
             .block_bus_width(256)
             .encoding(Encoding::MatchCount)
-            .encoder_buffer(true)
             .num_blocks(8)
             .bus_width(512)
             .build()
@@ -600,7 +581,7 @@ mod tests {
         assert_eq!(c.block.cell.data_width, 24);
         assert_eq!(c.block.bus_width, 256);
         assert_eq!(c.block.encoding, Encoding::MatchCount);
-        assert!(c.block.encoder_buffer);
+        assert!(!c.block.encoder_buffer, "512 cells: no encoder buffer");
         assert_eq!(c.total_cells(), 512);
     }
 
@@ -717,7 +698,6 @@ mod tests {
         assert_eq!(p.cells_per_op, 32);
         assert_eq!(p.crosscheck_interval, 8192);
         assert_eq!(p.restore_after, 4, "K (clean sweeps to restore) is 4");
-        assert!(!p.strict, "self-healing mode is the default");
         assert_eq!(UnitConfig::default().scrub, None, "scrubbing is opt-in");
         let c = UnitConfig::builder()
             .scrub(ScrubPolicy::default())

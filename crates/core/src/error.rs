@@ -175,16 +175,6 @@ pub enum CamError {
     /// A range entry was presented to a non-range-matching CAM (or vice
     /// versa a plain value to an RMCAM update path that expects ranges).
     KindMismatch,
-    /// A sampled cross-check caught a shadow answer diverging from the
-    /// DSP oracle. The divergent state has already been repaired and the
-    /// tier degraded; this error is only surfaced under
-    /// [`ScrubPolicy::strict`](crate::config::ScrubPolicy).
-    ShadowDivergence {
-        /// The group whose answer diverged.
-        group: usize,
-        /// The (masked) search key that exposed the divergence.
-        key: u64,
-    },
 }
 
 impl fmt::Display for CamError {
@@ -217,10 +207,6 @@ impl fmt::Display for CamError {
             CamError::KindMismatch => {
                 write!(f, "operation does not match the configured CAM kind")
             }
-            CamError::ShadowDivergence { group, key } => write!(
-                f,
-                "shadow answer for key {key:#x} in group {group} diverged from the DSP oracle (repaired; tier degraded)"
-            ),
         }
     }
 }
@@ -327,12 +313,6 @@ mod tests {
         .to_string();
         assert!(msg.contains('7') && msg.contains("block"), "{msg:?}");
         assert!(!CamError::KindMismatch.to_string().is_empty());
-        let msg = CamError::ShadowDivergence {
-            group: 2,
-            key: 0xAB,
-        }
-        .to_string();
-        assert!(msg.contains("0xab") && msg.contains("group 2"), "{msg:?}");
     }
 
     #[test]

@@ -8,31 +8,30 @@
 //! that epoch. [`OpJournal`] is that log.
 //!
 //! The journal hooks the streaming write path
-//! ([`StreamingCam`](crate::pipelined::StreamingCam)) at two edges:
+//! ([`StreamingCam`](crate::pipelined::StreamingCam)) at one edge,
+//! **retire**: when an update or delete applied while the journal was on
+//! reaches its retire edge, its content effect — an admitted update's
+//! words, moved out of the retiring op, or the key of a delete that hit
+//! — is appended to the log with a monotonic sequence number. A rejected
+//! update or a missed delete changes nothing and appends nothing. Writes
+//! retire in issue order, so log order is apply order.
 //!
-//! * **apply** — when an update or delete takes the issue slot, its
-//!   content effect (or `None` for a rejected update / missed delete)
-//!   is pushed onto a pending queue. The op is *applied* but not yet
-//!   *acknowledged*: its completion is still in the update pipe.
-//! * **retire** — when the completion reaches the retire edge, the
-//!   oldest pending effect is popped; content-changing effects are
-//!   appended to the acknowledged log with a monotonic sequence number.
-//!   The update pipe is FIFO, so ack order equals apply order.
-//!
-//! A crash between the two edges drops the pending tail (the client
-//! never saw an acknowledgement, so it must re-issue), while the acked
-//! prefix is exactly what snapshot + replay must reproduce — the
-//! zero-lost-acknowledged-writes contract.
+//! Until its retire edge a write is applied but not *acknowledged*, and
+//! only the pipeline's retire queue holds it. A crash in between purges
+//! it unjournaled (the client never saw an acknowledgement, so it must
+//! re-issue), while the log is exactly what snapshot + replay must
+//! reproduce — the zero-lost-acknowledged-writes contract.
 //!
 //! Mutations that bypass the pipeline (prefill, migration staging,
 //! cutover deletes, rollback repairs) are recorded through
-//! [`OpJournal::append_direct`] so the `epoch + journal` identity keeps
+//! [`OpJournal::append`] too, so the `epoch + journal` identity keeps
 //! holding for shards the cluster mutates transactionally.
 //!
 //! The journal is *bounded*: [`OpJournal::over_watermark`] flags when
-//! the acked log outgrows its capacity, telling the failover layer to
-//! take a fresh epoch and [`OpJournal::truncate`] at the next clean
-//! point (no pending writes).
+//! the log outgrows its capacity, telling the failover layer to take a
+//! fresh epoch and [`OpJournal::truncate`] at the next clean point (no
+//! write in flight on the shard,
+//! [`StreamingCam::writes_in_flight`](crate::pipelined::StreamingCam::writes_in_flight)).
 //!
 //! [`rehydrate`]: crate::unit::CamUnit::rehydrate
 
@@ -79,15 +78,11 @@ pub struct JournalEntry {
 }
 
 /// Bounded log of acknowledged content-changing writes since the last
-/// snapshot epoch (see the module docs for the apply/retire protocol).
+/// snapshot epoch (see the module docs for when a write is recorded).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct OpJournal {
     /// Acknowledged effects since the last truncation, in ack order.
     acked: VecDeque<JournalEntry>,
-    /// Applied-but-unacknowledged effects, oldest first. `None` marks a
-    /// write that changed nothing (rejected update, missed delete) —
-    /// kept so the queue stays 1:1 with in-flight write completions.
-    pending: VecDeque<Option<JournalOp>>,
     next_seq: u64,
     capacity: usize,
 }
@@ -107,34 +102,15 @@ impl OpJournal {
         );
         OpJournal {
             acked: VecDeque::new(),
-            pending: VecDeque::new(),
             next_seq: 0,
             capacity,
         }
     }
 
-    /// Record the content effect of an op at its apply edge (`None`
-    /// when it changed nothing).
-    pub(crate) fn push_pending(&mut self, op: Option<JournalOp>) {
-        self.pending.push_back(op);
-    }
-
-    /// Acknowledge the oldest pending effect (the matching completion
-    /// reached the retire edge). A no-op when nothing is pending —
-    /// write ops issued before the journal was enabled retire benignly.
-    pub(crate) fn ack_one(&mut self) {
-        if let Some(Some(op)) = self.pending.pop_front() {
-            self.acked.push_back(JournalEntry {
-                seq: self.next_seq,
-                op,
-            });
-            self.next_seq += 1;
-        }
-    }
-
-    /// Record an already-acknowledged effect that bypassed the pipeline
-    /// (prefill, migration staging, cutover, rollback repair).
-    pub fn append_direct(&mut self, op: JournalOp) {
+    /// Record an acknowledged effect: a write at its retire edge, or one
+    /// that bypassed the pipeline (prefill, migration staging, cutover,
+    /// rollback repair).
+    pub fn append(&mut self, op: JournalOp) {
         self.acked.push_back(JournalEntry {
             seq: self.next_seq,
             op,
@@ -159,12 +135,6 @@ impl OpJournal {
         self.acked.len()
     }
 
-    /// Number of applied-but-unacknowledged effects in flight.
-    #[must_use]
-    pub fn unacked_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// The sequence number the next acknowledged entry will get — a log
     /// mark for [`OpJournal::acked_since`].
     #[must_use]
@@ -180,18 +150,9 @@ impl OpJournal {
     }
 
     /// Drop the acked log (a fresh snapshot epoch covers it). Sequence
-    /// numbers keep counting; pending effects are untouched.
+    /// numbers keep counting.
     pub fn truncate(&mut self) {
         self.acked.clear();
-    }
-
-    /// Drop the applied-but-unacknowledged tail — the crash edge: those
-    /// writes were never acknowledged, so the client owns their retry.
-    /// Returns how many effects were dropped.
-    pub fn drop_pending(&mut self) -> usize {
-        let dropped = self.pending.len();
-        self.pending.clear();
-        dropped
     }
 
     /// Replay every acknowledged effect in order onto `unit` and flush
@@ -230,56 +191,24 @@ mod tests {
     }
 
     #[test]
-    fn ack_order_matches_apply_order_and_skips_no_ops() {
-        let mut j = OpJournal::new(8);
-        j.push_pending(Some(JournalOp::Update(vec![1])));
-        j.push_pending(None); // rejected update
-        j.push_pending(Some(JournalOp::Delete(1)));
-        assert_eq!(j.unacked_len(), 3);
-        j.ack_one();
-        j.ack_one();
-        j.ack_one();
-        let acked: Vec<_> = j.acked().cloned().collect();
-        assert_eq!(acked.len(), 2);
-        assert_eq!(acked[0].seq, 0);
-        assert_eq!(acked[0].op, JournalOp::Update(vec![1]));
-        assert_eq!(acked[1].seq, 1);
-        assert_eq!(acked[1].op, JournalOp::Delete(1));
-        // Over-acking (ops issued before enablement) is benign.
-        j.ack_one();
-        assert_eq!(j.acked_len(), 2);
-    }
-
-    #[test]
     fn truncate_keeps_sequence_numbers_monotonic() {
         let mut j = OpJournal::new(4);
-        j.append_direct(JournalOp::Update(vec![7]));
+        j.append(JournalOp::Update(vec![7]));
         j.truncate();
         assert_eq!(j.acked_len(), 0);
-        j.append_direct(JournalOp::Delete(7));
+        j.append(JournalOp::Delete(7));
         assert_eq!(j.acked().next().unwrap().seq, 1, "seq survives truncation");
         assert_eq!(j.acked_since(1).count(), 1);
         assert_eq!(j.acked_since(2).count(), 0);
     }
 
     #[test]
-    fn drop_pending_models_the_crash_edge() {
-        let mut j = OpJournal::new(4);
-        j.push_pending(Some(JournalOp::Update(vec![3])));
-        j.ack_one();
-        j.push_pending(Some(JournalOp::Update(vec![4])));
-        assert_eq!(j.drop_pending(), 1);
-        assert_eq!(j.unacked_len(), 0);
-        assert_eq!(j.acked_len(), 1, "acked prefix survives the crash");
-    }
-
-    #[test]
     fn watermark_trips_above_capacity() {
         let mut j = OpJournal::new(2);
-        j.append_direct(JournalOp::Update(vec![1]));
-        j.append_direct(JournalOp::Update(vec![2]));
+        j.append(JournalOp::Update(vec![1]));
+        j.append(JournalOp::Update(vec![2]));
         assert!(!j.over_watermark());
-        j.append_direct(JournalOp::Update(vec![3]));
+        j.append(JournalOp::Update(vec![3]));
         assert!(j.over_watermark());
         j.truncate();
         assert!(!j.over_watermark());
@@ -291,10 +220,10 @@ mod tests {
         let mut j = OpJournal::new(16);
         for w in [5u64, 9, 5, 12] {
             live.update(&[w]).unwrap();
-            j.append_direct(JournalOp::Update(vec![w]));
+            j.append(JournalOp::Update(vec![w]));
         }
         live.delete_first(5);
-        j.append_direct(JournalOp::Delete(5));
+        j.append(JournalOp::Delete(5));
 
         let mut rebuilt = unit();
         assert_eq!(j.replay_onto(&mut rebuilt), 5);

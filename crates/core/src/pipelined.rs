@@ -9,6 +9,13 @@
 //! queue, one per datapath (writes and searches), until its retire edge
 //! — so Table VI/VIII's "throughput = frequency" rows can be
 //! *demonstrated*, not just computed.
+//!
+//! A queue entry is the only record of an op in flight: it owns the op,
+//! its cycle stamps and its answer. At the retire edge the completion
+//! leaves with its stamps, and a write's content effect, built from the
+//! op the entry owns, joins the write journal if one is on (see
+//! [`crate::journal`]). A crash ([`StreamingCam::purge_in_flight`])
+//! hands the entries' ops back unretired.
 
 use std::collections::VecDeque;
 #[cfg(feature = "obs")]
@@ -69,9 +76,9 @@ pub enum Completion {
     Delete(bool),
 }
 
-/// One completion's cycle stamps (see [`StreamingCam::drain_retired`]
-/// and [`StreamingCam::enable_retire_log`]): what attributes end-to-end
-/// latency to an operation replayed from a trace.
+/// One completion's cycle stamps (see [`StreamingCam::drain_retired`]):
+/// what attributes end-to-end latency to an operation replayed from a
+/// trace.
 ///
 /// `retired - arrival + 1` is the workload-visible retire latency: the
 /// configured latency plus however long the op queued behind the single
@@ -175,14 +182,14 @@ pub struct StreamingCam {
     /// Completions retired and not yet drained, with their stamps, in
     /// retire order.
     retired: Vec<(RetireRecord, Completion)>,
-    /// Every completion's stamps since logging was enabled (see
-    /// [`StreamingCam::enable_retire_log`]).
-    retire_log: Option<Vec<RetireRecord>>,
-    /// Optional acknowledged-write journal (see [`OpJournal`]): write
-    /// ops record their content effect at the apply edge and are
-    /// acknowledged at the retire edge — the durability log cluster
-    /// failover rebuilds crashed shards from.
+    /// Optional acknowledged-write journal (see [`OpJournal`]): a write
+    /// records its content effect at its retire edge — the durability
+    /// log cluster failover rebuilds crashed shards from.
     journal: Option<OpJournal>,
+    /// The cycle [`StreamingCam::enable_write_journal`] last ran at:
+    /// writes issued before it were applied without a journal, so they
+    /// retire unjournaled.
+    journal_since: u64,
     /// Observability sink plus the interned `"pipeline"` scope the
     /// retire-latency histograms land under.
     #[cfg(feature = "obs")]
@@ -217,8 +224,8 @@ impl StreamingCam {
             ],
             cycle: 0,
             retired: Vec::new(),
-            retire_log: None,
             journal: None,
+            journal_since: 0,
             #[cfg(feature = "obs")]
             observer: None,
         }
@@ -259,12 +266,19 @@ impl StreamingCam {
             retired: self.cycle,
         };
         let done = op.done;
-        // The retire edge is the acknowledgement point: the oldest
-        // pending journal effect belongs to this write completion (writes
-        // retire in issue order, so the queues stay 1:1).
-        if matches!(done, Completion::Update(_) | Completion::Delete(_)) {
+        // The retire edge acknowledges a write: a journal on since before
+        // it was applied records what it changed, moved out of the op.
+        if op.issued >= self.journal_since {
             if let Some(journal) = &mut self.journal {
-                journal.ack_one();
+                match (op.op, &done) {
+                    (Op::Update(words), Completion::Update(Ok(()))) => {
+                        journal.append(JournalOp::Update(words));
+                    }
+                    (Op::Delete(key), Completion::Delete(true)) => {
+                        journal.append(JournalOp::Delete(key));
+                    }
+                    _ => {}
+                }
             }
         }
         #[cfg(feature = "obs")]
@@ -278,9 +292,6 @@ impl StreamingCam {
             // (arrival == issue for plain `issue`, so the histogram keeps
             // its old meaning outside trace replay).
             sink.observe(*scope, metric, stamp.latency());
-        }
-        if let Some(log) = &mut self.retire_log {
-            log.push(stamp);
         }
         self.retired.push((stamp, done));
     }
@@ -352,10 +363,12 @@ impl StreamingCam {
 
     /// Start journaling acknowledged content-changing writes (capacity
     /// is the [`OpJournal::over_watermark`] threshold, not a hard cap).
-    /// Any previous journal is replaced. Enable before issuing write
-    /// ops: writes already in flight retire without a journal record.
+    /// Any previous journal is replaced. Only writes applied from now on
+    /// are journaled: writes already in flight retire without a journal
+    /// record.
     pub fn enable_write_journal(&mut self, capacity: usize) {
         self.journal = Some(OpJournal::new(capacity));
+        self.journal_since = self.cycle;
     }
 
     /// The acknowledged-write journal, if enabled.
@@ -375,16 +388,16 @@ impl StreamingCam {
     /// repairs). A no-op when no journal is enabled.
     pub fn journal_direct(&mut self, op: JournalOp) {
         if let Some(journal) = &mut self.journal {
-            journal.append_direct(op);
+            journal.append(op);
         }
     }
 
     /// The crash edge: discard everything in flight and the staged op
-    /// *without retiring it*, and drop the journal's unacknowledged
-    /// tail. The completions of purged ops never reach the client,
-    /// which therefore owns their re-issue: they are handed back as
-    /// `(op, arrival)` pairs in issue order, the staged op last. Effects
-    /// already applied to the unit stay.
+    /// *without retiring it*. The completions of purged ops never reach
+    /// the client, which therefore owns their re-issue: they are handed
+    /// back as `(op, arrival)` pairs in issue order, the staged op last.
+    /// Effects already applied to the unit stay; a purged write never
+    /// reaches its retire edge, so the journal never records it.
     pub fn purge_in_flight(&mut self) -> Vec<(Op, u64)> {
         let in_flight = self.queues.iter().map(|q| q.ops.len()).sum::<usize>();
         let mut purged = Vec::with_capacity(in_flight + 1);
@@ -395,35 +408,7 @@ impl StreamingCam {
             purged.push((op.op, op.arrival));
         }
         purged.extend(self.pending.take());
-        if let Some(journal) = &mut self.journal {
-            journal.drop_pending();
-        }
         purged
-    }
-
-    /// Start logging `(arrival, issued, retired)` stamps for every
-    /// completion (cleared of any previous log). Zero-cost until
-    /// enabled; [`StreamingCam::take_retire_log`] drains the log.
-    pub fn enable_retire_log(&mut self) {
-        self.retire_log = Some(Vec::new());
-    }
-
-    /// The retire log accumulated since
-    /// [`StreamingCam::enable_retire_log`], left in place (empty if
-    /// logging was never enabled).
-    #[must_use]
-    pub fn retire_log(&self) -> &[RetireRecord] {
-        self.retire_log.as_deref().unwrap_or_default()
-    }
-
-    /// Take the retire log accumulated since
-    /// [`StreamingCam::enable_retire_log`] (logging stays enabled).
-    /// Empty if logging was never enabled.
-    pub fn take_retire_log(&mut self) -> Vec<RetireRecord> {
-        match &mut self.retire_log {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
     }
 
     /// Issue a batch of operations back to back at initiation interval 1:
@@ -472,6 +457,15 @@ impl StreamingCam {
         self.pending.is_some() || self.queues.iter().any(|q| !q.ops.is_empty())
     }
 
+    /// Writes (updates and deletes) applied and not yet retired. At 0,
+    /// the write journal (if on) holds every content change made by the
+    /// writes applied since it was enabled: a clean mark for a snapshot
+    /// epoch.
+    #[must_use]
+    pub fn writes_in_flight(&self) -> usize {
+        self.queues[Self::WRITES].ops.len()
+    }
+
     /// Tick until everything retires.
     pub fn drain(&mut self) {
         while self.in_flight() {
@@ -484,14 +478,7 @@ impl Clocked for StreamingCam {
     fn tick(&mut self) {
         if let Some((op, arrival)) = self.pending.take() {
             let (queue, done) = match &op {
-                Op::Update(words) => {
-                    let result = self.unit.update(words);
-                    if let Some(journal) = &mut self.journal {
-                        journal
-                            .push_pending(result.is_ok().then(|| JournalOp::Update(words.clone())));
-                    }
-                    (Self::WRITES, Completion::Update(result))
-                }
+                Op::Update(words) => (Self::WRITES, Completion::Update(self.unit.update(words))),
                 Op::Search(key) => (Self::SEARCHES, Completion::Search(self.unit.search(*key))),
                 Op::SearchMulti(keys) => (
                     Self::SEARCHES,
@@ -501,13 +488,10 @@ impl Clocked for StreamingCam {
                     Self::SEARCHES,
                     Completion::SearchStream(self.unit.search_stream(keys)),
                 ),
-                Op::Delete(key) => {
-                    let hit = self.unit.delete_first(*key);
-                    if let Some(journal) = &mut self.journal {
-                        journal.push_pending(hit.then_some(JournalOp::Delete(*key)));
-                    }
-                    (Self::WRITES, Completion::Delete(hit))
-                }
+                Op::Delete(key) => (
+                    Self::WRITES,
+                    Completion::Delete(self.unit.delete_first(*key)),
+                ),
             };
             self.queues[queue].ops.push_back(InFlight {
                 op,
@@ -955,7 +939,6 @@ mod tests {
     fn issue_at_charges_queueing_delay_to_the_retire_latency() {
         let cfg = config();
         let mut cam = StreamingCam::new(cfg).unwrap();
-        cam.enable_retire_log();
         // Three searches "arrive" in the same cycle; the single issue
         // slot serialises them, so op i queues i cycles.
         let arrival = cam.cycle();
@@ -964,9 +947,10 @@ mod tests {
             cam.tick();
         }
         cam.drain();
-        let log = cam.take_retire_log();
+        let mut log = Vec::new();
+        cam.drain_retired(&mut log);
         assert_eq!(log.len(), 3);
-        for (i, rec) in log.iter().enumerate() {
+        for (i, (rec, _)) in log.drain(..).enumerate() {
             assert_eq!(rec.arrival, arrival);
             assert_eq!(rec.issued, arrival + i as u64);
             assert_eq!(
@@ -978,20 +962,8 @@ mod tests {
         // Future arrivals clamp to the issue cycle.
         cam.issue_at(Op::Search(1), u64::MAX).unwrap();
         cam.drain();
-        let log = cam.take_retire_log();
-        assert_eq!(log[0].latency(), cfg.search_latency());
-    }
-
-    #[test]
-    fn retire_log_is_empty_until_enabled() {
-        let mut cam = StreamingCam::new(config()).unwrap();
-        cam.issue(Op::Search(7)).unwrap();
-        cam.drain();
-        assert!(cam.take_retire_log().is_empty());
-        cam.enable_retire_log();
-        cam.issue(Op::Search(7)).unwrap();
-        cam.drain();
-        assert_eq!(cam.take_retire_log().len(), 1);
+        cam.drain_retired(&mut log);
+        assert_eq!(log[0].0.latency(), cfg.search_latency());
     }
 
     #[test]
@@ -1001,12 +973,11 @@ mod tests {
         cam.enable_write_journal(64);
         cam.issue(Op::Update(vec![42])).unwrap();
         cam.tick();
-        let journal = cam.write_journal().unwrap();
-        assert_eq!(journal.unacked_len(), 1, "applied but still in flight");
-        assert_eq!(journal.acked_len(), 0);
+        assert_eq!(cam.writes_in_flight(), 1, "applied but still in flight");
+        assert_eq!(cam.write_journal().unwrap().acked_len(), 0);
         cam.drain();
+        assert_eq!(cam.writes_in_flight(), 0);
         let journal = cam.write_journal().unwrap();
-        assert_eq!(journal.unacked_len(), 0);
         assert_eq!(journal.acked_len(), 1);
         assert_eq!(
             journal.acked().next().unwrap().op,
@@ -1026,6 +997,7 @@ mod tests {
 
     #[test]
     fn purge_in_flight_drops_unacked_writes_and_their_completions() {
+        use crate::journal::JournalOp;
         let mut cam = StreamingCam::new(config()).unwrap();
         cam.enable_write_journal(64);
         cam.issue(Op::Update(vec![1])).unwrap();
@@ -1052,9 +1024,55 @@ mod tests {
             take_retired(&mut cam).is_empty(),
             "nothing retires post-purge"
         );
+        assert_eq!(cam.writes_in_flight(), 0);
+        for _ in 0..cam.unit().config().search_latency() {
+            cam.tick();
+        }
         let journal = cam.write_journal().unwrap();
         assert_eq!(journal.acked_len(), 1, "acked prefix survives");
-        assert_eq!(journal.unacked_len(), 0, "unacked tail dropped");
+        assert_eq!(
+            journal.acked().last().map(|entry| &entry.op),
+            Some(&JournalOp::Update(vec![1])),
+            "the purged writes never reach the journal"
+        );
+    }
+
+    /// A write applied before the journal was enabled retires
+    /// unjournaled and acknowledges nothing else: the write applied
+    /// after it stays unacknowledged until its own retire edge, so a
+    /// crash in between leaves it out of the journal.
+    #[test]
+    fn a_write_applied_before_the_journal_acknowledges_no_later_write() {
+        let mut cam = StreamingCam::new(config()).unwrap();
+        cam.issue(Op::Update(vec![1])).unwrap();
+        cam.tick();
+        cam.enable_write_journal(64);
+        cam.issue(Op::Update(vec![2])).unwrap();
+        cam.tick();
+        let mut retired = Vec::new();
+        while retired.is_empty() {
+            cam.tick();
+            cam.drain_retired(&mut retired);
+        }
+        assert!(
+            matches!(&retired[..], [(_, Completion::Update(Ok(())))]),
+            "update 1 retired alone: {retired:?}"
+        );
+        assert!(cam.in_flight(), "update 2 is still in flight");
+        let acked: Vec<_> = cam.write_journal().unwrap().acked().cloned().collect();
+        assert!(
+            acked.is_empty(),
+            "journal acked {acked:?} while update 2 is in flight"
+        );
+        assert_eq!(cam.purge_in_flight().len(), 1, "update 2 purged");
+        for _ in 0..cam.unit().config().update_latency() {
+            cam.tick();
+        }
+        assert_eq!(
+            cam.write_journal().unwrap().acked_len(),
+            0,
+            "nothing journaled: update 1 predates the journal, update 2 never retired"
+        );
     }
 
     #[test]

@@ -714,7 +714,6 @@ mod tests {
                 cells_per_op: 16,
                 crosscheck_interval: 4,
                 restore_after: 2,
-                strict: false,
             })
             .build()
             .unwrap();

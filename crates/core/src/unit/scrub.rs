@@ -210,15 +210,11 @@ impl CamUnit {
     /// from cell state (counter-neutral); a mismatch proves the serving
     /// shadow diverged, so the answering group is bulk-repaired, the
     /// *corrected* answer substituted into `results`, and the tier
-    /// degraded. Returns the first divergence as `(group, key)` for
-    /// strict-mode error reporting.
-    pub(super) fn crosscheck_results(
-        &mut self,
-        keys: &[u64],
-        results: &mut [SearchResult],
-    ) -> Option<(usize, u64)> {
-        let policy = self.config.scrub.filter(|p| p.crosscheck_interval > 0)?;
-        let mut first = None;
+    /// degraded.
+    pub(super) fn crosscheck_results(&mut self, keys: &[u64], results: &mut [SearchResult]) {
+        let Some(policy) = self.config.scrub.filter(|p| p.crosscheck_interval > 0) else {
+            return;
+        };
         for (&key, result) in keys.iter().zip(results.iter_mut()) {
             self.scrub.crosscheck_clock += 1;
             if !self
@@ -253,9 +249,7 @@ impl CamUnit {
             self.scrub.clean_sweeps = 0;
             result.output = expected;
             self.degrade_tier();
-            first = first.or(Some((group, key)));
         }
-        first
     }
 
     /// Fall back from Turbo to BitAccurate (the oracle itself cannot
@@ -301,7 +295,6 @@ mod tests {
                 cells_per_op: 8,
                 crosscheck_interval: 0,
                 restore_after: 2,
-                strict: false,
             })
             .build()
             .unwrap();
@@ -376,7 +369,6 @@ mod tests {
                 cells_per_op: 16, // one full sweep per operation
                 crosscheck_interval: 1,
                 restore_after: 2,
-                strict: false,
             })
             .build()
             .unwrap();
@@ -420,10 +412,10 @@ mod tests {
         assert_eq!(ScrubPolicy::default().restore_after, 4);
     }
 
-    /// Strict mode surfaces a caught divergence as
-    /// [`CamError::ShadowDivergence`] *after* repairing it.
+    /// `search_group` serves the repaired answer to a caught divergence
+    /// and degrades the tier.
     #[test]
-    fn strict_scrub_surfaces_shadow_divergence() {
+    fn search_group_serves_the_repaired_answer_to_a_caught_divergence() {
         let config = UnitConfig::builder()
             .data_width(16)
             .block_size(8)
@@ -433,7 +425,6 @@ mod tests {
                 cells_per_op: 4,
                 crosscheck_interval: 1,
                 restore_after: 2,
-                strict: true,
             })
             .build()
             .unwrap();
@@ -447,20 +438,23 @@ mod tests {
                 one_plane: true,
             },
         });
-        let err = cam.search_group(0, 5).unwrap_err();
-        assert_eq!(err, CamError::ShadowDivergence { group: 0, key: 5 });
-        // The error reported an already-repaired state: the next search
-        // is clean and the unit runs degraded but correct.
+        assert!(
+            cam.search_group(0, 5).unwrap().is_match(),
+            "repaired answer"
+        );
+        assert_eq!(cam.scrub_report().divergences, 1);
+        // The state is repaired: the next search is clean and the unit
+        // runs degraded but correct.
         assert!(cam.search_group(0, 5).unwrap().is_match());
+        assert_eq!(cam.scrub_report().divergences, 1);
         assert_eq!(cam.scrub_report().current_tier, FidelityMode::BitAccurate);
     }
 
-    /// Strict mode only changes the `try_` variants: the infallible
     /// `search_stream` and `search_multi` (and `Op::SearchStream`, which
     /// `StreamingCam` serves through `search_stream`) answer a caught
-    /// divergence with the repaired result instead of panicking.
+    /// divergence with the repaired result and degrade the tier.
     #[test]
-    fn strict_scrub_infallible_searches_serve_the_repaired_answer() {
+    fn stream_and_multi_searches_serve_the_repaired_answer() {
         use crate::pipelined::{Completion, Op, StreamingCam};
         let config = UnitConfig::builder()
             .data_width(16)
@@ -471,7 +465,6 @@ mod tests {
                 cells_per_op: 4,
                 crosscheck_interval: 1,
                 restore_after: 2,
-                strict: true,
             })
             .build()
             .unwrap();
@@ -499,16 +492,12 @@ mod tests {
         let mut cam = faulted();
         assert_eq!(cam.search_stream(&[5, 9]), expected, "repaired answers");
         assert_eq!(cam.scrub_report().divergences, 1);
-
-        let mut twin = faulted();
-        assert_eq!(
-            twin.try_search_stream(&[5, 9]).unwrap_err(),
-            CamError::ShadowDivergence { group: 0, key: 5 }
-        );
+        assert_eq!(cam.scrub_report().current_tier, FidelityMode::BitAccurate);
 
         let mut twin = faulted();
         let hits = twin.search_multi(&[5]);
         assert_eq!(hits[0].first_address(), Some(0), "repaired answer");
+        assert_eq!(twin.scrub_report().current_tier, FidelityMode::BitAccurate);
 
         let mut pipe = StreamingCam::new(config).unwrap();
         pipe.unit_mut().update(&[5, 9]).unwrap();
@@ -520,6 +509,10 @@ mod tests {
         assert!(
             matches!(&retired[..], [(_, Completion::SearchStream(hits))] if *hits == expected),
             "{retired:?}"
+        );
+        assert_eq!(
+            pipe.unit().scrub_report().current_tier,
+            FidelityMode::BitAccurate
         );
     }
 
@@ -536,7 +529,6 @@ mod tests {
                 cells_per_op: 16, // full sweep per op
                 crosscheck_interval: 0,
                 restore_after: 2,
-                strict: false,
             })
             .build()
             .unwrap();

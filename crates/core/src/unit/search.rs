@@ -42,10 +42,6 @@ use crate::encoder::{MatchVector, SearchOutput};
 use crate::error::CamError;
 use crate::exact::ExactIndex;
 
-/// A served answer plus the first `(group, key)` divergence the sampled
-/// cross-check caught while serving it (repaired either way).
-type Served<T> = (T, Option<(usize, u64)>);
-
 /// Reusable buffers of the group walks, the deletion probes and the
 /// stream dedup, so once they reach steady-state size a delete
 /// allocates nothing and a search only the answers it returns.
@@ -132,11 +128,10 @@ impl CamUnit {
     /// Single-query search: route, broadcast within the group, combine.
     ///
     /// Under an active [`ScrubPolicy`](crate::config::ScrubPolicy) a
-    /// sampled divergence self-heals silently (the corrected answer is
-    /// returned) — this path is infallible even in strict mode; use
-    /// [`CamUnit::search_group`] to surface [`CamError::ShadowDivergence`].
+    /// sampled divergence self-heals: the corrected answer is returned,
+    /// as on every search path.
     pub fn search(&mut self, key: u64) -> SearchResult {
-        self.serve_point(self.route_key(key), key).0
+        self.serve_point(self.route_key(key), key)
     }
 
     /// Search a specific group (the case-study accelerator addresses
@@ -144,10 +139,7 @@ impl CamUnit {
     ///
     /// # Errors
     ///
-    /// [`CamError::NoSuchGroup`] if the group does not exist;
-    /// [`CamError::ShadowDivergence`] if a sampled cross-check catches a
-    /// divergent answer under a strict [`ScrubPolicy`](crate::config::ScrubPolicy)
-    /// (the divergence is repaired either way).
+    /// [`CamError::NoSuchGroup`] if the group does not exist.
     pub fn search_group(&mut self, group: usize, key: u64) -> Result<SearchResult, CamError> {
         if group >= self.groups() {
             return Err(CamError::NoSuchGroup {
@@ -155,17 +147,16 @@ impl CamUnit {
                 groups: self.groups(),
             });
         }
-        let served = self.serve_point(group, key);
-        self.strict_check(served)
+        Ok(self.serve_point(group, key))
     }
 
     /// One key served by `group` in one issue cycle through the scalar
     /// kernel: [`CamUnit::search`] and [`CamUnit::search_group`].
-    fn serve_point(&mut self, group: usize, key: u64) -> Served<SearchResult> {
-        let (mut results, diverged) = self.serve(group, &[key], 1, Probe::Scalar);
+    fn serve_point(&mut self, group: usize, key: u64) -> SearchResult {
+        let mut results = self.serve(group, &[key], 1, Probe::Scalar);
         #[cfg(feature = "obs")]
         self.trace_issue(OpKind::Search, &[key], &results);
-        (results.remove(0), diverged)
+        results.remove(0)
     }
 
     /// Multi-query search: up to `M` keys, key *i* served by group *i*,
@@ -174,41 +165,29 @@ impl CamUnit {
     /// # Errors
     ///
     /// [`CamError::TooManyQueries`] if more keys than groups are
-    /// presented; [`CamError::ShadowDivergence`] if a sampled
-    /// cross-check catches a divergent answer under a strict
-    /// [`ScrubPolicy`](crate::config::ScrubPolicy) (repaired either way).
+    /// presented.
     pub fn try_search_multi(&mut self, keys: &[u64]) -> Result<Vec<SearchResult>, CamError> {
-        let served = self.serve_multi(keys)?;
-        self.strict_check(served)
-    }
-
-    /// Multi-query search, panicking variant of
-    /// [`CamUnit::try_search_multi`]. Like [`CamUnit::search`], it
-    /// serves the repaired answer when a sampled cross-check catches a
-    /// divergence, even under a strict [`ScrubPolicy`](crate::config::ScrubPolicy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if more keys than groups are presented.
-    pub fn search_multi(&mut self, keys: &[u64]) -> Vec<SearchResult> {
-        self.serve_multi(keys)
-            .expect("more concurrent queries than configured groups")
-            .0
-    }
-
-    /// Key *i* served by group *i*, all in one issue cycle through the
-    /// scalar kernel: both multi-query variants.
-    fn serve_multi(&mut self, keys: &[u64]) -> Result<Served<Vec<SearchResult>>, CamError> {
         if keys.len() > self.groups() {
             return Err(CamError::TooManyQueries {
                 presented: keys.len(),
                 capacity: self.groups(),
             });
         }
-        let served = self.serve(0, keys, 1, Probe::Scalar);
+        let results = self.serve(0, keys, 1, Probe::Scalar);
         #[cfg(feature = "obs")]
-        self.trace_issue(OpKind::SearchMulti, keys, &served.0);
-        Ok(served)
+        self.trace_issue(OpKind::SearchMulti, keys, &results);
+        Ok(results)
+    }
+
+    /// Multi-query search, panicking variant of
+    /// [`CamUnit::try_search_multi`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if more keys than groups are presented.
+    pub fn search_multi(&mut self, keys: &[u64]) -> Vec<SearchResult> {
+        self.try_search_multi(keys)
+            .expect("more concurrent queries than configured groups")
     }
 
     /// Streaming multi-query search: any number of keys, batched onto the
@@ -226,41 +205,20 @@ impl CamUnit {
     /// identically on every fidelity tier.
     ///
     /// Results come back in the caller's key order, duplicates included.
-    /// Like [`CamUnit::search`], this path is infallible: a divergence
-    /// caught by a sampled cross-check is repaired and the corrected
-    /// answer served, even under a strict [`ScrubPolicy`](crate::config::ScrubPolicy);
-    /// use [`CamUnit::try_search_stream`] to surface [`CamError::ShadowDivergence`].
+    /// Like [`CamUnit::search`], a divergence caught by a sampled
+    /// cross-check is repaired and the corrected answer served.
+    ///
+    /// The unique keys run `M` per issue cycle through the batch kernel
+    /// (on a full walk). The dedup runs in reused buffers, and a stream
+    /// without repeats hands back the engine's answers as they are.
     pub fn search_stream(&mut self, keys: &[u64]) -> Vec<SearchResult> {
-        self.serve_stream(keys).0
-    }
-
-    /// Streaming multi-query search, fallible variant of
-    /// [`CamUnit::search_stream`] (same batching, dedup and counter
-    /// semantics).
-    ///
-    /// # Errors
-    ///
-    /// [`CamError::ShadowDivergence`] if a sampled cross-check catches a
-    /// divergent answer under a strict
-    /// [`ScrubPolicy`](crate::config::ScrubPolicy) (repaired either way).
-    pub fn try_search_stream(&mut self, keys: &[u64]) -> Result<Vec<SearchResult>, CamError> {
-        let served = self.serve_stream(keys);
-        self.strict_check(served)
-    }
-
-    /// The unique keys served `M` per issue cycle through the batch
-    /// kernel (on a full walk), answers fanned back out to the caller's
-    /// key order: both streaming variants. The dedup runs in reused
-    /// buffers, and a stream without repeats hands back the engine's
-    /// answers as they are.
-    fn serve_stream(&mut self, keys: &[u64]) -> Served<Vec<SearchResult>> {
         if keys.is_empty() {
-            return (Vec::new(), None);
+            return Vec::new();
         }
         let mut dedup = std::mem::take(&mut self.scratch.dedup);
         dedup.load(keys);
         let issue = dedup.unique.len().div_ceil(self.groups()) as u64;
-        let (answers, diverged) = self.serve(0, &dedup.unique, issue, Probe::Batch);
+        let answers = self.serve(0, &dedup.unique, issue, Probe::Batch);
         #[cfg(feature = "obs")]
         self.trace_stream(
             keys.len(),
@@ -278,34 +236,15 @@ impl CamUnit {
                 .collect()
         };
         self.scratch.dedup = dedup;
-        (results, diverged)
-    }
-
-    /// Surface a caught divergence as [`CamError::ShadowDivergence`] under a
-    /// strict [`ScrubPolicy`](crate::config::ScrubPolicy), else pass the
-    /// answer on: the `try_` variants call this; the infallible ones do not.
-    fn strict_check<T>(&self, (served, diverged): Served<T>) -> Result<T, CamError> {
-        match diverged {
-            Some((group, key)) if self.config.scrub.is_some_and(|p| p.strict) => {
-                Err(CamError::ShadowDivergence { group, key })
-            }
-            _ => Ok(served),
-        }
+        results
     }
 
     /// The one search engine behind every entry point: sync the write
     /// buffer for `keys`, charge `issue` cycles, answer key `j` from group
     /// `(first + j) mod M` (each group walks its keys in order through
     /// `probe`, see [`CamUnit::walk_group`]), cross-check the answers and
-    /// advance the scrubber. Returns the (corrected) answers in key order
-    /// plus the first divergence the cross-check caught.
-    fn serve(
-        &mut self,
-        first: usize,
-        keys: &[u64],
-        issue: u64,
-        probe: Probe,
-    ) -> Served<Vec<SearchResult>> {
+    /// advance the scrubber. Returns the (corrected) answers in key order.
+    fn serve(&mut self, first: usize, keys: &[u64], issue: u64, probe: Probe) -> Vec<SearchResult> {
         self.sync_for_keys(keys);
         self.issue_cycles += issue;
         self.search_count += keys.len() as u64;
@@ -334,9 +273,9 @@ impl CamUnit {
         }
         walk.keys = group_keys;
         self.scratch = walk;
-        let diverged = self.crosscheck_results(keys, &mut results);
+        self.crosscheck_results(keys, &mut results);
         self.scrub_tick();
-        (results, diverged)
+        results
     }
 
     /// The DSP oracle's answer to `key` from `group`, counter-neutral:

@@ -46,7 +46,6 @@ fn build(fidelity: FidelityMode) -> CamUnit {
             cells_per_op: CELLS_PER_OP,
             crosscheck_interval: 4,
             restore_after: 2,
-            strict: false,
         })
         .build()
         .unwrap();
@@ -314,7 +313,6 @@ fn governor_restores_exactly_after_k_clean_sweeps() {
                 cells_per_op: 2 * BLOCK_SIZE, // one full sweep per op
                 crosscheck_interval: 1,
                 restore_after: k,
-                strict: false,
             })
             .build()
             .unwrap();

@@ -7,19 +7,21 @@
 //!   `c + latency - 1` (the update latency for updates and deletes, the
 //!   search latency for every search form);
 //! * ops retiring at the same edge leave in issue order;
-//! * a write's journal effect is acknowledged at its retire edge;
+//! * a write's journal effect is acknowledged at its retire edge, if the
+//!   journal was on when the write was applied;
 //! * the crash edge ([`StreamingCam::purge_in_flight`]) discards every
-//!   op issued or staged but not retired, and its unacknowledged journal
-//!   effects, while effects already applied to the unit stay; it hands
-//!   the discarded ops back in issue order, the staged one last.
+//!   op issued or staged but not retired, so none of them is ever
+//!   acknowledged, while effects already applied to the unit stay; it
+//!   hands the discarded ops back in issue order, the staged one last.
 //!
 //! Random sequences of issues (every [`Op`] kind, arrivals up to three
-//! cycles in the past), idle gaps and crash edges run at both unit
-//! search latencies: 7 cycles below 2,048 cells and 8 from 2,048 up,
-//! where an update ties with a search issued one or two cycles before
-//! it. Each step checks every completion's stamps (arrival, issue and
-//! retire cycles) and answer, the retire log, `in_flight()`, the journal
-//! and what a purge discards.
+//! cycles in the past), idle gaps, crash edges and fresh journals
+//! enabled mid-stream run at both unit search latencies: 7 cycles below
+//! 2,048 cells and 8 from 2,048 up, where an update ties with a search
+//! issued one or two cycles before it. Each step checks every
+//! completion's stamps (arrival, issue and retire cycles) and answer,
+//! `in_flight()`, `writes_in_flight()`, the journal and what a purge
+//! discards.
 
 use std::collections::HashMap;
 
@@ -40,6 +42,8 @@ enum Step {
     Idle(u64),
     /// The crash edge with nothing staged.
     Purge,
+    /// Replace the journal with a fresh one while ops are in flight.
+    EnableJournal,
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -58,6 +62,7 @@ fn step() -> impl Strategy<Value = Step> {
         1 => op().prop_map(Step::StageThenPurge),
         3 => (1u64..10).prop_map(Step::Idle),
         1 => Just(Step::Purge),
+        1 => Just(Step::EnableJournal),
     ]
 }
 
@@ -107,6 +112,8 @@ struct InFlight {
     issued: u64,
     retires: u64,
     answer: Answer,
+    /// Whether the journal was on when the op was applied.
+    journaled: bool,
 }
 
 /// The reference: contents as a key multiset, ops in flight in issue
@@ -157,7 +164,17 @@ impl Model {
             issued: self.cycle,
             retires: self.cycle + latency - 1,
             answer,
+            journaled: true,
         });
+    }
+
+    /// A fresh journal: nothing acknowledged yet, and the writes in
+    /// flight were applied before it.
+    fn enable_journal(&mut self) {
+        self.acked = 0;
+        for op in &mut self.in_flight {
+            op.journaled = false;
+        }
     }
 
     /// The clock edge ending the current cycle: what retires, in the
@@ -168,7 +185,10 @@ impl Model {
             .into_iter()
             .partition(|op| op.retires == now);
         self.in_flight = kept;
-        self.acked += retired.iter().filter(|op| op.answer.journalled()).count();
+        self.acked += retired
+            .iter()
+            .filter(|op| op.journaled && op.answer.journalled())
+            .count();
         self.cycle += 1;
         retired
     }
@@ -187,8 +207,6 @@ fn tick(cam: &mut StreamingCam, model: &mut Model) -> Result<(), TestCaseError> 
     let want = model.tick();
     let mut retired = Vec::new();
     cam.drain_retired(&mut retired);
-    let stamps: Vec<RetireRecord> = retired.iter().map(|(stamp, _)| *stamp).collect();
-    prop_assert_eq!(cam.take_retire_log(), stamps, "the retire log's stamps");
     prop_assert_eq!(
         retired.len(),
         want.len(),
@@ -215,8 +233,8 @@ fn tick(cam: &mut StreamingCam, model: &mut Model) -> Result<(), TestCaseError> 
 fn check_state(cam: &StreamingCam, model: &Model) -> Result<(), TestCaseError> {
     prop_assert_eq!(cam.cycle(), model.cycle);
     prop_assert_eq!(cam.in_flight(), !model.in_flight.is_empty());
+    prop_assert_eq!(cam.writes_in_flight(), model.writes_in_flight());
     let journal = cam.write_journal().expect("journal enabled");
-    prop_assert_eq!(journal.unacked_len(), model.writes_in_flight());
     prop_assert_eq!(journal.acked_len(), model.acked);
     Ok(())
 }
@@ -241,7 +259,6 @@ fn purge(
     let mut retired = Vec::new();
     cam.drain_retired(&mut retired);
     prop_assert!(retired.is_empty(), "a purge retires nothing");
-    prop_assert!(cam.retire_log().is_empty(), "nor logs anything");
     check_state(cam, model)
 }
 
@@ -256,7 +273,6 @@ fn run(num_blocks: usize, search_latency: u64, steps: &[Step]) -> Result<(), Tes
     prop_assert_eq!(config.update_latency(), 6);
     let mut cam = StreamingCam::new(config).expect("constructible");
     cam.enable_write_journal(1 << 20);
-    cam.enable_retire_log();
     let mut model = Model {
         update_latency: config.update_latency(),
         search_latency,
@@ -284,6 +300,11 @@ fn run(num_blocks: usize, search_latency: u64, steps: &[Step]) -> Result<(), Tes
                 }
             }
             Step::Purge => purge(&mut cam, &mut model, None)?,
+            Step::EnableJournal => {
+                cam.enable_write_journal(1 << 20);
+                model.enable_journal();
+                check_state(&cam, &model)?;
+            }
         }
     }
     while !model.in_flight.is_empty() {

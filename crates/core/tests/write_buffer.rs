@@ -267,7 +267,6 @@ fn drained_refcount_underflow_is_charged_to_the_sweep_audit() {
         cells_per_op: 8,
         crosscheck_interval: 0,
         restore_after: 2,
-        strict: false,
     };
     let config = UnitConfig::builder()
         .data_width(12)
@@ -305,7 +304,6 @@ fn scrub_sweep_heals_an_injected_index_fault() {
         cells_per_op: 8,
         crosscheck_interval: 0,
         restore_after: 2,
-        strict: false,
     };
     let config = UnitConfig::builder()
         .data_width(12)

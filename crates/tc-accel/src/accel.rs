@@ -397,7 +397,6 @@ mod tests {
                 cells_per_op: 4,
                 crosscheck_interval: 8,
                 restore_after: 2,
-                strict: false,
             })
             .run_on_hardware_model_with(&g, FidelityMode::Turbo)
             .unwrap();

@@ -6,7 +6,7 @@
 //!   advancing the scrubber, exactly as hardware background engines
 //!   steal unused port cycles), same-cycle burst arrivals queue behind
 //!   the single issue slot, and every completion's end-to-end latency
-//!   lands in the retire log.
+//!   comes from the retire stamps it drains with.
 //! * [`replay_direct`] applies the same trace through transaction-level
 //!   [`CamUnit`] calls with no clock at all.
 //!
@@ -92,7 +92,6 @@ fn prefill(unit: &mut CamUnit, trace: &Trace) {
 /// until the write buffer is empty (quiescence).
 pub fn replay_streaming(trace: &Trace, cam: &mut StreamingCam) -> ReplayOutcome {
     prefill(cam.unit_mut(), trace);
-    cam.enable_retire_log();
     cam.drain_retired(&mut Vec::new());
 
     let start = cam.cycle();
@@ -120,9 +119,10 @@ pub fn replay_streaming(trace: &Trace, cam: &mut StreamingCam) -> ReplayOutcome 
 
     let mut retired = Vec::new();
     cam.drain_retired(&mut retired);
+    let (records, completions) = retired.into_iter().unzip();
     let mut outcome = ReplayOutcome {
-        completions: retired.into_iter().map(|(_, c)| c).collect(),
-        records: cam.take_retire_log(),
+        completions,
+        records,
         ticks: cam.cycle() - start,
         ..ReplayOutcome::default()
     };

@@ -36,7 +36,6 @@ fn build_unit() -> Result<CamUnit, Box<dyn std::error::Error>> {
             cells_per_op: 8,
             crosscheck_interval: 2,
             restore_after: 2,
-            strict: false,
         })
         .build()?;
     Ok(CamUnit::new(config)?)

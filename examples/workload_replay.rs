@@ -74,7 +74,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     // Arm 1: the cycle-accurate streaming pipeline, ops issued on their
-    // trace arrival cycles, retire log enabled.
+    // trace arrival cycles, each completion drained with its retire
+    // stamps.
     let mut cam = streaming_cam(config, 2);
     let streaming = replay_streaming(&trace, &mut cam);
     println!(
@@ -109,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         s_search.len()
     );
 
-    // End-to-end retire latency from the streaming arm's retire log:
+    // End-to-end retire latency from the streaming arm's retire stamps:
     // arrival cycle -> retire cycle, queueing included. Deterministic.
     let latencies = &streaming.latencies;
     println!(

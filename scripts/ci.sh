@@ -88,14 +88,18 @@ run_filtered -q --offline -p dsp-cam-core --features obs --lib -- exact::
 # replay_cluster runs on write-buffered shards (fault-free, and through
 # a crash and a stall) whose ticks, issues, stalls, queue peak, per-shard
 # retire counts and latency percentiles, retries and recovery ticks are
-# pinned exactly. Both feature sets, through run_filtered so a rename
-# cannot drop them.
+# pinned exactly, plus the cluster's own unit tests, which check that
+# a replay (finished or stopped by an error) leaves no op in flight and
+# no unharvested completion on any shard. Both feature sets, through
+# run_filtered so a rename cannot drop them.
 echo "==> cycle schedule pins (default)"
 run_filtered -q --offline -p dsp-cam-core --test streaming_timing
 run_filtered -q --offline -p dsp-cam-cluster --test replay_timing
+run_filtered -q --offline -p dsp-cam-cluster --lib
 echo "==> cycle schedule pins (obs)"
 run_filtered -q --offline -p dsp-cam-core --features obs --test streaming_timing
 run_filtered -q --offline -p dsp-cam-cluster --features obs --test replay_timing
+run_filtered -q --offline -p dsp-cam-cluster --features obs --lib
 
 # Table IX's cycle check: the hardware-model triangle count takes each
 # edge's compute cycles from the driven unit's issue counter, and must
